@@ -17,8 +17,8 @@ from ghzforge import (
     CoupledTlrCircuit,
     IntegratorConfig,
     QubitSpec,
-    coupled_decoupling_time,
-    run_coupled_resonator,
+    decoupling_time,
+    run,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -44,11 +44,11 @@ circuit = CoupledTlrCircuit(
     rabi=42.0 * J,
 )
 
-t_gate = coupled_decoupling_time(J, 1)
+t_gate = decoupling_time(circuit.loop_rate, 1)
 print(f"normal-mode splitting J = {J / TWO_PI * 1e3:.0f} MHz")
 print(f"gate time (both loops close): {t_gate:.2f} ns\n")
 
-eff = run_coupled_resonator(circuit, "effective", t_gate, 2.5, fock_cutoffs=(8, 8))
+eff = run(circuit, "effective", t_gate, 2.5, (8, 8))
 print(f"{'t (ns)':>8} {'F_eff':>10} {'<n_P>':>9} {'<n_Q>':>9}")
 for i, t in enumerate(eff.times):
     print(
@@ -59,14 +59,7 @@ print(f"\neffective model: F({t_gate:.0f} ns) = {eff.final_fidelity:.6f}")
 
 if args.full:
     print("\nintegrating the full model (this takes a while)...")
-    full = run_coupled_resonator(
-        circuit,
-        "full",
-        t_gate,
-        2.5,
-        fock_cutoffs=(8, 8),
-        config=IntegratorConfig(dt=0.000388),
-    )
+    full = run(circuit, "full", t_gate, 2.5, (8, 8), config=IntegratorConfig(dt=0.000388))
     drift = float(np.max(np.abs(full.norm - 1.0)))
     print(
         f"full model: F({t_gate:.0f} ns) = {full.final_fidelity:.6f} "

@@ -32,7 +32,7 @@ trajectories = sweep_drive_strength(
     multipliers,
     window=(9.5, 10.5),
     window_sample_every=0.01,  # 10 ps: resolves the ripple at 2 Omega_R
-    fock=10,
+    fock=(10,),
 )
 
 print(f"{'Omega_R/|delta|':>16} {'peak F':>10} {'at (ns)':>9} {'convention':>11}")

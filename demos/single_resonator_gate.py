@@ -13,7 +13,7 @@ from ghzforge import (
     SingleTlrCircuit,
     decoupling_time,
     estimated_drive_fidelity,
-    run_single_resonator,
+    run,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -30,12 +30,12 @@ circuit = SingleTlrCircuit(
     rabi=20.0 * abs(DELTA),
 )
 
-t_gate = decoupling_time(DELTA, 1)
+t_gate = decoupling_time(circuit.loop_rate, 1)
 print(f"gate time (first displacement-loop closure): {t_gate:.2f} ns")
 print(f"drive amplitude: {circuit.rabi / TWO_PI:.2f} GHz = 20 |delta|\n")
 
 runs = {
-    variant: run_single_resonator(circuit, variant, t_gate, 0.5, fock_cutoff=10)
+    variant: run(circuit, variant, t_gate, 0.5, (10,))
     for variant in ("effective", "full")
 }
 

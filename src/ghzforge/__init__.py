@@ -7,6 +7,9 @@ in phase space, and at the closure time the qubits disentangle from the
 field carrying pairwise sigma_x sigma_x phases that turn a product state
 into a GHZ state.
 
+Both layouts are one model: N qubits coupled to M modes with detunings
+Delta_m through a coupling matrix G, which the layout records expose.
+
 Layers: `operators` (truncated-space linear algebra), `model` (circuit
 records and Hamiltonian builders), `analytic` (closed forms: displacement
 loops, pair phases, phase-condition solvers, SQUID coupler), `dynamics`
@@ -20,8 +23,6 @@ from .analytic import (
     SinglePhaseSolution,
     SquidCoupler,
     accumulated_pair_phase,
-    coupled_decoupling_time,
-    coupled_pair_phase_matrix,
     decoupling_time,
     decoupling_unitary,
     effective_mutual_inductance,
@@ -34,15 +35,12 @@ from .analytic import (
     solve_single_phase_condition,
 )
 from .dynamics import (
-    COUPLED_VARIANTS,
-    SINGLE_VARIANTS,
     FrameConsistencyReport,
     IntegratorConfig,
     Trajectory,
     frame_consistency_report,
     ground_vacuum_state,
-    run_coupled_resonator,
-    run_single_resonator,
+    run,
     sweep_drive_strength,
 )
 from .errors import (
@@ -59,9 +57,6 @@ from .model import (
     ResonatorDrive,
     SingleTlrCircuit,
     TimeDependentHamiltonian,
-    coupled_effective_hamiltonian,
-    coupled_full_simulation_hamiltonian,
-    coupled_rotating_frame_hamiltonian,
     coupling_strength,
     effective_hamiltonian,
     full_simulation_hamiltonian,
@@ -101,9 +96,6 @@ __all__ = [
     "interaction_picture_hamiltonian",
     "effective_hamiltonian",
     "full_simulation_hamiltonian",
-    "coupled_rotating_frame_hamiltonian",
-    "coupled_effective_hamiltonian",
-    "coupled_full_simulation_hamiltonian",
     "qubit_drive_from_resonator_drive",
     "coupling_strength",
     "GHZ_CONVENTIONS",
@@ -111,9 +103,7 @@ __all__ = [
     "mode_displacement_amplitude",
     "accumulated_pair_phase",
     "decoupling_time",
-    "coupled_decoupling_time",
     "pair_phase_matrix",
-    "coupled_pair_phase_matrix",
     "decoupling_unitary",
     "estimated_drive_fidelity",
     "SquidCoupler",
@@ -123,13 +113,10 @@ __all__ = [
     "CoupledPhaseSolution",
     "solve_single_phase_condition",
     "solve_coupled_phase_condition",
-    "SINGLE_VARIANTS",
-    "COUPLED_VARIANTS",
     "IntegratorConfig",
     "Trajectory",
     "ground_vacuum_state",
-    "run_single_resonator",
-    "run_coupled_resonator",
+    "run",
     "sweep_drive_strength",
     "FrameConsistencyReport",
     "frame_consistency_report",

@@ -6,14 +6,16 @@ qubits.  Because its commutator at two times is a c-number (times commuting
 sigma_x products), the Magnus series terminates and the propagator is known
 in closed form:
 
-    U(t) = exp[ sum_k sigma_x^k (B_k(t) a^dag - B_k(t)* a) ]
+    U(t) = exp[ sum_{k,m} sigma_x^k (B_km(t) a_m^dag - B_km(t)* a_m) ]
            * exp[ i sum_{k,j} gamma_kj(t) sigma_x^k sigma_x^j ]
 
-The displacement B_k vanishes at the decoupling times T_n = 2 pi n / |delta|,
-where the qubits disentangle from the mode and only the pairwise phases
-gamma_kj survive.  Choosing parameters so each accumulated pair phase is an
-odd multiple of pi/8 (per ordered pair) turns U(T_n) into a GHZ generator
-on the all-ground initial state.
+with gamma_kj = sum_m G_km G_jm phi(Delta_m, t) over the modes of the
+coupling matrix G.  The displacements B_km vanish at the decoupling times
+T_n = 2 pi n / loop_rate (|delta| for one resonator), where the qubits
+disentangle from the modes and only the pairwise phases gamma_kj survive.
+Choosing parameters so each accumulated pair phase is an odd multiple of
+pi/8 (per ordered pair) turns U(T_n) into a GHZ generator on the
+all-ground initial state.
 
 Sign conventions are the ones an independent high-order integration of the
 effective Hamiltonian actually produces: gamma_kj keeps the sign of delta
@@ -43,8 +45,6 @@ __all__ = [
     "accumulated_pair_phase",
     "decoupling_time",
     "pair_phase_matrix",
-    "coupled_pair_phase_matrix",
-    "coupled_decoupling_time",
     "decoupling_unitary",
     "ghz_target",
     "estimated_drive_fidelity",
@@ -89,71 +89,42 @@ def accumulated_pair_phase(t: float, g_k: float, g_j: float, detuning: float) ->
     return (g_k * g_j / (4.0 * detuning)) * (t - osc)
 
 
-def decoupling_time(detuning: float, n: int = 1) -> float:
-    """n-th time at which the mode returns to its initial state: 2 pi n/|delta|."""
-    if detuning == 0.0:
-        raise ValueError("detuning must be nonzero")
+def decoupling_time(rate: float, n: int = 1) -> float:
+    """n-th time at which every mode is back at its initial state: 2 pi n/|rate|.
+
+    rate is the circuit's loop_rate: the detuning delta for one resonator;
+    the coupler rate J for the coupled pair, whose normal modes both close
+    their loops then provided delta' is an odd multiple of J, since
+    (delta' +- J) T_n is a multiple of 2 pi.
+    """
+    if rate == 0.0:
+        raise ValueError("loop rate must be nonzero")
     if n < 1:
         raise ValueError("n must be a positive integer")
-    return 2.0 * np.pi * n / abs(detuning)
+    return 2.0 * np.pi * n / abs(rate)
 
 
-def pair_phase_matrix(couplings, detuning: float, n: int = 1) -> np.ndarray:
-    """Matrix of accumulated phases gamma_kj(T_n) for the single-resonator gate.
+def pair_phase_matrix(coupling_matrix, mode_detunings, t: float) -> np.ndarray:
+    """Accumulated ordered-pair phases gamma_kj(t) of the multi-mode gate.
 
-    Entry (k, j) is the ordered-pair phase sign(delta) n pi g_k g_j/(2 delta^2);
-    the diagonal entries are the single-qubit (global-phase) contributions.
+    gamma_kj(t) = sum_m G_km G_jm Re phi(Delta_m, t), where
+    phi(Delta, t) = [t - (e^{i Delta t} - 1)/(i Delta)] / (4 Delta) is
+    :func:`accumulated_pair_phase` per unit coupling.  coupling_matrix is
+    G (N x M), mode_detunings the M detunings Delta_m, both as a layout
+    record exposes them.  At a decoupling time one mode gives
+    sign(delta) n pi g_k g_j/(2 delta^2); the coupled pair's symmetric mode
+    adds for every pair while the antisymmetric one adds for same-resonator
+    pairs and subtracts for cross pairs.  The diagonal entries are the
+    single-qubit (global-phase) contributions.
     """
-    g = np.asarray(couplings, dtype=float)
-    t_n = decoupling_time(detuning, n)
-    gamma = np.real(
-        np.array(
-            [[accumulated_pair_phase(t_n, gk, gj, detuning) for gj in g] for gk in g]
-        )
-    )
-    return gamma
-
-
-def coupled_decoupling_time(coupler_rate: float, n: int = 1) -> float:
-    """Gate time for the two-resonator layout: T_n = 2 pi n / |J|.
-
-    Both normal modes close their loops here provided delta' is an odd
-    multiple of J, since (delta' +- J) T_n is then a multiple of 2 pi.
-    """
-    if coupler_rate == 0.0:
-        raise ValueError("coupler rate must be nonzero")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    return 2.0 * np.pi * n / abs(coupler_rate)
-
-
-def coupled_pair_phase_matrix(
-    couplings, assignments, detuning_prime: float, coupler_rate: float, n: int = 1
-) -> np.ndarray:
-    """Accumulated phases at T_n = 2 pi n/|J| for the two-resonator gate.
-
-    Qubit pairs on the same resonator pick up
-        gamma_kj = g_k g_j delta' T_n / (4 (delta'^2 - J^2)),
-    cross-resonator pairs
-        gamma_kj = -g_k g_j J T_n / (4 (delta'^2 - J^2)):
-    the symmetric normal mode adds for every pair while the antisymmetric
-    one adds for same-resonator pairs and subtracts for cross pairs.
-    assignments is a sequence of 'A'/'B' labels, one per qubit.
-    """
-    g = np.asarray(couplings, dtype=float)
-    if len(assignments) != g.size:
-        raise ValueError("one resonator assignment required per qubit")
-    denom = detuning_prime**2 - coupler_rate**2
-    if denom == 0.0:
-        raise ValueError("|delta'| must differ from |J|")
-    t_n = coupled_decoupling_time(coupler_rate, n)
-    gamma = np.empty((g.size, g.size))
-    for k in range(g.size):
-        for j in range(g.size):
-            same = assignments[k] == assignments[j]
-            rate = detuning_prime if same else -coupler_rate
-            gamma[k, j] = g[k] * g[j] * rate * t_n / (4.0 * denom)
-    return gamma
+    g = np.asarray(coupling_matrix, dtype=float)
+    detunings = np.asarray(mode_detunings, dtype=float)
+    if g.ndim != 2 or g.shape[1] != detunings.size:
+        raise ValueError("coupling matrix needs one column per mode detuning")
+    if np.any(detunings == 0.0):
+        raise ValueError("every mode detuning must be nonzero")
+    phi = np.array([accumulated_pair_phase(t, 1.0, 1.0, d).real for d in detunings])
+    return (g * phi) @ g.T
 
 
 def decoupling_unitary(phase_matrix: np.ndarray) -> np.ndarray:
@@ -161,7 +132,7 @@ def decoupling_unitary(phase_matrix: np.ndarray) -> np.ndarray:
 
     phase_matrix is a full (N, N) matrix of ordered-pair phases (both
     orders counted, diagonal included as a global phase), as returned by
-    pair_phase_matrix or coupled_pair_phase_matrix.  The result is unitary
+    pair_phase_matrix.  The result is unitary
     and diagonal in the product sigma_x basis.
     """
     gamma = np.asarray(phase_matrix, dtype=float)

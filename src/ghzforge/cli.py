@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -124,6 +125,8 @@ def _parse_values(text: str) -> list[float]:
         raise ScenarioFormatError(f"--values must be a comma-separated number list, got {text!r}")
     if not values:
         raise ScenarioFormatError("--values list is empty")
+    if not all(math.isfinite(v) for v in values):
+        raise ScenarioFormatError(f"--values must be finite numbers, got {text!r}")
     return values
 
 
@@ -137,6 +140,8 @@ def _parse_window(text: str | None, t_final: float) -> tuple[float, float]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise ScenarioFormatError(f"--window must contain numbers, got {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ScenarioFormatError(f"--window must contain finite numbers, got {text!r}")
     if not 0 <= lo < hi:
         raise ScenarioFormatError("--window must satisfy 0 <= start < end")
     return (lo, hi)

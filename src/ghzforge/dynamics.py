@@ -27,20 +27,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analytic import GHZ_CONVENTIONS, ghz_target, mode_displacement_amplitude
+from .analytic import GHZ_CONVENTIONS, ghz_target
 from .errors import PreconditionError
 from .model import (
-    CoupledTlrCircuit,
     ResonatorDrive,
     SingleTlrCircuit,
     TimeDependentHamiltonian,
-    coupled_effective_hamiltonian,
-    coupled_full_simulation_hamiltonian,
-    coupled_rotating_frame_hamiltonian,
     effective_hamiltonian,
     full_simulation_hamiltonian,
     interaction_picture_hamiltonian,
     lab_frame_hamiltonian,
+    qubit_drive_from_resonator_drive,
     rotating_frame_hamiltonian,
 )
 from .operators import (
@@ -60,30 +57,20 @@ __all__ = [
     "resolve_step",
     "evolve",
     "evolve_sampled",
-    "run_single_resonator",
-    "run_coupled_resonator",
+    "run",
     "sweep_drive_strength",
     "frame_consistency_report",
-    "SINGLE_VARIANTS",
-    "COUPLED_VARIANTS",
 ]
 
 DEFAULT_STEP_DIVISOR = 64
 MINIMUM_STEP_DIVISOR = 50
 
-SINGLE_VARIANTS = ("full", "rotating", "intermediate", "effective")
-COUPLED_VARIANTS = ("full", "rotating", "effective")
-
-_SINGLE_BUILDERS = {
+# Every variant a layout accepts (its record's `variants`) maps to a builder.
+_BUILDERS = {
     "full": full_simulation_hamiltonian,
     "rotating": rotating_frame_hamiltonian,
     "intermediate": interaction_picture_hamiltonian,
     "effective": effective_hamiltonian,
-}
-_COUPLED_BUILDERS = {
-    "full": coupled_full_simulation_hamiltonian,
-    "rotating": coupled_rotating_frame_hamiltonian,
-    "effective": coupled_effective_hamiltonian,
 }
 
 
@@ -184,7 +171,8 @@ def evolve_sampled(
     sample_times must be non-decreasing and non-negative; each is hit
     exactly (the step is shrunk uniformly inside each segment so sampling
     never perturbs the grid elsewhere).  Returns an array of shape
-    (len(sample_times), dim).
+    (len(sample_times), dim).  Raises PreconditionError as soon as the
+    state at a sample time is no longer finite.
     """
     samples = np.asarray(sample_times, dtype=float)
     if samples.ndim != 1 or samples.size == 0:
@@ -216,6 +204,11 @@ def evolve_sampled(
                 if renorm and steps_done % renorm == 0:
                     y /= np.linalg.norm(y)
             t_now = t_target
+        if not np.isfinite(y).all():
+            raise PreconditionError(
+                f"state stopped being finite by t = {t_target:g} ns; the step "
+                f"{dt:g} ns or the Hamiltonian's entries are out of range"
+            )
         out[idx] = y
     return out
 
@@ -286,55 +279,37 @@ def _sample_grid(t_final: float, sample_every: float) -> np.ndarray:
     return times
 
 
-def run_single_resonator(
-    circuit: SingleTlrCircuit,
-    variant: str,
-    t_final: float,
-    sample_every: float,
-    fock_cutoff: int = 10,
-    config: IntegratorConfig | None = None,
-    convention: str = "auto",
-) -> Trajectory:
-    """Fidelity trajectory for the one-resonator circuit.
-
-    variant picks the Hamiltonian: 'full' (counter-rotating terms kept),
-    'rotating' (static RWA form), 'intermediate' (interaction picture with
-    the drive-oscillating error terms), 'effective' (strong-driving limit).
-    """
-    try:
-        builder = _SINGLE_BUILDERS[variant]
-    except KeyError:
+def _trajectory(circuit, variant, times, fock_cutoffs, config, convention) -> Trajectory:
+    if variant not in circuit.variants:
         raise ValueError(
-            f"unknown variant {variant!r}; expected one of {SINGLE_VARIANTS}"
-        ) from None
-    space = HilbertSpace(n_qubits=circuit.n_qubits, mode_levels=(fock_cutoff,))
-    hamiltonian = builder(circuit, space)
-    times = _sample_grid(t_final, sample_every)
-    states = evolve_sampled(hamiltonian, ground_vacuum_state(space), times, config)
-    return _observe(states, times, space, hamiltonian.label, convention)
-
-
-def run_coupled_resonator(
-    circuit: CoupledTlrCircuit,
-    variant: str,
-    t_final: float,
-    sample_every: float,
-    fock_cutoffs: tuple[int, int] = (8, 8),
-    config: IntegratorConfig | None = None,
-    convention: str = "auto",
-) -> Trajectory:
-    """Fidelity trajectory for the two-resonator circuit (normal-mode basis)."""
-    try:
-        builder = _COUPLED_BUILDERS[variant]
-    except KeyError:
-        raise ValueError(
-            f"unknown variant {variant!r}; expected one of {COUPLED_VARIANTS}"
-        ) from None
+            f"unknown variant {variant!r}; expected one of {circuit.variants}"
+        )
     space = HilbertSpace(n_qubits=circuit.n_qubits, mode_levels=tuple(fock_cutoffs))
-    hamiltonian = builder(circuit, space)
-    times = _sample_grid(t_final, sample_every)
+    hamiltonian = _BUILDERS[variant](circuit, space)
     states = evolve_sampled(hamiltonian, ground_vacuum_state(space), times, config)
     return _observe(states, times, space, hamiltonian.label, convention)
+
+
+def run(
+    circuit,
+    variant: str,
+    t_final: float,
+    sample_every: float,
+    fock_cutoffs,
+    config: IntegratorConfig | None = None,
+    convention: str = "auto",
+) -> Trajectory:
+    """Fidelity trajectory of a layout record, sampled every sample_every.
+
+    variant picks the Hamiltonian among the record's `variants`: 'full'
+    (counter-rotating terms kept), 'rotating' (static RWA form),
+    'intermediate' (interaction picture with the drive-oscillating error
+    terms; one resonator only), 'effective' (strong-driving limit).
+    fock_cutoffs holds one Fock truncation per mode: (n,) for one
+    resonator, (n_P, n_Q) for the coupled pair's normal modes.
+    """
+    times = _sample_grid(t_final, sample_every)
+    return _trajectory(circuit, variant, times, fock_cutoffs, config, convention)
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +319,7 @@ def run_coupled_resonator(
 
 def _sweep_point(args):
     (circuit, variant, window_times, fock, config, convention) = args
-    if isinstance(circuit, SingleTlrCircuit):
-        space = HilbertSpace(n_qubits=circuit.n_qubits, mode_levels=(fock,))
-        hamiltonian = _SINGLE_BUILDERS[variant](circuit, space)
-    else:
-        space = HilbertSpace(n_qubits=circuit.n_qubits, mode_levels=tuple(fock))
-        hamiltonian = _COUPLED_BUILDERS[variant](circuit, space)
-    states = evolve_sampled(hamiltonian, ground_vacuum_state(space), window_times, config)
-    traj = _observe(states, window_times, space, hamiltonian.label, convention)
+    traj = _trajectory(circuit, variant, window_times, fock, config, convention)
     traj.label = f"{traj.label}:rabi={circuit.rabi:.9g}"
     return traj
 
@@ -382,15 +350,16 @@ def sweep_drive_strength(
     multipliers,
     window: tuple[float, float],
     window_sample_every: float,
-    fock=10,
+    fock=(10,),
     config: IntegratorConfig | None = None,
     convention: str = "auto",
     workers: int | None = None,
 ) -> list[Trajectory]:
     """One trajectory per Rabi amplitude, sampled densely inside a time window.
 
-    The drive amplitude at each point is multiplier x |delta| for the
-    single-resonator circuit and multiplier x |J| for the coupled one.
+    The drive amplitude at each point is multiplier x circuit.loop_rate
+    (|delta| for one resonator, |J| for the coupled pair); fock holds one
+    Fock cutoff per mode, as in :func:`run`.
     Each run still starts at t = 0; only the sampling is restricted to the
     window, dense enough to expose the fast fidelity oscillation at the
     drive frequency.  Results are ordered like the multipliers regardless
@@ -402,12 +371,10 @@ def sweep_drive_strength(
     lo, hi = window
     if not 0 <= lo < hi:
         raise ValueError("window must satisfy 0 <= start < end")
-    if isinstance(circuit, SingleTlrCircuit):
-        base = abs(circuit.detuning)
-    elif isinstance(circuit, CoupledTlrCircuit):
-        base = abs(circuit.coupler_rate)
-    else:
-        raise TypeError("circuit must be a SingleTlrCircuit or CoupledTlrCircuit")
+    try:
+        base = circuit.loop_rate
+    except AttributeError:
+        raise TypeError("circuit must be a layout record with a loop_rate") from None
     n_window = int(np.floor((hi - lo) / window_sample_every + 1e-9))
     window_times = lo + np.arange(n_window + 1) * window_sample_every
     tasks = [
@@ -495,8 +462,6 @@ def frame_consistency_report(
     psi_rot = phases * psi_disp
 
     # rotating-frame leg with counter-rotating terms kept
-    from .model import qubit_drive_from_resonator_drive
-
     circuit_driven, _mapping = qubit_drive_from_resonator_drive(circuit, drive)
     h_full = full_simulation_hamiltonian(circuit_driven, space)
     psi_full = evolve(h_full, ground_eigen, t_final, config)

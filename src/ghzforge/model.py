@@ -1,41 +1,55 @@
 """Circuit parameter records and Hamiltonian builders.
 
-The physical system is a set of gap-tunable flux qubits inductively coupled
-to one transmission-line resonator (TLR), or to one of two TLRs that are
-themselves coupled through a dc-SQUID.  The resonator is driven by a
-microwave tone at the common qubit gap frequency omega_d; after displacing
-the mode the tone acts as a transverse qubit drive of Rabi amplitude
-Omega_R = 2 g nu / delta.
+The physical system is N gap-tunable flux qubits coupled through sigma_x to
+M detuned bosonic modes.  Two layouts are modelled: one transmission-line
+resonator (TLR), M = 1, and two TLRs coupled through a dc-SQUID, whose
+normal modes P = (a + b)/sqrt2 and Q = (a - b)/sqrt2 split by the
+photon-exchange rate +-J, M = 2.  The resonators are driven at the common
+qubit gap frequency omega_d; after displacing the modes the tone acts as a
+transverse qubit drive of Rabi amplitude Omega_R.
+
+A layout record is the only code that knows which layout is in use.  The
+builders read just what it exposes:
+
+* ``mode_detunings`` Delta_m, mode frequency minus omega_d:
+  (delta,) for one TLR, (delta' + J, delta' - J) for the coupled pair;
+* ``coupling_matrix`` G (N x M), the qubit-mode rates: [[g_k]] for one TLR,
+  g_k/sqrt2 [1, +1] for a qubit on resonator A and g_k/sqrt2 [1, -1] on B;
+* ``omega``, the bare resonator frequency: counter-rotating couplings
+  oscillate at omega + omega_d;
+* ``loop_rate``, at which every mode closes its phase-space loop
+  (|delta|, resp. |J|): the decoupling rate and the drive-sweep unit.
 
 Builders return a :class:`TimeDependentHamiltonian`: a static part plus a
 list of (matrix, frequency) terms, where each term contributes
-``exp(i w t) M + exp(-i w t) M^dag``.  Calling the handle at a time t
-assembles the dense matrix; the integrator consumes the term structure
-directly.  Every builder also declares the fastest angular frequency present
-so the step-size precondition can be enforced mechanically.
+``exp(i w t) M + exp(-i w t) M^dag``.  Terms that share a frequency share
+one matrix.  Calling the handle at a time t assembles the dense matrix; the
+integrator consumes the term structure directly.  Every builder also
+declares the fastest angular frequency present so the step-size
+precondition can be enforced mechanically.
 
 Frames, from the laboratory down:
 
-* lab frame, persistent-current basis -- qubit term (Delta/2) sigma-bar_x,
-  coupling g (a + a^dag) sigma-bar_z, resonator drive nu;
+* lab frame, persistent-current basis, one mode -- qubit term
+  (Delta/2) sigma-bar_x, coupling g (a + a^dag) sigma-bar_z, resonator
+  drive nu (a frame-consistency diagnostic only);
 * rotating frame at omega_d in the qubit energy eigenbasis, rotating-wave
-  coupling only -- the static Jaynes-Cummings-plus-drive Hamiltonian;
+  coupling only -- sum_m Delta_m a_m^dag a_m
+  + sum_km G_km (a_m^dag sigma_-^k + h.c.) + sum_k (Omega_R/2) sigma_x^k;
 * the same frame with the counter-rotating drive and coupling terms
   restored -- the "full" benchmark Hamiltonian;
-* interaction picture with respect to the detuned mode and the transverse
+* interaction picture with respect to the detuned modes and the transverse
   drive -- exposes the error terms oscillating at Omega_R;
-* strong-driving effective Hamiltonian -- a single sigma_x-conditional
-  force on the mode, the generator of the geometric two-qubit phases.
-
-For the two-resonator layout the same chain is expressed in the normal
-modes P = (a + b)/sqrt(2), Q = (a - b)/sqrt(2), whose frequencies split by
-the SQUID-mediated coupling +-J.
+* strong-driving effective Hamiltonian -- sigma_x-conditional forces
+  sum_km (G_km/2) sigma_x^k (a_m e^{-i Delta_m t} + h.c.), the generator of
+  the geometric two-qubit phases.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -66,15 +80,12 @@ __all__ = [
     "full_simulation_hamiltonian",
     "interaction_picture_hamiltonian",
     "effective_hamiltonian",
-    "coupled_rotating_frame_hamiltonian",
     "coupled_bare_mode_hamiltonian",
-    "coupled_full_simulation_hamiltonian",
-    "coupled_effective_hamiltonian",
     "coupling_strength",
 ]
 
-_RWA_RATIO = 0.2          # warn when g/omega_r or Omega_R/omega_d exceeds this
-_STRONG_DRIVE_FACTOR = 5  # warn unless Omega_R >= factor * max(|delta|, g)
+_RWA_RATIO = 0.2          # warn when g/omega or Omega_R/omega_d exceeds this
+_STRONG_DRIVE_FACTOR = 5  # warn unless Omega_R >= factor * max(|Delta_m|, g)
 _RESONANCE_RTOL = 1e-12
 
 
@@ -111,7 +122,7 @@ class QubitSpec:
 
 @dataclass(frozen=True)
 class SingleTlrCircuit:
-    """N qubits coupled to one driven TLR.
+    """N qubits coupled to one driven TLR: one mode.
 
     omega_r: resonator frequency (rad/ns); omega_d: drive frequency, equal to
     every qubit gap on resonance; rabi: transverse drive amplitude Omega_R
@@ -123,6 +134,9 @@ class SingleTlrCircuit:
     qubits: tuple[QubitSpec, ...]
     omega_d: float
     rabi: float = 0.0
+
+    kind: ClassVar[str] = "single"
+    variants: ClassVar[tuple[str, ...]] = ("full", "rotating", "intermediate", "effective")
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(self.qubits))
@@ -146,6 +160,22 @@ class SingleTlrCircuit:
     def couplings(self) -> tuple[float, ...]:
         return tuple(q.coupling for q in self.qubits)
 
+    @property
+    def omega(self) -> float:
+        return self.omega_r
+
+    @property
+    def mode_detunings(self) -> tuple[float, ...]:
+        return (self.detuning,)
+
+    @property
+    def coupling_matrix(self) -> np.ndarray:
+        return np.array([[q.coupling] for q in self.qubits])
+
+    @property
+    def loop_rate(self) -> float:
+        return abs(self.detuning)
+
 
 @dataclass(frozen=True)
 class CoupledTlrCircuit:
@@ -153,8 +183,9 @@ class CoupledTlrCircuit:
 
     omega_a and omega_b must be equal (the normal-mode picture assumes
     degenerate bare resonators); the working detuning is
-    delta' = omega - omega_d with |delta'| != |J| so the normal-mode
-    denominators stay finite.
+    delta' = omega - omega_d with |delta'| != |J| so neither normal mode is
+    resonant with the drive.  The modes are P (detuning delta' + J) and Q
+    (delta' - J); a qubit on B couples to Q with a minus sign.
     """
 
     omega_a: float
@@ -163,6 +194,9 @@ class CoupledTlrCircuit:
     coupler_rate: float
     omega_d: float
     rabi: float = 0.0
+
+    kind: ClassVar[str] = "coupled"
+    variants: ClassVar[tuple[str, ...]] = ("full", "rotating", "effective")
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(self.qubits))
@@ -194,6 +228,23 @@ class CoupledTlrCircuit:
 
     def qubit_indices(self, resonator: str) -> tuple[int, ...]:
         return tuple(i for i, q in enumerate(self.qubits) if q.resonator == resonator)
+
+    @property
+    def mode_detunings(self) -> tuple[float, ...]:
+        return (self.detuning + self.coupler_rate, self.detuning - self.coupler_rate)
+
+    @property
+    def coupling_matrix(self) -> np.ndarray:
+        inv_sqrt2 = 1.0 / np.sqrt(2.0)
+        rows = []
+        for q in self.qubits:
+            g = q.coupling * inv_sqrt2
+            rows.append([g, g if q.resonator == "A" else -g])
+        return np.array(rows)
+
+    @property
+    def loop_rate(self) -> float:
+        return abs(self.coupler_rate)
 
 
 @dataclass(frozen=True)
@@ -257,41 +308,8 @@ class TimeDependentHamiltonian:
         return not self.terms
 
 
-def _qubit_ops(space: HilbertSpace, op: np.ndarray) -> list[np.ndarray]:
-    return [embed(op, k, space) for k in range(space.n_qubits)]
-
-
-def _check_rwa(circuit) -> None:
-    omega_ref = getattr(circuit, "omega_r", None) or circuit.omega
-    worst_g = max(q.coupling for q in circuit.qubits)
-    if worst_g / omega_ref > _RWA_RATIO:
-        warnings.warn(
-            f"g/omega_r = {worst_g / omega_ref:.3f} strains the rotating-wave "
-            "approximation",
-            ApproximationWarning,
-            stacklevel=3,
-        )
-    if abs(circuit.rabi) / circuit.omega_d > _RWA_RATIO:
-        warnings.warn(
-            f"Omega_R/omega_d = {abs(circuit.rabi) / circuit.omega_d:.3f} strains "
-            "the rotating-wave approximation",
-            ApproximationWarning,
-            stacklevel=3,
-        )
-
-
-def _require_resonant(circuit) -> None:
-    for i, q in enumerate(circuit.qubits):
-        if abs(q.gap - circuit.omega_d) > _RESONANCE_RTOL * circuit.omega_d:
-            raise PreconditionError(
-                f"qubit {i} gap {q.gap:g} rad/ns is not resonant with the drive "
-                f"{circuit.omega_d:g} rad/ns; the rotating-frame builders assume "
-                "Delta_k = omega_d"
-            )
-
-
 # ---------------------------------------------------------------------------
-# single resonator
+# laboratory frame and the resonator drive
 # ---------------------------------------------------------------------------
 
 
@@ -361,205 +379,193 @@ def qubit_drive_from_resonator_drive(
     return replace(circuit, rabi=per_qubit[0]), report
 
 
-def rotating_frame_hamiltonian(
-    circuit: SingleTlrCircuit, space: HilbertSpace
-) -> TimeDependentHamiltonian:
-    """Static rotating-frame Hamiltonian (rotating-wave coupling only).
+# ---------------------------------------------------------------------------
+# rotating-frame builders, any number of modes
+# ---------------------------------------------------------------------------
 
-    H = delta a^dag a + sum_k g_k (a^dag sigma_-^k + a sigma_+^k)
-      + sum_k (Omega_R/2)(sigma_+^k + sigma_-^k)
 
-    in the frame rotating at omega_d for both the mode and the (resonant)
-    qubits.
-    """
+def _check_rwa(circuit) -> None:
+    worst_g = max(q.coupling for q in circuit.qubits)
+    if worst_g / circuit.omega > _RWA_RATIO:
+        warnings.warn(
+            f"g/omega_r = {worst_g / circuit.omega:.3f} strains the rotating-wave "
+            "approximation",
+            ApproximationWarning,
+            stacklevel=4,
+        )
+    if abs(circuit.rabi) / circuit.omega_d > _RWA_RATIO:
+        warnings.warn(
+            f"Omega_R/omega_d = {abs(circuit.rabi) / circuit.omega_d:.3f} strains "
+            "the rotating-wave approximation",
+            ApproximationWarning,
+            stacklevel=4,
+        )
+
+
+def _require_resonant(circuit) -> None:
+    for i, q in enumerate(circuit.qubits):
+        if abs(q.gap - circuit.omega_d) > _RESONANCE_RTOL * circuit.omega_d:
+            raise PreconditionError(
+                f"qubit {i} gap {q.gap:g} rad/ns is not resonant with the drive "
+                f"{circuit.omega_d:g} rad/ns; the rotating-frame builders assume "
+                "Delta_k = omega_d"
+            )
+
+
+def _check_frame(circuit, space: HilbertSpace) -> None:
+    """Preconditions shared by every rotating-frame builder."""
     _require_resonant(circuit)
     _check_rwa(circuit)
-    if space.n_modes != 1 or space.n_qubits != circuit.n_qubits:
-        raise ValueError("space must carry the circuit's qubits and exactly one mode")
-    nm = space.mode_levels[0]
-    mode = space.mode_factor(0)
-    n_op = embed(number_operator(nm), mode, space)
-    static = circuit.detuning * n_op
-    for k, q in enumerate(circuit.qubits):
-        static = static + q.coupling * embedded_product(
-            space, {k: sigma_minus(), mode: creation(nm)}
+    if space.n_qubits != circuit.n_qubits or space.n_modes != len(circuit.mode_detunings):
+        raise ValueError("space must carry the circuit's qubits and one Fock cutoff per mode")
+
+
+def _fastest_detuning(circuit) -> float:
+    return max(abs(d) for d in circuit.mode_detunings)
+
+
+def _warn_unless_strong_drive(circuit, consequence: str) -> None:
+    scale = max(_fastest_detuning(circuit), max(circuit.couplings))
+    if abs(circuit.rabi) < _STRONG_DRIVE_FACTOR * scale:
+        warnings.warn(
+            f"Omega_R is not large against |Delta_m| and g; {consequence}",
+            ApproximationWarning,
+            stacklevel=3,
         )
-        static = static + q.coupling * embedded_product(
-            space, {k: sigma_plus(), mode: annihilation(nm)}
+
+
+def _coupling_sum(circuit, space: HilbertSpace, qubit_op, mode_op, scale=1.0, modes=None):
+    """sum_{k,m} scale G_km qubit_op^k mode_op(a_m), qubit-major, over the given modes."""
+    g = circuit.coupling_matrix
+    modes = range(space.n_modes) if modes is None else modes
+    return sum(
+        scale * g[k, m]
+        * embedded_product(
+            space, {k: qubit_op, space.mode_factor(m): mode_op(space.mode_levels[m])}
         )
+        for k in range(circuit.n_qubits)
+        for m in modes
+    )
+
+
+def rotating_frame_hamiltonian(circuit, space: HilbertSpace) -> TimeDependentHamiltonian:
+    """Static rotating-frame Hamiltonian (rotating-wave coupling only).
+
+    H = sum_m Delta_m a_m^dag a_m
+      + sum_{k,m} G_km (a_m^dag sigma_-^k + a_m sigma_+^k)
+      + sum_k (Omega_R/2) sigma_x^k
+
+    in the frame rotating at omega_d for the modes and the (resonant)
+    qubits.  For the coupled pair this is the normal-mode form of the bare
+    a/b Hamiltonian (:func:`coupled_bare_mode_hamiltonian`).
+    """
+    _check_frame(circuit, space)
+    g = circuit.coupling_matrix
+    static = sum(
+        d * embed(number_operator(levels), space.mode_factor(m), space)
+        for m, (d, levels) in enumerate(zip(circuit.mode_detunings, space.mode_levels))
+    )
+    for k in range(circuit.n_qubits):
+        for m, levels in enumerate(space.mode_levels):
+            mode = space.mode_factor(m)
+            static = static + g[k, m] * embedded_product(
+                space, {k: sigma_minus(), mode: creation(levels)}
+            )
+            static = static + g[k, m] * embedded_product(
+                space, {k: sigma_plus(), mode: annihilation(levels)}
+            )
         static = static + 0.5 * circuit.rabi * embed(pauli("x"), k, space)
-    fastest = abs(circuit.rabi) + abs(circuit.detuning)
-    return TimeDependentHamiltonian(space, static, (), fastest, "single:rotating")
+    fastest = abs(circuit.rabi) + _fastest_detuning(circuit)
+    return TimeDependentHamiltonian(space, static, (), fastest, f"{circuit.kind}:rotating")
 
 
-def full_simulation_hamiltonian(
-    circuit: SingleTlrCircuit, space: HilbertSpace
-) -> TimeDependentHamiltonian:
+def full_simulation_hamiltonian(circuit, space: HilbertSpace) -> TimeDependentHamiltonian:
     """Rotating-frame Hamiltonian with the counter-rotating terms restored.
 
     Adds to the static rotating-frame part the drive term
     sum_k (Omega_R/2) sigma_+^k e^{2 i omega_d t} + h.c. and the coupling
-    term sum_k g_k a^dag sigma_+^k e^{i (omega_r + omega_d) t} + h.c.
+    term sum_{k,m} G_km a_m^dag sigma_+^k e^{i (omega + omega_d) t} + h.c.
     This is the benchmark Hamiltonian: no approximation beyond the Fock
     truncation and the frame itself.
     """
     base = rotating_frame_hamiltonian(circuit, space)
-    nm = space.mode_levels[0]
-    mode = space.mode_factor(0)
     drive_cr = sum(
         0.5 * circuit.rabi * embed(sigma_plus(), k, space) for k in range(circuit.n_qubits)
     )
-    coupling_cr = sum(
-        q.coupling
-        * embedded_product(space, {k: sigma_plus(), mode: creation(nm)})
-        for k, q in enumerate(circuit.qubits)
+    coupling_cr = _coupling_sum(circuit, space, sigma_plus(), creation)
+    terms = (
+        (drive_cr, 2.0 * circuit.omega_d),
+        (coupling_cr, circuit.omega + circuit.omega_d),
     )
-    terms = [(drive_cr, 2.0 * circuit.omega_d), (coupling_cr, circuit.omega_r + circuit.omega_d)]
-    fastest = circuit.omega_r + circuit.omega_d
-    return TimeDependentHamiltonian(space, base.static, tuple(terms), fastest, "single:full")
+    fastest = circuit.omega + circuit.omega_d
+    return TimeDependentHamiltonian(space, base.static, terms, fastest, f"{circuit.kind}:full")
 
 
-def interaction_picture_hamiltonian(
-    circuit: SingleTlrCircuit, space: HilbertSpace
-) -> TimeDependentHamiltonian:
-    """Coupling in the interaction picture of the detuned mode and the drive.
+def interaction_picture_hamiltonian(circuit, space: HilbertSpace) -> TimeDependentHamiltonian:
+    """Coupling in the interaction picture of the detuned modes and the drive.
 
     Transforming the rotating-wave coupling with
-    U0(t) = exp[-i t (delta a^dag a + sum_k (Omega_R/2) sigma_x^k)] leaves
+    U0(t) = exp[-i t (sum_m Delta_m a_m^dag a_m + sum_k (Omega_R/2) sigma_x^k)]
+    leaves
 
-    H(t) = sum_k (g_k/2) e^{-i delta t} a
+    H(t) = sum_{k,m} (G_km/2) e^{-i Delta_m t} a_m
            [sigma_x^k + i cos(Omega_R t) sigma_y^k - i sin(Omega_R t) sigma_z^k]
            + h.c.
 
     The sigma_y/sigma_z parts oscillate at Omega_R and average away for
     strong driving; dropping them gives :func:`effective_hamiltonian`.
     """
-    _require_resonant(circuit)
-    _check_rwa(circuit)
-    if space.n_modes != 1 or space.n_qubits != circuit.n_qubits:
-        raise ValueError("space must carry the circuit's qubits and exactly one mode")
-    rabi = circuit.rabi
-    if abs(rabi) < _STRONG_DRIVE_FACTOR * max(
-        abs(circuit.detuning), max(circuit.couplings)
-    ):
-        warnings.warn(
-            "Omega_R is not large against |delta| and g; the interaction-picture "
-            "error terms will not average cleanly",
-            ApproximationWarning,
-            stacklevel=2,
-        )
-    nm = space.mode_levels[0]
-    mode = space.mode_factor(0)
-    delta = circuit.detuning
-    a_local = annihilation(nm)
-
-    def summed(qubit_op: np.ndarray, scale_per_qubit) -> np.ndarray:
-        return sum(
-            scale_per_qubit(q) * embedded_product(space, {k: qubit_op, mode: a_local})
-            for k, q in enumerate(circuit.qubits)
-        )
-
-    # e^{-i delta t} * (g/2) a sigma_x  + h.c.
-    m_x = summed(pauli("x"), lambda q: 0.5 * q.coupling)
-    # i cos / -i sin pieces regrouped by their net phase:
-    #   (g/4) a (i sigma_y - sigma_z) e^{i(Omega-delta)t} + (g/4) a (i sigma_y + sigma_z) e^{-i(Omega+delta)t}
-    m_plus = summed(1j * pauli("y") - pauli("z"), lambda q: 0.25 * q.coupling)
-    m_minus = summed(1j * pauli("y") + pauli("z"), lambda q: 0.25 * q.coupling)
-    terms = (
-        (m_x, -delta),
-        (m_plus, rabi - delta),
-        (m_minus, -(rabi + delta)),
+    _check_frame(circuit, space)
+    _warn_unless_strong_drive(
+        circuit, "the interaction-picture error terms will not average cleanly"
     )
-    fastest = abs(rabi) + abs(delta)
-    return TimeDependentHamiltonian(space, None, terms, fastest, "single:intermediate")
+    rabi = circuit.rabi
+    y_minus_z = 1j * pauli("y") - pauli("z")
+    y_plus_z = 1j * pauli("y") + pauli("z")
+    terms = []
+    for m, delta in enumerate(circuit.mode_detunings):
+        # e^{-i Delta t} (G/2) a sigma_x + h.c., and the i cos / -i sin pieces
+        # regrouped by their net phase:
+        #   (G/4) a (i sigma_y - sigma_z) e^{i(Omega-Delta)t}
+        #   + (G/4) a (i sigma_y + sigma_z) e^{-i(Omega+Delta)t}
+        terms += [
+            (_coupling_sum(circuit, space, pauli("x"), annihilation, 0.5, [m]), -delta),
+            (_coupling_sum(circuit, space, y_minus_z, annihilation, 0.25, [m]), rabi - delta),
+            (_coupling_sum(circuit, space, y_plus_z, annihilation, 0.25, [m]), -(rabi + delta)),
+        ]
+    fastest = abs(rabi) + _fastest_detuning(circuit)
+    return TimeDependentHamiltonian(
+        space, None, tuple(terms), fastest, f"{circuit.kind}:intermediate"
+    )
 
 
-def effective_hamiltonian(
-    circuit: SingleTlrCircuit, space: HilbertSpace
-) -> TimeDependentHamiltonian:
-    """Strong-driving effective Hamiltonian: a sigma_x-conditional mode force.
+def effective_hamiltonian(circuit, space: HilbertSpace) -> TimeDependentHamiltonian:
+    """Strong-driving effective Hamiltonian: sigma_x-conditional mode forces.
 
-    H(t) = sum_k (g_k/2) sigma_x^k (a e^{-i delta t} + a^dag e^{i delta t})
+    H(t) = sum_{k,m} (G_km/2) sigma_x^k (a_m e^{-i Delta_m t} + a_m^dag e^{i Delta_m t})
 
     Commutators at different times are c-numbers times sigma_x^k sigma_x^j,
     so the propagator closes into conditional displacements plus pairwise
-    geometric phases.
+    geometric phases sum_m G_km G_jm phi(Delta_m, t).  In the coupled
+    layout the P and Q contributions add for same-resonator pairs and
+    compete for cross-resonator pairs.
     """
-    _require_resonant(circuit)
-    _check_rwa(circuit)
-    if space.n_modes != 1 or space.n_qubits != circuit.n_qubits:
-        raise ValueError("space must carry the circuit's qubits and exactly one mode")
-    if abs(circuit.rabi) < _STRONG_DRIVE_FACTOR * max(
-        abs(circuit.detuning), max(circuit.couplings)
-    ):
-        warnings.warn(
-            "Omega_R is not large against |delta| and g; the effective "
-            "Hamiltonian is outside its strong-driving regime",
-            ApproximationWarning,
-            stacklevel=2,
-        )
-    nm = space.mode_levels[0]
-    mode = space.mode_factor(0)
-    m_x = sum(
-        0.5 * q.coupling
-        * embedded_product(space, {k: pauli("x"), mode: annihilation(nm)})
-        for k, q in enumerate(circuit.qubits)
+    _check_frame(circuit, space)
+    _warn_unless_strong_drive(
+        circuit, "the effective Hamiltonian is outside its strong-driving regime"
     )
-    fastest = abs(circuit.detuning)
+    terms = tuple(
+        (_coupling_sum(circuit, space, pauli("x"), annihilation, 0.5, [m]), -delta)
+        for m, delta in enumerate(circuit.mode_detunings)
+    )
     return TimeDependentHamiltonian(
-        space, None, ((m_x, -circuit.detuning),), fastest, "single:effective"
+        space, None, terms, _fastest_detuning(circuit), f"{circuit.kind}:effective"
     )
 
 
 # ---------------------------------------------------------------------------
-# two coupled resonators, normal modes P and Q
+# two coupled resonators in the bare a/b basis
 # ---------------------------------------------------------------------------
-
-
-def _coupled_static(circuit: CoupledTlrCircuit, space: HilbertSpace) -> np.ndarray:
-    """Rotating-frame static part in the normal-mode basis."""
-    np_levels, nq_levels = space.mode_levels
-    p_fac, q_fac = space.mode_factor(0), space.mode_factor(1)
-    delta = circuit.detuning
-    j = circuit.coupler_rate
-    static = (delta + j) * embed(number_operator(np_levels), p_fac, space)
-    static = static + (delta - j) * embed(number_operator(nq_levels), q_fac, space)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for k, q in enumerate(circuit.qubits):
-        sign_q = 1.0 if q.resonator == "A" else -1.0
-        for fac, levels, sgn in ((p_fac, np_levels, 1.0), (q_fac, nq_levels, sign_q)):
-            static = static + sgn * inv_sqrt2 * q.coupling * embedded_product(
-                space, {k: sigma_minus(), fac: creation(levels)}
-            )
-            static = static + sgn * inv_sqrt2 * q.coupling * embedded_product(
-                space, {k: sigma_plus(), fac: annihilation(levels)}
-            )
-        static = static + 0.5 * circuit.rabi * embed(pauli("x"), k, space)
-    return static
-
-
-def coupled_rotating_frame_hamiltonian(
-    circuit: CoupledTlrCircuit, space: HilbertSpace
-) -> TimeDependentHamiltonian:
-    """Static rotating-frame Hamiltonian in the normal-mode basis.
-
-    H = (delta' + J) P^dag P + (delta' - J) Q^dag Q
-      + (1/sqrt2) sum_A g_k (P^dag sigma_-^k + h.c.)
-      + (1/sqrt2) sum_B g_j (P^dag sigma_-^j + h.c.)
-      + (1/sqrt2) sum_A g_k (Q^dag sigma_-^k + h.c.)
-      - (1/sqrt2) sum_B g_j (Q^dag sigma_-^j + h.c.)
-      + sum_k (Omega_R/2) sigma_x^k
-
-    with P = (a + b)/sqrt2, Q = (a - b)/sqrt2; the B-side Q coupling picks
-    up the minus sign from the mode transformation.
-    """
-    _require_resonant(circuit)
-    _check_rwa(circuit)
-    if space.n_modes != 2 or space.n_qubits != circuit.n_qubits:
-        raise ValueError("space must carry the circuit's qubits and exactly two modes")
-    static = _coupled_static(circuit, space)
-    fastest = abs(circuit.rabi) + abs(circuit.detuning) + abs(circuit.coupler_rate)
-    return TimeDependentHamiltonian(space, static, (), fastest, "coupled:rotating")
 
 
 def coupled_bare_mode_hamiltonian(
@@ -599,85 +605,6 @@ def coupled_bare_mode_hamiltonian(
         static = static + 0.5 * circuit.rabi * embed(pauli("x"), k, space)
     fastest = abs(circuit.rabi) + abs(circuit.detuning) + abs(circuit.coupler_rate)
     return TimeDependentHamiltonian(space, static, (), fastest, "coupled:bare")
-
-
-def coupled_full_simulation_hamiltonian(
-    circuit: CoupledTlrCircuit, space: HilbertSpace
-) -> TimeDependentHamiltonian:
-    """Normal-mode rotating-frame Hamiltonian with counter-rotating terms.
-
-    Adds sum_k (Omega_R/2) sigma_+^k e^{2 i omega_d t} + h.c. and the
-    counter-rotating halves of the four coupling sums, all oscillating at
-    omega + omega_d, with the B-side Q terms carrying their minus sign.
-    """
-    base = coupled_rotating_frame_hamiltonian(circuit, space)
-    np_levels, nq_levels = space.mode_levels
-    p_fac, q_fac = space.mode_factor(0), space.mode_factor(1)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    drive_cr = sum(
-        0.5 * circuit.rabi * embed(sigma_plus(), k, space) for k in range(circuit.n_qubits)
-    )
-    coupling_cr = np.zeros((space.dim, space.dim), dtype=complex)
-    for k, q in enumerate(circuit.qubits):
-        sign_q = 1.0 if q.resonator == "A" else -1.0
-        coupling_cr = coupling_cr + inv_sqrt2 * q.coupling * embedded_product(
-            space, {k: sigma_plus(), p_fac: creation(np_levels)}
-        )
-        coupling_cr = coupling_cr + sign_q * inv_sqrt2 * q.coupling * embedded_product(
-            space, {k: sigma_plus(), q_fac: creation(nq_levels)}
-        )
-    terms = (
-        (drive_cr, 2.0 * circuit.omega_d),
-        (coupling_cr, circuit.omega + circuit.omega_d),
-    )
-    fastest = circuit.omega + circuit.omega_d
-    return TimeDependentHamiltonian(space, base.static, terms, fastest, "coupled:full")
-
-
-def coupled_effective_hamiltonian(
-    circuit: CoupledTlrCircuit, space: HilbertSpace
-) -> TimeDependentHamiltonian:
-    """Strong-driving effective Hamiltonian for the two-resonator layout.
-
-    H(t) = (sqrt2/4) sum_k g_k sigma_x^k (P e^{-i(delta'+J)t} + h.c.)
-         + (sqrt2/4) [sum_A g_k sigma_x^k - sum_B g_j sigma_x^j]
-                     (Q e^{-i(delta'-J)t} + h.c.)
-
-    Both normal modes mediate sigma_x sigma_x phases; the sign structure
-    makes the P and Q contributions add for same-resonator pairs and
-    compete for cross-resonator pairs.
-    """
-    _require_resonant(circuit)
-    _check_rwa(circuit)
-    if space.n_modes != 2 or space.n_qubits != circuit.n_qubits:
-        raise ValueError("space must carry the circuit's qubits and exactly two modes")
-    if abs(circuit.rabi) < _STRONG_DRIVE_FACTOR * max(
-        abs(circuit.detuning), max(circuit.couplings)
-    ):
-        warnings.warn(
-            "Omega_R is not large against |delta'| and g; the effective "
-            "Hamiltonian is outside its strong-driving regime",
-            ApproximationWarning,
-            stacklevel=2,
-        )
-    np_levels, nq_levels = space.mode_levels
-    p_fac, q_fac = space.mode_factor(0), space.mode_factor(1)
-    coeff = np.sqrt(2.0) / 4.0
-    m_p = np.zeros((space.dim, space.dim), dtype=complex)
-    m_q = np.zeros((space.dim, space.dim), dtype=complex)
-    for k, q in enumerate(circuit.qubits):
-        sign_q = 1.0 if q.resonator == "A" else -1.0
-        m_p = m_p + coeff * q.coupling * embedded_product(
-            space, {k: pauli("x"), p_fac: annihilation(np_levels)}
-        )
-        m_q = m_q + sign_q * coeff * q.coupling * embedded_product(
-            space, {k: pauli("x"), q_fac: annihilation(nq_levels)}
-        )
-    delta = circuit.detuning
-    j = circuit.coupler_rate
-    terms = ((m_p, -(delta + j)), (m_q, -(delta - j)))
-    fastest = abs(delta) + abs(j)
-    return TimeDependentHamiltonian(space, None, terms, fastest, "coupled:effective")
 
 
 # ---------------------------------------------------------------------------

@@ -10,19 +10,13 @@ default.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .constants import rad_per_ns_from_ghz
-from .dynamics import (
-    COUPLED_VARIANTS,
-    SINGLE_VARIANTS,
-    IntegratorConfig,
-    Trajectory,
-    run_coupled_resonator,
-    run_single_resonator,
-)
+from .dynamics import IntegratorConfig, Trajectory, run
 from .errors import ScenarioFormatError
 from .model import (
     CoupledTlrCircuit,
@@ -52,7 +46,6 @@ _TOP_KEYS = {
     "sample_every_ns",
     "ghz_phase_convention",
     "integrator",
-    "time_budget_s",
 }
 
 
@@ -64,12 +57,11 @@ class LoadedScenario:
     kind: str
     circuit: SingleTlrCircuit | CoupledTlrCircuit
     variant: str
-    fock: int | tuple[int, int]
+    fock: tuple[int, ...]  # one Fock cutoff per mode
     t_final_ns: float
     sample_every_ns: float
     convention: str
     integrator: IntegratorConfig
-    time_budget_s: float | None
     drive_mapping: DriveMappingReport | None
     raw: dict
 
@@ -99,12 +91,30 @@ def _get(obj: dict, key: str, where: str):
 def _number(value, where: str, *, positive=False, nonnegative=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(where, f"expected a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:
+        raise _fail(where, "integer is too large for a floating-point number") from None
+    if not math.isfinite(out):
+        raise _fail(where, f"must be finite, got {out}")
     if positive and not out > 0:
         raise _fail(where, f"must be > 0, got {out}")
     if nonnegative and out < 0:
         raise _fail(where, f"must be >= 0, got {out}")
     return out
+
+
+def _frequency(value, where: str, **checks) -> float:
+    """A frequency in GHz from the file, in rad/ns, still finite after scaling."""
+    out = rad_per_ns_from_ghz(_number(value, where, **checks))
+    if not math.isfinite(out):
+        raise _fail(where, f"{value} GHz overflows the floating-point range")
+    return out
+
+
+def _is_cutoff(value) -> bool:
+    """A Fock cutoff is an integer >= 2: a mode needs at least two levels."""
+    return not isinstance(value, bool) and isinstance(value, int) and value >= 2
 
 
 def _qubit_from_entry(entry, index: int, kind: str) -> QubitSpec:
@@ -114,8 +124,8 @@ def _qubit_from_entry(entry, index: int, kind: str) -> QubitSpec:
     if kind == "coupled":
         allowed = allowed | {"resonator"}
     _reject_unknown(obj, allowed, where)
-    gap = _number(_get(obj, "gap_ghz", where), f"{where}.gap_ghz", positive=True)
-    coupling = _number(
+    gap = _frequency(_get(obj, "gap_ghz", where), f"{where}.gap_ghz", positive=True)
+    coupling = _frequency(
         _get(obj, "coupling_ghz", where), f"{where}.coupling_ghz", nonnegative=True
     )
     bias = _number(obj.get("bias_ghz", 0.0), f"{where}.bias_ghz")
@@ -129,8 +139,8 @@ def _qubit_from_entry(entry, index: int, kind: str) -> QubitSpec:
         if resonator not in ("A", "B"):
             raise _fail(f"{where}.resonator", f"must be 'A' or 'B', got {resonator!r}")
     return QubitSpec(
-        gap=rad_per_ns_from_ghz(gap),
-        coupling=rad_per_ns_from_ghz(coupling),
+        gap=gap,
+        coupling=coupling,
         resonator=resonator,
         bias=0.0,
     )
@@ -171,8 +181,8 @@ def validate_scenario(data, name: str = "<scenario>") -> LoadedScenario:
     if kind not in ("single", "coupled"):
         raise _fail(f"{name}.kind", f"must be 'single' or 'coupled', got {kind!r}")
 
-    omega_d = rad_per_ns_from_ghz(
-        _number(_get(top, "drive_frequency_ghz", name), f"{name}.drive_frequency_ghz", positive=True)
+    omega_d = _frequency(
+        _get(top, "drive_frequency_ghz", name), f"{name}.drive_frequency_ghz", positive=True
     )
 
     qubit_entries = _get(top, "qubits", name)
@@ -204,37 +214,34 @@ def validate_scenario(data, name: str = "<scenario>") -> LoadedScenario:
         _get(top, "sample_every_ns", name), f"{name}.sample_every_ns", positive=True
     )
     integrator = _integrator_from_entry(top.get("integrator"), f"{name}.integrator")
-    budget = top.get("time_budget_s")
-    if budget is not None:
-        budget = _number(budget, f"{name}.time_budget_s", positive=True)
 
     resonator = _require_mapping(_get(top, "resonator", name), f"{name}.resonator")
     mapping = None
+    layout = SingleTlrCircuit if kind == "single" else CoupledTlrCircuit
+    if variant not in layout.variants:
+        raise _fail(f"{name}.variant", f"must be one of {layout.variants}, got {variant!r}")
     if kind == "single":
-        if variant not in SINGLE_VARIANTS:
-            raise _fail(f"{name}.variant", f"must be one of {SINGLE_VARIANTS}, got {variant!r}")
         _reject_unknown(resonator, {"omega_ghz"}, f"{name}.resonator")
-        omega_r = rad_per_ns_from_ghz(
-            _number(_get(resonator, "omega_ghz", f"{name}.resonator"),
-                    f"{name}.resonator.omega_ghz", positive=True)
+        omega_r = _frequency(
+            _get(resonator, "omega_ghz", f"{name}.resonator"),
+            f"{name}.resonator.omega_ghz",
+            positive=True,
         )
         if "fock_cutoffs" in top:
             raise _fail(name, "'fock_cutoffs' is for coupled scenarios; use 'fock_cutoff'")
-        fock = top.get("fock_cutoff", 8)
-        if isinstance(fock, bool) or not isinstance(fock, int) or fock < 1:
-            raise _fail(f"{name}.fock_cutoff", f"expected an integer >= 1, got {fock!r}")
+        fock_entry = top.get("fock_cutoff", 8)
+        if not _is_cutoff(fock_entry):
+            raise _fail(f"{name}.fock_cutoff", f"expected an integer >= 2, got {fock_entry!r}")
+        fock = (fock_entry,)
         try:
             if "rabi_ghz" in drive:
-                rabi = rad_per_ns_from_ghz(
-                    _number(drive["rabi_ghz"], f"{name}.drive.rabi_ghz")
-                )
+                rabi = _frequency(drive["rabi_ghz"], f"{name}.drive.rabi_ghz")
                 circuit = SingleTlrCircuit(
                     omega_r=omega_r, qubits=qubits, omega_d=omega_d, rabi=rabi
                 )
             else:
-                amplitude = rad_per_ns_from_ghz(
-                    _number(drive["resonator_amplitude_ghz"],
-                            f"{name}.drive.resonator_amplitude_ghz")
+                amplitude = _frequency(
+                    drive["resonator_amplitude_ghz"], f"{name}.drive.resonator_amplitude_ghz"
                 )
                 undriven = SingleTlrCircuit(
                     omega_r=omega_r, qubits=qubits, omega_d=omega_d, rabi=0.0
@@ -245,44 +252,40 @@ def validate_scenario(data, name: str = "<scenario>") -> LoadedScenario:
         except ValueError as exc:
             raise _fail(name, str(exc)) from exc
     else:
-        if variant not in COUPLED_VARIANTS:
-            raise _fail(f"{name}.variant", f"must be one of {COUPLED_VARIANTS}, got {variant!r}")
         _reject_unknown(
             resonator,
             {"omega_a_ghz", "omega_b_ghz", "coupler_rate_ghz"},
             f"{name}.resonator",
         )
-        omega_a = rad_per_ns_from_ghz(
-            _number(_get(resonator, "omega_a_ghz", f"{name}.resonator"),
-                    f"{name}.resonator.omega_a_ghz", positive=True)
+        where = f"{name}.resonator"
+        omega_a = _frequency(
+            _get(resonator, "omega_a_ghz", where), f"{where}.omega_a_ghz", positive=True
         )
-        omega_b = rad_per_ns_from_ghz(
-            _number(_get(resonator, "omega_b_ghz", f"{name}.resonator"),
-                    f"{name}.resonator.omega_b_ghz", positive=True)
+        omega_b = _frequency(
+            _get(resonator, "omega_b_ghz", where), f"{where}.omega_b_ghz", positive=True
         )
-        coupler_rate = rad_per_ns_from_ghz(
-            _number(_get(resonator, "coupler_rate_ghz", f"{name}.resonator"),
-                    f"{name}.resonator.coupler_rate_ghz")
+        coupler_rate = _frequency(
+            _get(resonator, "coupler_rate_ghz", where), f"{where}.coupler_rate_ghz"
         )
         if "fock_cutoff" in top:
             raise _fail(name, "'fock_cutoff' is for single scenarios; use 'fock_cutoffs'")
         fock_entry = top.get("fock_cutoffs", [8, 8])
-        if (
-            not isinstance(fock_entry, list)
-            or len(fock_entry) != 2
-            or any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in fock_entry)
+        if not (
+            isinstance(fock_entry, list)
+            and len(fock_entry) == 2
+            and all(_is_cutoff(n) for n in fock_entry)
         ):
             raise _fail(
-                f"{name}.fock_cutoffs", f"expected two integers >= 1, got {fock_entry!r}"
+                f"{name}.fock_cutoffs", f"expected two integers >= 2, got {fock_entry!r}"
             )
-        fock = (fock_entry[0], fock_entry[1])
+        fock = tuple(fock_entry)
         if "resonator_amplitude_ghz" in drive:
             raise _fail(
                 f"{name}.drive",
                 "driving through the resonator is only defined for the "
                 "single-resonator layout; use 'rabi_ghz' here",
             )
-        rabi = rad_per_ns_from_ghz(_number(drive["rabi_ghz"], f"{name}.drive.rabi_ghz"))
+        rabi = _frequency(drive["rabi_ghz"], f"{name}.drive.rabi_ghz")
         try:
             circuit = CoupledTlrCircuit(
                 omega_a=omega_a,
@@ -295,6 +298,9 @@ def validate_scenario(data, name: str = "<scenario>") -> LoadedScenario:
         except ValueError as exc:
             raise _fail(name, str(exc)) from exc
 
+    if not all(math.isfinite(d) for d in circuit.mode_detunings):
+        raise _fail(name, "mode detunings overflow the floating-point range")
+
     return LoadedScenario(
         name=name,
         kind=kind,
@@ -305,7 +311,6 @@ def validate_scenario(data, name: str = "<scenario>") -> LoadedScenario:
         sample_every_ns=sample_every,
         convention=convention,
         integrator=integrator,
-        time_budget_s=budget,
         drive_mapping=mapping,
         raw=top,
     )
@@ -327,22 +332,12 @@ def load_scenario(path) -> LoadedScenario:
 
 def run_scenario(scenario: LoadedScenario) -> Trajectory:
     """Integrate the scenario's circuit and return its trajectory."""
-    if scenario.kind == "single":
-        return run_single_resonator(
-            scenario.circuit,
-            scenario.variant,
-            scenario.t_final_ns,
-            scenario.sample_every_ns,
-            fock_cutoff=scenario.fock,
-            config=scenario.integrator,
-            convention=scenario.convention,
-        )
-    return run_coupled_resonator(
+    return run(
         scenario.circuit,
         scenario.variant,
         scenario.t_final_ns,
         scenario.sample_every_ns,
-        fock_cutoffs=scenario.fock,
+        scenario.fock,
         config=scenario.integrator,
         convention=scenario.convention,
     )

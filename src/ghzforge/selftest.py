@@ -32,7 +32,7 @@ from .dynamics import (
     IntegratorConfig,
     evolve_sampled,
     ground_vacuum_state,
-    run_single_resonator,
+    run,
 )
 from .model import (
     QubitSpec,
@@ -216,10 +216,9 @@ def _closure_against_propagator():
         omega_d=2 * np.pi * 10.1,
         rabi=2 * np.pi * 2.0,
     )
-    trajectory = run_single_resonator(
-        circuit, "effective", decoupling_time(delta, 1), 1.0, fock_cutoff=8
-    )
-    ideal = decoupling_unitary(pair_phase_matrix((g, g), delta, 1)) @ np.array(
+    t_gate = decoupling_time(delta, 1)
+    trajectory = run(circuit, "effective", t_gate, 1.0, (8,))
+    ideal = decoupling_unitary(pair_phase_matrix([[g], [g]], (delta,), t_gate)) @ np.array(
         [0.0, 0.0, 0.0, 1.0], dtype=complex
     )
     fidelity = trajectory.fidelity[-1]
@@ -269,7 +268,7 @@ def _truncation_convergence():
     )
     t_final = decoupling_time(delta, 1)
     runs = {
-        n: run_single_resonator(circuit, "effective", t_final, 1.0, fock_cutoff=n)
+        n: run(circuit, "effective", t_final, 1.0, (n,))
         for n in (8, 12)
     }
     gap = abs(runs[8].final_fidelity - runs[12].final_fidelity)
@@ -285,9 +284,7 @@ def _norm_conservation():
         omega_d=2 * np.pi * 10.1,
         rabi=2 * np.pi * 2.0,
     )
-    trajectory = run_single_resonator(
-        circuit, "rotating", 2.0, 0.1, fock_cutoff=6, config=IntegratorConfig(dt=1e-3)
-    )
+    trajectory = run(circuit, "rotating", 2.0, 0.1, (6,), config=IntegratorConfig(dt=1e-3))
     drift = float(np.max(np.abs(trajectory.norm - 1.0)))
     return drift < 1e-9, f"max |norm - 1| = {drift:.2e}"
 

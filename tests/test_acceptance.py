@@ -22,7 +22,6 @@ from scipy.integrate import quad
 from ghzforge.analytic import (
     SquidCoupler,
     accumulated_pair_phase,
-    coupled_pair_phase_matrix,
     decoupling_time,
     decoupling_unitary,
     effective_mutual_inductance,
@@ -42,10 +41,10 @@ from ghzforge.dynamics import (
     evolve_sampled,
     ghz_fidelity,
     ground_vacuum_state,
-    run_coupled_resonator,
-    run_single_resonator,
+    run,
 )
 from ghzforge.model import (
+    CoupledTlrCircuit,
     QubitSpec,
     SingleTlrCircuit,
     effective_hamiltonian,
@@ -178,9 +177,7 @@ def test_criterion_3_coupled_resonator_gate(coupled_outputs):
     assert summary["peak_time_ns"] == pytest.approx(25.0, abs=0.05)
 
     scenario = load_scenario(bundled_scenario_path("coupled_tlr_ghz"))
-    eff = run_coupled_resonator(
-        scenario.circuit, "effective", scenario.t_final_ns, 1.0, fock_cutoffs=(8, 8)
-    )
+    eff = run(scenario.circuit, "effective", scenario.t_final_ns, 1.0, (8, 8))
     assert eff.final_fidelity >= 0.999, (
         f"coupled effective-model fidelity {eff.final_fidelity:.6f} < 0.999"
     )
@@ -221,7 +218,9 @@ def test_criterion_5_closure_unitary_and_three_qubits():
     psi = evolve(
         effective_hamiltonian(circuit, space), ground_vacuum_state(space), t_gate
     )
-    u = decoupling_unitary(pair_phase_matrix(circuit.couplings, circuit.detuning, 1))
+    u = decoupling_unitary(
+        pair_phase_matrix(circuit.coupling_matrix, circuit.mode_detunings, t_gate)
+    )
     ideal = np.kron(u @ np.eye(4, dtype=complex)[3], np.eye(10)[0])
     state_fidelity = abs(np.vdot(ideal, psi)) ** 2
     assert state_fidelity >= 0.9999, (
@@ -286,9 +285,19 @@ def test_criterion_7_phase_condition_solvers():
     assert coupled.coupler_rate == pytest.approx(TWO_PI * 0.04, abs=1e-12)
     assert coupled.delta_prime == pytest.approx(TWO_PI * 0.12, abs=1e-12)
     assert coupled.gate_time == pytest.approx(25.0, abs=1e-10)
-    matrix = coupled_pair_phase_matrix(
-        (g, g), ("A", "B"), coupled.delta_prime, coupled.coupler_rate, 1
+    omega = TWO_PI * 10.0
+    omega_d = omega - coupled.delta_prime
+    pair = CoupledTlrCircuit(
+        omega_a=omega,
+        omega_b=omega,
+        qubits=(
+            QubitSpec(gap=omega_d, coupling=g, resonator="A"),
+            QubitSpec(gap=omega_d, coupling=g, resonator="B"),
+        ),
+        coupler_rate=coupled.coupler_rate,
+        omega_d=omega_d,
     )
+    matrix = pair_phase_matrix(pair.coupling_matrix, pair.mode_detunings, coupled.gate_time)
     assert abs(matrix[0, 0] - coupled.same_pair_phase) <= 1e-10
     assert abs(matrix[0, 1] - coupled.cross_pair_phase) <= 1e-10
     assert abs(abs(coupled.coupler_rate) * coupled.gate_time - TWO_PI) <= 1e-10
@@ -315,7 +324,7 @@ def test_criterion_8_integrator_quality(coupled_outputs):
 
     full = reference_circuit()
     fidelities = {
-        n: run_single_resonator(full, "full", 10.0, 10.0, fock_cutoff=n).final_fidelity
+        n: run(full, "full", 10.0, 10.0, (n,)).final_fidelity
         for n in (8, 12)
     }
     gap = abs(fidelities[8] - fidelities[12])
@@ -328,7 +337,7 @@ def test_criterion_9_residual_ripple_estimate():
     within a factor of two."""
     circuit = reference_circuit()
     rabi = circuit.rabi
-    traj = run_single_resonator(circuit, "intermediate", 10.5, 0.005, fock_cutoff=10)
+    traj = run(circuit, "intermediate", 10.5, 0.005, (10,))
     sel = (traj.times >= 9.5) & (traj.times < 10.5)
     t, fid = traj.times[sel], traj.fidelity[sel]
     resid = fid - np.polyval(np.polyfit(t, fid, 5), t)

@@ -10,8 +10,6 @@ from ghzforge.analytic import (
     SinglePhaseSolution,
     SquidCoupler,
     accumulated_pair_phase,
-    coupled_decoupling_time,
-    coupled_pair_phase_matrix,
     decoupling_time,
     decoupling_unitary,
     effective_mutual_inductance,
@@ -30,6 +28,18 @@ from ghzforge.operators import unitarity_defect
 TWO_PI = 2.0 * np.pi
 G_REF = TWO_PI * 0.05
 DELTA_REF = -TWO_PI * 0.1
+
+
+def one_mode(couplings):
+    """Coupling matrix G of qubits on one resonator: a single column."""
+    return np.array(couplings, dtype=float)[:, None]
+
+
+def coupled_modes(g, delta_p, j_rate, assignments=("A", "B")):
+    """G and Delta_m of the coupled pair's normal modes P and Q."""
+    signs = [1.0 if r == "A" else -1.0 for r in assignments]
+    matrix = g / np.sqrt(2.0) * np.array([[1.0, s] for s in signs])
+    return matrix, (delta_p + j_rate, delta_p - j_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -56,13 +66,13 @@ def test_displacement_amplitude_shape():
 def test_decoupling_time_values_and_validation():
     assert decoupling_time(DELTA_REF, 1) == pytest.approx(10.0, rel=1e-12)
     assert decoupling_time(-DELTA_REF, 3) == pytest.approx(30.0, rel=1e-12)
-    assert coupled_decoupling_time(TWO_PI * 0.04, 1) == pytest.approx(25.0, rel=1e-12)
+    assert decoupling_time(TWO_PI * 0.04, 1) == pytest.approx(25.0, rel=1e-12)
     with pytest.raises(ValueError):
         decoupling_time(0.0)
     with pytest.raises(ValueError):
         decoupling_time(DELTA_REF, 0)
     with pytest.raises(ValueError):
-        coupled_decoupling_time(0.0)
+        decoupling_time(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +116,7 @@ def test_reference_point_pair_phase_is_pi_eighth():
 
 def test_pair_phase_matrix_structure():
     couplings = (0.1, 0.2, 0.3)
-    gamma = pair_phase_matrix(couplings, DELTA_REF, n=2)
+    gamma = pair_phase_matrix(one_mode(couplings), (DELTA_REF,), decoupling_time(DELTA_REF, 2))
     assert gamma.shape == (3, 3)
     assert np.allclose(gamma, gamma.T, atol=1e-15)
     for k, gk in enumerate(couplings):
@@ -115,14 +125,16 @@ def test_pair_phase_matrix_structure():
                 decoupling_time(DELTA_REF, 2), gk, gj, DELTA_REF
             ).real
             assert gamma[k, j] == pytest.approx(expected, rel=1e-12)
+    with pytest.raises(ValueError, match="column"):
+        pair_phase_matrix(one_mode(couplings), (DELTA_REF, -DELTA_REF), 1.0)
 
 
 def test_coupled_pair_phase_matrix_same_vs_cross():
     j_rate = TWO_PI * 0.04
     delta_p = -3.0 * j_rate
     g = np.sqrt(2.0) * j_rate
-    gamma = coupled_pair_phase_matrix((g, g), ("A", "B"), delta_p, j_rate, n=1)
-    t_n = coupled_decoupling_time(j_rate, 1)
+    t_n = decoupling_time(j_rate, 1)
+    gamma = pair_phase_matrix(*coupled_modes(g, delta_p, j_rate), t_n)
     denom = delta_p**2 - j_rate**2
     same = g * g * delta_p * t_n / (4.0 * denom)
     cross = -g * g * j_rate * t_n / (4.0 * denom)
@@ -133,13 +145,34 @@ def test_coupled_pair_phase_matrix_same_vs_cross():
     # with g = sqrt(2) J and |delta'| = 3J the cross phase per ordered pair
     # is -pi/8 whichever sign delta' carries (it enters only squared)
     assert gamma[0, 1] == pytest.approx(-np.pi / 8.0, rel=1e-12)
-    gamma_pos = coupled_pair_phase_matrix((g, g), ("A", "B"), -delta_p, j_rate, n=1)
+    gamma_pos = pair_phase_matrix(*coupled_modes(g, -delta_p, j_rate), t_n)
     assert gamma_pos[0, 1] == pytest.approx(-np.pi / 8.0, rel=1e-12)
     assert gamma_pos[0, 0] == pytest.approx(-same, rel=1e-12)
-    with pytest.raises(ValueError, match="assignment"):
-        coupled_pair_phase_matrix((g, g), ("A",), delta_p, j_rate)
+    # |delta'| = |J| puts one normal mode on resonance: Delta_Q = 0
     with pytest.raises(ValueError):
-        coupled_pair_phase_matrix((g, g), ("A", "B"), j_rate, j_rate)
+        pair_phase_matrix(*coupled_modes(g, j_rate, j_rate), t_n)
+
+
+@pytest.mark.parametrize("xi", [-5, -3, 3, 5, 7])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("assignments", [("A", "B"), ("A", "A", "B"), ("A", "B", "B", "A")])
+def test_pair_phase_matrix_matches_two_mode_closed_form(xi, n, assignments):
+    """At T_n = 2 pi n/|J| with delta' = xi J, same-resonator pairs pick up
+    g_k g_j delta' T_n / (4 (delta'^2 - J^2)) and cross pairs
+    -g_k g_j J T_n / (4 (delta'^2 - J^2))."""
+    j_rate = TWO_PI * 0.04
+    delta_p = xi * j_rate
+    couplings = np.linspace(0.2, 0.4, len(assignments))
+    signs = [1.0 if r == "A" else -1.0 for r in assignments]
+    matrix = np.array([[g, g * s] for g, s in zip(couplings, signs)]) / np.sqrt(2.0)
+    t_n = decoupling_time(j_rate, n)
+    gamma = pair_phase_matrix(matrix, (delta_p + j_rate, delta_p - j_rate), t_n)
+    denom = delta_p**2 - j_rate**2
+    for k, a in enumerate(assignments):
+        for j, b in enumerate(assignments):
+            rate = delta_p if a == b else -j_rate
+            expected = couplings[k] * couplings[j] * rate * t_n / (4.0 * denom)
+            assert gamma[k, j] == pytest.approx(expected, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +197,9 @@ def test_decoupling_unitary_is_unitary_and_x_diagonal():
 def test_decoupling_unitary_produces_ghz_from_all_ground():
     """At the reference point the closure unitary is a maximally entangling
     MS gate: |gg> goes to a GHZ state (i_power phase for delta < 0)."""
-    gamma = pair_phase_matrix((G_REF, G_REF), DELTA_REF, n=1)
+    gamma = pair_phase_matrix(
+        one_mode((G_REF, G_REF)), (DELTA_REF,), decoupling_time(DELTA_REF, 1)
+    )
     u = decoupling_unitary(gamma)
     start = np.zeros(4, dtype=complex)
     start[3] = 1.0  # both qubits in the ground state (index 1 each)
@@ -182,7 +217,9 @@ def test_odd_qubit_closure_is_ghz_after_collective_rotation():
     collective quarter-period sigma_x rotation away from the GHZ state
     (phi = +i); without the rotation the plain-target fidelity is small."""
     for n_q, theta in ((3, np.pi / 4.0), (5, -np.pi / 4.0)):
-        gamma = pair_phase_matrix((G_REF,) * n_q, DELTA_REF, n=1)
+        gamma = pair_phase_matrix(
+            one_mode((G_REF,) * n_q), (DELTA_REF,), decoupling_time(DELTA_REF, 1)
+        )
         u = decoupling_unitary(gamma)
         start = np.zeros(2**n_q, dtype=complex)
         start[-1] = 1.0
@@ -389,14 +426,15 @@ def test_solver_output_feeds_pair_phase_matrix():
     for, through the independent phase-matrix path."""
     g = np.sqrt(2.0) * TWO_PI * 0.04
     solution = solve_coupled_phase_condition(g, xi=3, n=1, m=0, l=0)
-    gamma = coupled_pair_phase_matrix(
-        (g, g), ("A", "B"), -solution.delta_prime, solution.coupler_rate, n=1
+    t_n = decoupling_time(solution.coupler_rate, 1)
+    gamma = pair_phase_matrix(
+        *coupled_modes(g, -solution.delta_prime, solution.coupler_rate), t_n
     )
     # mirrored detuning (-3J) flips the same-resonator phase only; the
     # cross phase enters through delta'^2 and keeps its value -pi/8
     assert abs(gamma[0, 1]) == pytest.approx(np.pi / 8.0, rel=1e-12)
-    gamma_pos = coupled_pair_phase_matrix(
-        (g, g), ("A", "B"), solution.delta_prime, solution.coupler_rate, n=1
+    gamma_pos = pair_phase_matrix(
+        *coupled_modes(g, solution.delta_prime, solution.coupler_rate), t_n
     )
     assert gamma_pos[0, 1] == pytest.approx(solution.cross_pair_phase, rel=1e-12)
     assert gamma_pos[0, 0] == pytest.approx(solution.same_pair_phase, rel=1e-12)

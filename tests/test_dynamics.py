@@ -20,8 +20,7 @@ from ghzforge.dynamics import (
     ghz_fidelity,
     ground_vacuum_state,
     resolve_step,
-    run_coupled_resonator,
-    run_single_resonator,
+    run,
     sweep_drive_strength,
     worker_count,
 )
@@ -115,9 +114,8 @@ def test_mode_occupation_follows_conditional_displacement():
     decomposition of the initial register; 2 |B|^2 for two ground qubits."""
     circuit = reference_single()
     t_half = 0.5 * decoupling_time(circuit.detuning, 1)
-    traj = run_single_resonator(
-        circuit, "effective", decoupling_time(circuit.detuning, 1), t_half / 2.0,
-        fock_cutoff=10,
+    traj = run(
+        circuit, "effective", decoupling_time(circuit.detuning, 1), t_half / 2.0, (10,)
     )
     g = circuit.qubits[0].coupling
     for i, t in enumerate(traj.times):
@@ -140,7 +138,7 @@ def test_effective_run_matches_closure_unitary():
         effective_hamiltonian(circuit, space), ground_vacuum_state(space), t_gate
     )
     u = decoupling_unitary(
-        pair_phase_matrix(circuit.couplings, circuit.detuning, 1)
+        pair_phase_matrix(circuit.coupling_matrix, circuit.mode_detunings, t_gate)
     )
     qubit_state = u @ np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
     closure = np.kron(qubit_state, np.eye(10)[0])
@@ -190,6 +188,16 @@ def test_renormalization_pins_the_norm():
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-14
 
 
+def test_evolve_sampled_rejects_non_finite_state():
+    space = HilbertSpace(n_qubits=1)
+    static = np.array([[np.inf, 0.0], [0.0, 0.0]], dtype=complex)
+    h = TimeDependentHamiltonian(space, static, (), 1.0, "blown-up")
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(PreconditionError, match="finite"):
+            evolve_sampled(h, psi0, [0.0, 0.5, 1.0], IntegratorConfig(dt=1e-2))
+
+
 def test_resolve_step_rules():
     space = HilbertSpace(n_qubits=1)
     h = TimeDependentHamiltonian(space, pauli("x"), (), TWO_PI, "toy")
@@ -207,7 +215,7 @@ def test_resolve_step_rules():
 
 def test_trajectory_sample_grid_ends_at_t_final():
     circuit = reference_single()
-    traj = run_single_resonator(circuit, "effective", 10.0, 0.3, fock_cutoff=6)
+    traj = run(circuit, "effective", 10.0, 0.3, (6,))
     assert traj.times[0] == 0.0
     assert traj.times[-1] == 10.0
     assert np.all(np.diff(traj.times) > 0)
@@ -215,8 +223,8 @@ def test_trajectory_sample_grid_ends_at_t_final():
 
 def test_repeat_runs_are_bit_identical():
     circuit = reference_single()
-    a = run_single_resonator(circuit, "rotating", 2.0, 0.1, fock_cutoff=6)
-    b = run_single_resonator(circuit, "rotating", 2.0, 0.1, fock_cutoff=6)
+    a = run(circuit, "rotating", 2.0, 0.1, (6,))
+    b = run(circuit, "rotating", 2.0, 0.1, (6,))
     assert np.array_equal(a.fidelity, b.fidelity)
     assert np.array_equal(a.norm, b.norm)
     assert np.array_equal(a.mode_occupation, b.mode_occupation)
@@ -230,7 +238,7 @@ def test_repeat_runs_are_bit_identical():
 def test_run_rejects_unknown_variant():
     circuit = reference_single()
     with pytest.raises(ValueError, match="variant"):
-        run_single_resonator(circuit, "exact", 1.0, 0.5)
+        run(circuit, "exact", 1.0, 0.5, (10,))
     from ghzforge.model import CoupledTlrCircuit
 
     j = TWO_PI * 0.04
@@ -246,23 +254,21 @@ def test_run_rejects_unknown_variant():
         rabi=42 * j,
     )
     with pytest.raises(ValueError, match="variant"):
-        run_coupled_resonator(coupled, "intermediate", 1.0, 0.5)
+        run(coupled, "intermediate", 1.0, 0.5, (8, 8))
 
 
 def test_auto_convention_tracks_detuning_sign():
     for sign, expected in ((-1.0, "i_power"), (+1.0, "plus_i")):
         circuit = reference_single(detuning_sign=sign)
         t_gate = decoupling_time(circuit.detuning, 1)
-        traj = run_single_resonator(circuit, "effective", t_gate, 1.0, fock_cutoff=8)
+        traj = run(circuit, "effective", t_gate, 1.0, (8,))
         assert traj.convention == expected
         assert traj.final_fidelity > 0.999
         assert set(traj.fidelity_by_convention) == {"i_power", "plus_i"}
     # a pinned convention is honored even when it is the losing one
     circuit = reference_single()
     t_gate = decoupling_time(circuit.detuning, 1)
-    pinned = run_single_resonator(
-        circuit, "effective", t_gate, 1.0, fock_cutoff=8, convention="plus_i"
-    )
+    pinned = run(circuit, "effective", t_gate, 1.0, (8,), convention="plus_i")
     assert pinned.convention == "plus_i"
     assert pinned.final_fidelity < 0.5
 
@@ -298,7 +304,7 @@ def test_sweep_orders_results_and_restricts_window():
     mults = [10.0, 20.0]
     out = sweep_drive_strength(
         circuit, "effective", mults, window=(9.5, 10.0), window_sample_every=0.1,
-        fock=6, workers=1,
+        fock=(6,), workers=1,
     )
     assert len(out) == 2
     for traj, mult in zip(out, mults):
@@ -312,7 +318,7 @@ def test_sweep_workers_agree_with_serial():
     mults = [5.0, 20.0]
     kw = dict(
         variant="effective", multipliers=mults, window=(9.0, 10.0),
-        window_sample_every=0.25, fock=6,
+        window_sample_every=0.25, fock=(6,),
     )
     serial = sweep_drive_strength(circuit, workers=1, **kw)
     pooled = sweep_drive_strength(circuit, workers=2, **kw)

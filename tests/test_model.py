@@ -1,6 +1,7 @@
 """Hamiltonian builders: validation, Hermiticity, and frame identities."""
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,9 +14,6 @@ from ghzforge.model import (
     SingleTlrCircuit,
     TimeDependentHamiltonian,
     coupled_bare_mode_hamiltonian,
-    coupled_effective_hamiltonian,
-    coupled_full_simulation_hamiltonian,
-    coupled_rotating_frame_hamiltonian,
     coupling_strength,
     effective_hamiltonian,
     full_simulation_hamiltonian,
@@ -120,6 +118,69 @@ def test_coupled_circuit_validation():
     assert circuit.detuning == pytest.approx(-0.06)
 
 
+def test_layout_records_expose_modes():
+    single = reference_single()
+    assert single.mode_detunings == (single.detuning,)
+    assert np.array_equal(single.coupling_matrix, [[q.coupling] for q in single.qubits])
+    assert single.omega == single.omega_r
+    assert single.loop_rate == abs(single.detuning)
+
+    coupled = reference_coupled()
+    j = coupled.coupler_rate
+    assert coupled.mode_detunings == (coupled.detuning + j, coupled.detuning - j)
+    g = coupled.qubits[0].coupling / np.sqrt(2.0)
+    # P couples to both resonators alike, Q with a minus sign on B
+    assert np.allclose(coupled.coupling_matrix, [[g, g], [g, -g]], rtol=1e-15, atol=0.0)
+    assert coupled.omega == coupled.omega_a
+    assert coupled.loop_rate == abs(j)
+
+
+def test_builders_take_any_number_of_modes():
+    """A three-mode record: the rotating-frame builder is the explicit sum
+    over modes, and every variant emits one term set per mode."""
+
+    @dataclass(frozen=True)
+    class ThreeModes:
+        qubits: tuple
+        omega_d: float
+        rabi: float
+        kind = "chain"
+        omega = TWO_PI * 10.0
+        mode_detunings = (-0.3, 0.2, 0.5)
+        coupling_matrix = np.array([[0.05, 0.02, 0.0], [0.01, 0.04, -0.03]])
+
+        @property
+        def n_qubits(self):
+            return len(self.qubits)
+
+        @property
+        def couplings(self):
+            return tuple(q.coupling for q in self.qubits)
+
+    omega_d = TWO_PI * 10.1
+    qubit = QubitSpec(gap=omega_d, coupling=0.05)
+    circuit = ThreeModes(qubits=(qubit, qubit), omega_d=omega_d, rabi=4.0)
+    space = HilbertSpace(n_qubits=2, mode_levels=(2, 3, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ApproximationWarning)
+        h = rotating_frame_hamiltonian(circuit, space)(0.0)
+        effective = effective_hamiltonian(circuit, space)
+        intermediate = interaction_picture_hamiltonian(circuit, space)
+    expected = sum(0.5 * circuit.rabi * embed(pauli("x"), k, space) for k in range(2))
+    for m, delta in enumerate(circuit.mode_detunings):
+        levels, factor = space.mode_levels[m], space.mode_factor(m)
+        a = embed(annihilation(levels), factor, space)
+        expected = expected + delta * a.conj().T @ a
+        for k in range(2):
+            sm = embed(np.array([[0.0, 0.0], [1.0, 0.0]]), k, space)
+            coupling = circuit.coupling_matrix[k, m] * a.conj().T @ sm
+            expected = expected + coupling + coupling.conj().T
+    assert np.allclose(h, expected, atol=1e-14)
+    assert [w for _, w in effective.terms] == [-d for d in circuit.mode_detunings]
+    assert len(intermediate.terms) == 9
+    assert effective.fastest_frequency == 0.5
+
+
 def test_time_dependent_hamiltonian_call():
     space = HilbertSpace(n_qubits=1)
     static = pauli("z")
@@ -160,10 +221,16 @@ def test_single_builders_hermitian(builder):
 @pytest.mark.parametrize(
     "builder",
     [
-        coupled_rotating_frame_hamiltonian,
+        rotating_frame_hamiltonian,
         coupled_bare_mode_hamiltonian,
-        coupled_full_simulation_hamiltonian,
-        coupled_effective_hamiltonian,
+        full_simulation_hamiltonian,
+        effective_hamiltonian,
+    ],
+    ids=[
+        "coupled_rotating_frame_hamiltonian",
+        "coupled_bare_mode_hamiltonian",
+        "coupled_full_simulation_hamiltonian",
+        "coupled_effective_hamiltonian",
     ],
 )
 def test_coupled_builders_hermitian(builder):
@@ -310,7 +377,7 @@ def test_normal_mode_spectrum_matches_bare_modes():
     the two spectra must coincide."""
     circuit = reference_coupled(rabi_mult=0.0)
     space = HilbertSpace(n_qubits=2, mode_levels=(5, 5))
-    h_pq = coupled_rotating_frame_hamiltonian(circuit, space)(0.0)
+    h_pq = rotating_frame_hamiltonian(circuit, space)(0.0)
     h_ab = coupled_bare_mode_hamiltonian(circuit, space)(0.0)
     for n_exc in (1, 2, 3):
         ev_pq = _excitation_block_spectrum(h_pq, space, n_exc)
@@ -335,7 +402,7 @@ def test_normal_mode_splitting_without_qubits():
         omega_d=omega_d,
     )
     space = HilbertSpace(n_qubits=2, mode_levels=(3, 3))
-    h_pq = coupled_rotating_frame_hamiltonian(circuit, space)(0.0)
+    h_pq = rotating_frame_hamiltonian(circuit, space)(0.0)
     ev = _excitation_block_spectrum(h_pq, space, 1)
     delta = circuit.detuning
     # four single-excitation states: photon in P, photon in Q, two (zero-
@@ -346,8 +413,8 @@ def test_normal_mode_splitting_without_qubits():
 def test_coupled_full_counter_terms_at_t0():
     circuit = reference_coupled()
     space = HilbertSpace(n_qubits=2, mode_levels=(3, 3))
-    h_rot = coupled_rotating_frame_hamiltonian(circuit, space)
-    h_full = coupled_full_simulation_hamiltonian(circuit, space)
+    h_rot = rotating_frame_hamiltonian(circuit, space)
+    h_full = full_simulation_hamiltonian(circuit, space)
     diff = h_full(0.0) - h_rot(0.0)
     assert hermiticity_defect(diff) < 1e-12
     # counter-rotating drive contributes Omega_R/2 per qubit on sigma_x
@@ -442,7 +509,7 @@ def test_space_shape_mismatch_rejected():
             rotating_frame_hamiltonian(circuit, space)
     coupled = reference_coupled()
     with pytest.raises(ValueError):
-        coupled_rotating_frame_hamiltonian(
+        rotating_frame_hamiltonian(
             coupled, HilbertSpace(n_qubits=2, mode_levels=(4,))
         )
 

@@ -5,11 +5,15 @@ written, so they cover the same code path as the installed entry point
 without process-spawn overhead.
 """
 
+import copy
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ghzforge import constants
 from ghzforge.cli import main
@@ -82,7 +86,7 @@ def test_reference_doc_round_trip():
     assert scenario.kind == "single"
     assert scenario.circuit.rabi == pytest.approx(2 * np.pi * 2.0)
     assert scenario.circuit.detuning == pytest.approx(-2 * np.pi * 0.1)
-    assert scenario.fock == 6
+    assert scenario.fock == (6,)
     assert scenario.convention == "auto"
     assert scenario.drive_mapping is None
 
@@ -200,6 +204,63 @@ def test_coupled_structural_errors():
         validate_scenario(doc)
 
 
+def _field_paths(node, prefix=()):
+    """Every key and list index of a parsed document, as paths from the root."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _field_paths(child, prefix + (key,))
+
+
+BUNDLED_DOCS = {
+    name: json.loads(bundled_scenario_path(name).read_text())
+    for name in bundled_scenario_names()
+}
+FIELD_PATHS = sorted(
+    (name, path) for name, doc in BUNDLED_DOCS.items() for path in _field_paths(doc)
+)
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(target=st.sampled_from(FIELD_PATHS), value=JSON_VALUES)
+def test_any_json_value_loads_finite_or_is_a_format_error(target, value):
+    name, path = target
+    doc = copy.deepcopy(BUNDLED_DOCS[name])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    try:
+        scenario = validate_scenario(doc, name)
+    except ScenarioFormatError:
+        return
+    circuit = scenario.circuit
+    numbers = [
+        circuit.omega,
+        circuit.omega_d,
+        circuit.rabi,
+        *circuit.mode_detunings,
+        *circuit.coupling_matrix.ravel(),
+        *(q.gap for q in circuit.qubits),
+        scenario.t_final_ns,
+        scenario.sample_every_ns,
+        scenario.integrator.dt if scenario.integrator.dt is not None else 0.0,
+    ]
+    assert all(math.isfinite(x) for x in numbers)
+    assert all(n >= 2 for n in scenario.fock)
+
+
 # ---------------------------------------------------------------------------
 # run subcommand
 # ---------------------------------------------------------------------------
@@ -253,8 +314,50 @@ def test_run_malformed_json_exits_2(tmp_path, capsys):
 
 
 def test_run_unknown_key_exits_2(tmp_path):
-    path = write_scenario(tmp_path, "typo", scenario_doc(fock_cutof=8))
-    assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    # a misspelt key, and time_budget_s, which the schema no longer has
+    for doc in (scenario_doc(fock_cutof=8), scenario_doc(time_budget_s=30)):
+        path = write_scenario(tmp_path, "typo", doc)
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+
+
+def _with_coupling(value):
+    doc = scenario_doc(variant="full", t_final_ns=0.1, sample_every_ns=0.05)
+    doc["qubits"] = [{"gap_ghz": 10.1, "coupling_ghz": value}] * 2
+    return doc
+
+
+def _overflowing_normal_mode():
+    # each frequency is finite, but delta' - J is not
+    doc = coupled_doc(drive_frequency_ghz=2.5e307)
+    doc["resonator"] = dict(doc["resonator"], coupler_rate_ghz=2e307)
+    for qubit in doc["qubits"]:
+        qubit["gap_ghz"] = 2.5e307
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        scenario_doc(fock_cutoff=1),
+        coupled_doc(fock_cutoffs=[8, 1]),
+        _with_coupling(float("nan")),
+        scenario_doc(drive={"rabi_ghz": float("nan")}),
+        scenario_doc(t_final_ns=float("inf")),
+        scenario_doc(t_final_ns=10**400),
+        scenario_doc(drive_frequency_ghz=1e308),
+        _overflowing_normal_mode(),
+    ],
+    ids=[
+        "fock_cutoff=1", "fock_cutoffs=[8,1]", "coupling=NaN", "rabi=NaN",
+        "t_final=Infinity", "t_final=10**400", "drive=1e308", "delta'-J=-inf",
+    ],
+)
+def test_run_rejects_non_finite_and_out_of_range_numbers(doc, tmp_path, capsys):
+    path = write_scenario(tmp_path, "bad_number", doc)
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_missing_file_exits_2(tmp_path):
@@ -353,6 +456,15 @@ def test_sweep_input_errors(tmp_path, capsys):
     ) == 2
     assert main(
         base + ["--param", "omega_r_multiple", "--values", "5", "--window", "1:2:3"]
+    ) == 2
+    # non-finite numbers
+    assert main(base + ["--param", "omega_r_multiple", "--values", "5,nan"]) == 2
+    assert main(base + ["--param", "omega_r_multiple", "--values", "inf"]) == 2
+    assert main(
+        base + ["--param", "omega_r_multiple", "--values", "5", "--window", "0:inf"]
+    ) == 2
+    assert main(
+        base + ["--param", "omega_r_multiple", "--values", "5", "--window", "nan:1"]
     ) == 2
 
 
