@@ -5,8 +5,8 @@ the pair into normal modes P and Q detuned by delta' +- J from the drive,
 and both loops close simultaneously at T = 2 pi / J (25 ns for
 J = 40 MHz).  By default this runs the effective strong-driving model,
 which takes a second; pass --full for the counter-rotating-terms model
-with the step pinned low enough to hold norm drift below 1e-8 (about a
-minute).
+with the step pinned low enough to hold norm drift below 1e-8 (about 7 s
+on a 2-core host).
 """
 
 import argparse
@@ -58,7 +58,7 @@ for i, t in enumerate(eff.times):
 print(f"\neffective model: F({t_gate:.0f} ns) = {eff.final_fidelity:.6f}")
 
 if args.full:
-    print("\nintegrating the full model (this takes a while)...")
+    print("\nintegrating the full model (a few seconds)...")
     full = run(circuit, "full", t_gate, 2.5, (8, 8), config=IntegratorConfig(dt=0.000388))
     drift = float(np.max(np.abs(full.norm - 1.0)))
     print(

@@ -30,7 +30,7 @@ from .analytic import (
 from .constants import ghz_from_rad_per_ns
 from .dynamics import Trajectory, sweep_drive_strength, worker_count
 from .errors import PreconditionError, ScenarioFormatError, UnsolvableConditionError
-from .scenario import LoadedScenario, load_scenario, run_scenario
+from .scenario import LoadedScenario, check_run_size, load_scenario, run_scenario
 from .selftest import format_results, run_selftest
 
 EXIT_OK = 0
@@ -156,6 +156,7 @@ def cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
     values = _parse_values(args.values)
     window = _parse_window(args.window, scenario.t_final_ns)
+    check_run_size(scenario, window[1] - window[0], "--window")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     workers = worker_count(args.workers, len(values))

@@ -24,9 +24,10 @@ Builders return a :class:`TimeDependentHamiltonian`: a static part plus a
 list of (matrix, frequency) terms, where each term contributes
 ``exp(i w t) M + exp(-i w t) M^dag``.  Terms that share a frequency share
 one matrix.  Calling the handle at a time t assembles the dense matrix; the
-integrator consumes the term structure directly.  Every builder also
-declares the fastest angular frequency present so the step-size
-precondition can be enforced mechanically.
+integrator instead consumes one sparse block matrix stacking the static
+part, every M and every M^dag, plus a phase table of the block weights.
+Every builder also declares the fastest angular frequency present so the
+step-size precondition can be enforced mechanically.
 
 Frames, from the laboratory down:
 
@@ -52,6 +53,7 @@ from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
+from scipy import sparse
 
 from . import constants
 from .errors import ApproximationWarning, PreconditionError
@@ -274,6 +276,11 @@ class TimeDependentHamiltonian:
 
     fastest_frequency (rad/ns) is the largest angular frequency relevant to
     resolving the dynamics and feeds the integrator step-size rule.
+
+    ``stacked`` is the CSR block column [static; M_1..M_J; M_1^dag..M_J^dag]
+    (a zero block for a missing static part), whose blocks oscillate at
+    ``frequencies`` (0, w_j, -w_j):
+    -i H(t) y = coefficients(t) @ (stacked @ y).reshape(n_blocks, dim).
     """
 
     space: HilbertSpace
@@ -281,16 +288,26 @@ class TimeDependentHamiltonian:
     terms: tuple[tuple[np.ndarray, float], ...]
     fastest_frequency: float
     label: str
-    _daggers: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    stacked: sparse.csr_matrix = field(init=False, repr=False)
+    frequencies: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         dim = self.space.dim
         if self.static is not None and self.static.shape != (dim, dim):
             raise ValueError("static part does not match the space dimension")
         self.terms = tuple((np.asarray(m, dtype=complex), float(w)) for m, w in self.terms)
-        self._daggers = tuple(m.conj().T for m, _ in self.terms)
+        if any(m.shape != (dim, dim) for m, _ in self.terms):
+            raise ValueError("a term matrix does not match the space dimension")
         if self.fastest_frequency <= 0:
             raise ValueError("fastest_frequency must be positive")
+        static = sparse.csr_matrix(
+            (dim, dim) if self.static is None else self.static, dtype=complex
+        )
+        forward = [sparse.csr_matrix(m) for m, _ in self.terms]
+        blocks = [static, *forward, *(b.conj().T for b in forward)]
+        self.stacked = sparse.vstack(blocks, format="csr")
+        w = np.array([freq for _, freq in self.terms])
+        self.frequencies = np.concatenate([[0.0], w, -w])
 
     def __call__(self, t: float) -> np.ndarray:
         h = (
@@ -298,10 +315,15 @@ class TimeDependentHamiltonian:
             if self.static is None
             else self.static.astype(complex, copy=True)
         )
-        for (m, w), md in zip(self.terms, self._daggers):
+        for m, w in self.terms:
             z = np.exp(1j * w * t)
-            h += z * m + np.conj(z) * md
+            h += z * m + np.conj(z) * m.conj().T
         return h
+
+    def coefficients(self, times) -> np.ndarray:
+        """Block weights -i exp(i frequencies t): one row per time in times."""
+        t = np.asarray(times, dtype=float)[..., None]
+        return -1j * np.exp(1j * (t * self.frequencies))
 
     @property
     def is_static(self) -> bool:

@@ -31,6 +31,12 @@ SCHEMA_VERSION = 1
 
 GHZ_PHASE_CHOICES = ("auto", "i_power", "plus_i")
 
+# Size limits, checked before anything is allocated.  At the dimension limit
+# one dense builder operator takes 64 MiB; at the amplitude limit the states
+# one trajectory stores (samples x dimension) take 256 MiB.
+MAX_DIMENSION = 2048
+MAX_STORED_AMPLITUDES = 2**24
+
 _TOP_KEYS = {
     "schema_version",
     "description",
@@ -301,7 +307,7 @@ def validate_scenario(data, name: str = "<scenario>") -> LoadedScenario:
     if not all(math.isfinite(d) for d in circuit.mode_detunings):
         raise _fail(name, "mode detunings overflow the floating-point range")
 
-    return LoadedScenario(
+    loaded = LoadedScenario(
         name=name,
         kind=kind,
         circuit=circuit,
@@ -314,6 +320,32 @@ def validate_scenario(data, name: str = "<scenario>") -> LoadedScenario:
         drive_mapping=mapping,
         raw=top,
     )
+    check_run_size(loaded, t_final, name)
+    return loaded
+
+
+def check_run_size(scenario: LoadedScenario, span_ns: float, where: str) -> None:
+    """Reject a run past MAX_DIMENSION or MAX_STORED_AMPLITUDES.
+
+    span_ns is the time span sampled every scenario.sample_every_ns: the
+    whole run, or a sweep window.
+    """
+    n_qubits = scenario.circuit.n_qubits
+    dim = 2**n_qubits * math.prod(scenario.fock)
+    if dim > MAX_DIMENSION:
+        levels = " x ".join(str(n) for n in scenario.fock)
+        raise _fail(
+            where,
+            f"Hilbert-space dimension 2^{n_qubits} x {levels} exceeds the limit "
+            f"{MAX_DIMENSION}",
+        )
+    samples = span_ns / scenario.sample_every_ns + 2
+    if samples * dim > MAX_STORED_AMPLITUDES:
+        raise _fail(
+            where,
+            f"{samples:.3g} samples of dimension {dim} exceed the limit of "
+            f"{MAX_STORED_AMPLITUDES} stored amplitudes; sample less often",
+        )
 
 
 def load_scenario(path) -> LoadedScenario:

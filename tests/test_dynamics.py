@@ -68,6 +68,29 @@ def test_static_diagonal_phases_exact():
     assert np.max(np.abs(psi - expected)) < 1e-11
 
 
+def test_zero_hamiltonian_returns_initial_state_exactly():
+    """No static part and no terms: the stacked matrix is one zero block."""
+    space = HilbertSpace(n_qubits=1, mode_levels=(3,))
+    h = TimeDependentHamiltonian(space, None, (), 1.0, "zero")
+    rng = np.random.default_rng(7)
+    psi0 = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    states = evolve_sampled(h, psi0, [0.0, 0.3, 2.0, 2.0, 9.5])
+    assert np.array_equal(states, np.tile(psi0, (5, 1)))
+
+
+def test_phase_table_pieces_leave_the_trajectory_unchanged(monkeypatch):
+    """A long segment is tabulated in pieces over one global half-step grid,
+    so the piece size cannot change a single bit of the result."""
+    circuit = reference_single(n_qubits=1)
+    space = HilbertSpace(n_qubits=1, mode_levels=(4,))
+    h = full_simulation_hamiltonian(circuit, space)
+    psi0 = ground_vacuum_state(space)
+    config = IntegratorConfig(dt=5e-4)
+    whole = evolve_sampled(h, psi0, [0.3, 0.5], config)
+    monkeypatch.setattr("ghzforge.dynamics._STEPS_PER_TABLE", 7)
+    assert np.array_equal(evolve_sampled(h, psi0, [0.3, 0.5], config), whole)
+
+
 def test_rabi_flop_oracle():
     """Decoupled qubit under the transverse drive: textbook Rabi rotation."""
     circuit = SingleTlrCircuit(

@@ -1,10 +1,13 @@
 """Hamiltonian builders: validation, Hermiticity, and frame identities."""
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ghzforge.errors import ApproximationWarning, PreconditionError
 from ghzforge.model import (
@@ -67,6 +70,33 @@ def reference_coupled(rabi_mult=42.0):
         omega_d=omega_d,
         rabi=rabi_mult * j,
     )
+
+
+@dataclass(frozen=True)
+class ThreeModes:
+    """A layout record with three modes, which no bundled layout has."""
+
+    qubits: tuple
+    omega_d: float
+    rabi: float
+    kind = "chain"
+    omega = TWO_PI * 10.0
+    mode_detunings = (-0.3, 0.2, 0.5)
+    coupling_matrix = np.array([[0.05, 0.02, 0.0], [0.01, 0.04, -0.03]])
+
+    @property
+    def n_qubits(self):
+        return len(self.qubits)
+
+    @property
+    def couplings(self):
+        return tuple(q.coupling for q in self.qubits)
+
+
+def three_mode_record():
+    omega_d = TWO_PI * 10.1
+    qubit = QubitSpec(gap=omega_d, coupling=0.05)
+    return ThreeModes(qubits=(qubit, qubit), omega_d=omega_d, rabi=4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -139,27 +169,7 @@ def test_builders_take_any_number_of_modes():
     """A three-mode record: the rotating-frame builder is the explicit sum
     over modes, and every variant emits one term set per mode."""
 
-    @dataclass(frozen=True)
-    class ThreeModes:
-        qubits: tuple
-        omega_d: float
-        rabi: float
-        kind = "chain"
-        omega = TWO_PI * 10.0
-        mode_detunings = (-0.3, 0.2, 0.5)
-        coupling_matrix = np.array([[0.05, 0.02, 0.0], [0.01, 0.04, -0.03]])
-
-        @property
-        def n_qubits(self):
-            return len(self.qubits)
-
-        @property
-        def couplings(self):
-            return tuple(q.coupling for q in self.qubits)
-
-    omega_d = TWO_PI * 10.1
-    qubit = QubitSpec(gap=omega_d, coupling=0.05)
-    circuit = ThreeModes(qubits=(qubit, qubit), omega_d=omega_d, rabi=4.0)
+    circuit = three_mode_record()
     space = HilbertSpace(n_qubits=2, mode_levels=(2, 3, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ApproximationWarning)
@@ -192,6 +202,84 @@ def test_time_dependent_hamiltonian_call():
     assert not h.is_static
     h_static = TimeDependentHamiltonian(space, static, (), 1.0, "toy-static")
     assert h_static.is_static
+
+
+def test_term_shape_mismatch_rejected():
+    space = HilbertSpace(n_qubits=1, mode_levels=(2,))
+    for wrong in (pauli("x"), np.zeros(4), np.zeros((4, 2))):
+        with pytest.raises(ValueError, match="term matrix does not match"):
+            TimeDependentHamiltonian(
+                space, None, ((np.eye(4), 1.0), (wrong, 2.0)), 2.0, "toy"
+            )
+
+
+# ---------------------------------------------------------------------------
+# the stacked right-hand side the integrator consumes
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _stage_hamiltonian(case):
+    """Every builder x layout pair, the three-mode record, the lab frame and
+    the zero Hamiltonian (no static part, no terms)."""
+    layout, _, variant = case.partition(":")
+    if layout == "zero":
+        return TimeDependentHamiltonian(HilbertSpace(n_qubits=2), None, (), 1.0, "zero")
+    if layout == "lab":
+        circuit = reference_single(rabi_mult=0.0, n_qubits=1)
+        drive = ResonatorDrive(amplitude=TWO_PI * 0.05, omega_d=circuit.omega_d)
+        return lab_frame_hamiltonian(circuit, drive, HilbertSpace(n_qubits=1, mode_levels=(6,)))
+    circuit, levels = {
+        "single": (reference_single(), (5,)),
+        "coupled": (reference_coupled(), (4, 4)),
+        "chain": (three_mode_record(), (2, 3, 2)),
+    }[layout]
+    builder = {
+        "full": full_simulation_hamiltonian,
+        "rotating": rotating_frame_hamiltonian,
+        "intermediate": interaction_picture_hamiltonian,
+        "effective": effective_hamiltonian,
+    }[variant]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ApproximationWarning)
+        return builder(circuit, HilbertSpace(n_qubits=circuit.n_qubits, mode_levels=levels))
+
+
+STAGE_CASES = [
+    *(f"single:{v}" for v in SingleTlrCircuit.variants),
+    *(f"coupled:{v}" for v in CoupledTlrCircuit.variants),
+    *(f"chain:{v}" for v in ("full", "rotating", "intermediate", "effective")),
+    "lab",
+    "zero",
+]
+
+
+@pytest.mark.parametrize("case", STAGE_CASES)
+@settings(max_examples=20, deadline=None)
+@given(
+    t_start=st.floats(0.0, 30.0),
+    span=st.floats(1e-3, 2.0),
+    n_steps=st.integers(1, 50),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(t_start=0.0, span=0.5, n_steps=7, seed=0)
+def test_stacked_stage_equals_dense_rhs(case, t_start, span, n_steps, seed):
+    """One RK4 stage, coefficients @ (stacked @ y) over a segment's phase
+    table, equals -i H(t) y at the segment's start, a midpoint and its end."""
+    h = _stage_hamiltonian(case)
+    dim = h.space.dim
+    blocks = h.stacked.shape[0] // dim
+    assert h.stacked.shape == (blocks * dim, dim)
+    assert blocks == 1 + 2 * len(h.terms)
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    times = t_start + (0.5 * span / n_steps) * np.arange(2 * n_steps + 1)
+    table = h.coefficients(times)
+    for row in (0, 2 * int(rng.integers(n_steps)) + 1, 2 * n_steps):
+        stage = table[row] @ (h.stacked @ y).reshape(blocks, dim)
+        expected = -1j * (h(times[row]) @ y)
+        assert np.allclose(table[row], h.coefficients(times[row]), rtol=1e-15, atol=0.0)
+        assert np.linalg.norm(stage - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 # ---------------------------------------------------------------------------

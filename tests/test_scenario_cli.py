@@ -20,6 +20,7 @@ from ghzforge.cli import main
 from ghzforge.dynamics import sweep_drive_strength
 from ghzforge.errors import ScenarioFormatError
 from ghzforge.scenario import (
+    MAX_STORED_AMPLITUDES,
     bundled_scenario_names,
     bundled_scenario_path,
     load_scenario,
@@ -346,10 +347,13 @@ def _overflowing_normal_mode():
         scenario_doc(t_final_ns=10**400),
         scenario_doc(drive_frequency_ghz=1e308),
         _overflowing_normal_mode(),
+        scenario_doc(fock_cutoff=10**6),
+        scenario_doc(sample_every_ns=1e-300),
     ],
     ids=[
         "fock_cutoff=1", "fock_cutoffs=[8,1]", "coupling=NaN", "rabi=NaN",
         "t_final=Infinity", "t_final=10**400", "drive=1e308", "delta'-J=-inf",
+        "fock_cutoff=10**6", "sample_every=1e-300",
     ],
 )
 def test_run_rejects_non_finite_and_out_of_range_numbers(doc, tmp_path, capsys):
@@ -466,6 +470,25 @@ def test_sweep_input_errors(tmp_path, capsys):
     assert main(
         base + ["--param", "omega_r_multiple", "--values", "5", "--window", "nan:1"]
     ) == 2
+    # a window whose stored states would pass MAX_STORED_AMPLITUDES
+    assert main(
+        base + ["--param", "omega_r_multiple", "--values", "5", "--window", "0:1e300"]
+    ) == 2
+    assert "stored amplitudes" in capsys.readouterr().err
+
+
+def test_size_limits_admit_the_largest_planned_run():
+    """Six qubits on a 24-level mode (dim 1536) loads; seven (3072) does not,
+    and a sampling grid loads just inside the amplitude limit, not past it."""
+    six = [{"gap_ghz": 10.1, "coupling_ghz": 0.05}] * 6
+    validate_scenario(scenario_doc(qubits=six, fock_cutoff=24))
+    with pytest.raises(ScenarioFormatError, match="dimension 2\\^7 x 24 exceeds"):
+        validate_scenario(scenario_doc(qubits=six + six[:1], fock_cutoff=24))
+    # two qubits, 6 levels: dim 24, (10 ns / sample_every + 2) x 24 against 2**24
+    every = 10.0 / (MAX_STORED_AMPLITUDES / 24 - 2)
+    validate_scenario(scenario_doc(sample_every_ns=every * 1.000001))
+    with pytest.raises(ScenarioFormatError, match="stored amplitudes"):
+        validate_scenario(scenario_doc(sample_every_ns=every * 0.999999))
 
 
 # ---------------------------------------------------------------------------
