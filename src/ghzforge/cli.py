@@ -157,9 +157,12 @@ def cmd_sweep(args) -> int:
     values = _parse_values(args.values)
     window = _parse_window(args.window, scenario.t_final_ns)
     check_run_size(scenario, window[1] - window[0], "--window")
+    try:
+        workers = worker_count(args.workers, len(values))
+    except ValueError as exc:
+        raise ScenarioFormatError(str(exc)) from None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = worker_count(args.workers, len(values))
     start = time.perf_counter()
     trajectories = sweep_drive_strength(
         scenario.circuit,

@@ -18,6 +18,11 @@ convention won at the peak.  The produced phase depends on the sign of the
 detuning and the elapsed drive rotation, so fixing one convention a priori
 would report ~0 fidelity for a perfectly good GHZ state half the time.
 
+Observation is one array pass over the (samples, dim) states: a fidelity
+is sum_m |<GHZ|psi[:, m]>|^2 over the (qubit, mode) split of each state, a
+mode occupation is the photon-number marginal of |psi|^2, and neither a
+density matrix nor a dense number operator is formed.
+
 Drive-strength sweeps fan out across a process pool (size from the
 GHZFORGE_THREADS environment variable, else the CPU count); results are
 ordered by multiplier index regardless of completion order.
@@ -44,13 +49,7 @@ from .model import (
     qubit_drive_from_resonator_drive,
     rotating_frame_hamiltonian,
 )
-from .operators import (
-    HilbertSpace,
-    displacement,
-    embed,
-    number_operator,
-    partial_trace_modes,
-)
+from .operators import HilbertSpace, displacement, embed, number_operator
 
 __all__ = [
     "IntegratorConfig",
@@ -84,18 +83,15 @@ class IntegratorConfig:
     """Fixed-step RK4 settings.
 
     dt = None picks (2 pi / omega_fastest) / 64 from the Hamiltonian's
-    declared fastest frequency.  renormalize_every = 0 disables in-flight
-    renormalization: norm drift is a diagnostic we want to see, not hide.
+    declared fastest frequency.  The state is never renormalized in flight:
+    norm drift is a diagnostic we want to see, not hide.
     """
 
     dt: float | None = None
-    renormalize_every: int = 0
 
     def __post_init__(self):
         if self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.renormalize_every < 0:
-            raise ValueError("renormalize_every must be >= 0")
 
 
 @dataclass
@@ -133,10 +129,21 @@ def ground_vacuum_state(space: HilbertSpace) -> np.ndarray:
     return psi
 
 
+def _ghz_overlap(states: np.ndarray, space: HilbertSpace, target: np.ndarray) -> np.ndarray:
+    """<target| Tr_modes |psi><psi| |target> for each state of a (..., dim) array.
+
+    Writing psi as a (qubit, mode) matrix A, the reduced state is A A^dag, so
+    the fidelity is sum_m |<target|A[:, m]>|^2; no density matrix is formed.
+    """
+    q = 2**space.n_qubits
+    states = np.asarray(states)
+    amplitudes = np.conj(target) @ states.reshape(*states.shape[:-1], q, space.dim // q)
+    return np.sum(np.abs(amplitudes) ** 2, axis=-1)
+
+
 def ghz_fidelity(psi: np.ndarray, space: HilbertSpace, target: np.ndarray) -> float:
     """F = <target| Tr_modes |psi><psi| |target>, real in [0, 1]."""
-    rho_q = partial_trace_modes(psi, space)
-    return float(np.real(np.vdot(target, rho_q @ target)))
+    return float(_ghz_overlap(psi, space, target))
 
 
 def resolve_step(hamiltonian: TimeDependentHamiltonian, config: IntegratorConfig | None) -> float:
@@ -174,7 +181,6 @@ def evolve_sampled(
     if samples[0] < 0 or np.any(np.diff(samples) < 0):
         raise ValueError("sample_times must be non-decreasing and start at t >= 0")
     dt = resolve_step(hamiltonian, config)
-    renorm = config.renormalize_every if config is not None else 0
 
     y = np.asarray(psi0, dtype=complex).copy()
     if y.shape != (hamiltonian.space.dim,):
@@ -187,7 +193,6 @@ def evolve_sampled(
 
     out = np.empty((samples.size, y.size), dtype=complex)
     t_now = 0.0
-    steps_done = 0
     for idx, t_target in enumerate(samples):
         span = t_target - t_now
         if span > 1e-15:
@@ -204,9 +209,6 @@ def evolve_sampled(
                     k3 = stage(phases[row + 1], y + (0.5 * h) * k2)
                     k4 = stage(phases[row + 2], y + h * k3)
                     y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                    steps_done += 1
-                    if renorm and steps_done % renorm == 0:
-                        y /= np.linalg.norm(y)
             t_now = t_target
         if not np.isfinite(y).all():
             raise PreconditionError(
@@ -234,22 +236,17 @@ def _observe(
     label: str,
     convention: str,
 ) -> Trajectory:
-    """Assemble a Trajectory from sampled states."""
-    n_qubits = space.n_qubits
-    targets = {c: ghz_target(n_qubits, c) for c in GHZ_CONVENTIONS}
-    number_ops = [
-        embed(number_operator(space.mode_levels[m]), space.mode_factor(m), space)
-        for m in range(space.n_modes)
-    ]
-    norms = np.linalg.norm(states, axis=1)
-    occupations = np.empty((states.shape[0], space.n_modes))
-    fids = {c: np.empty(states.shape[0]) for c in GHZ_CONVENTIONS}
-    for i, psi in enumerate(states):
-        for m, n_op in enumerate(number_ops):
-            occupations[i, m] = np.real(np.vdot(psi, n_op @ psi))
-        rho_q = partial_trace_modes(psi, space)
-        for c, tgt in targets.items():
-            fids[c][i] = np.real(np.vdot(tgt, rho_q @ tgt))
+    """Assemble a Trajectory from sampled states in one pass over the array."""
+    fids = {
+        c: _ghz_overlap(states, space, ghz_target(space.n_qubits, c))
+        for c in GHZ_CONVENTIONS
+    }
+    populations = (np.abs(states) ** 2).reshape(len(states), *space.dims)
+    occupations = np.empty((len(states), space.n_modes))
+    for m, levels in enumerate(space.mode_levels):
+        axis = 1 + space.mode_factor(m)
+        others = tuple(a for a in range(1, populations.ndim) if a != axis)
+        occupations[:, m] = populations.sum(axis=others) @ np.arange(levels)
     if convention == "auto":
         stacked = np.vstack([fids[c] for c in GHZ_CONVENTIONS])
         fidelity = stacked.max(axis=0)
@@ -263,7 +260,7 @@ def _observe(
     return Trajectory(
         times=times,
         fidelity=fidelity,
-        norm=norms,
+        norm=np.linalg.norm(states, axis=1),
         mode_occupation=occupations,
         label=label,
         convention=winner,

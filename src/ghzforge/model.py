@@ -482,20 +482,13 @@ def rotating_frame_hamiltonian(circuit, space: HilbertSpace) -> TimeDependentHam
     a/b Hamiltonian (:func:`coupled_bare_mode_hamiltonian`).
     """
     _check_frame(circuit, space)
-    g = circuit.coupling_matrix
     static = sum(
         d * embed(number_operator(levels), space.mode_factor(m), space)
         for m, (d, levels) in enumerate(zip(circuit.mode_detunings, space.mode_levels))
     )
+    static = static + _coupling_sum(circuit, space, sigma_minus(), creation)
+    static = static + _coupling_sum(circuit, space, sigma_plus(), annihilation)
     for k in range(circuit.n_qubits):
-        for m, levels in enumerate(space.mode_levels):
-            mode = space.mode_factor(m)
-            static = static + g[k, m] * embedded_product(
-                space, {k: sigma_minus(), mode: creation(levels)}
-            )
-            static = static + g[k, m] * embedded_product(
-                space, {k: sigma_plus(), mode: annihilation(levels)}
-            )
         static = static + 0.5 * circuit.rabi * embed(pauli("x"), k, space)
     fastest = abs(circuit.rabi) + _fastest_detuning(circuit)
     return TimeDependentHamiltonian(space, static, (), fastest, f"{circuit.kind}:rotating")

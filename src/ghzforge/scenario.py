@@ -156,14 +156,11 @@ def _integrator_from_entry(entry, where: str) -> IntegratorConfig:
     if entry is None:
         return IntegratorConfig()
     obj = _require_mapping(entry, where)
-    _reject_unknown(obj, {"dt_ns", "renormalize_every"}, where)
+    _reject_unknown(obj, {"dt_ns"}, where)
     dt = obj.get("dt_ns")
     if dt is not None:
         dt = _number(dt, f"{where}.dt_ns", positive=True)
-    renorm = obj.get("renormalize_every", 0)
-    if isinstance(renorm, bool) or not isinstance(renorm, int) or renorm < 0:
-        raise _fail(f"{where}.renormalize_every", f"expected an integer >= 0, got {renorm!r}")
-    return IntegratorConfig(dt=dt, renormalize_every=renorm)
+    return IntegratorConfig(dt=dt)
 
 
 def validate_scenario(data, name: str = "<scenario>") -> LoadedScenario:
@@ -194,6 +191,8 @@ def validate_scenario(data, name: str = "<scenario>") -> LoadedScenario:
     qubit_entries = _get(top, "qubits", name)
     if not isinstance(qubit_entries, list) or not qubit_entries:
         raise _fail(f"{name}.qubits", "expected a non-empty list")
+    if len(qubit_entries) < 2:
+        raise _fail(f"{name}.qubits", "a GHZ state needs at least two qubits")
     qubits = tuple(
         _qubit_from_entry(entry, i, kind) for i, entry in enumerate(qubit_entries)
     )

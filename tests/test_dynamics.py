@@ -1,10 +1,14 @@
 """Integrator and trajectory machinery against independent oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from test_model import reference_coupled, three_mode_record
 
 from ghzforge.analytic import (
+    GHZ_CONVENTIONS,
     decoupling_time,
     decoupling_unitary,
     ghz_target,
@@ -14,6 +18,7 @@ from ghzforge.analytic import (
 from ghzforge.dynamics import (
     IntegratorConfig,
     Trajectory,
+    _observe,
     evolve,
     evolve_sampled,
     frame_consistency_report,
@@ -24,16 +29,23 @@ from ghzforge.dynamics import (
     sweep_drive_strength,
     worker_count,
 )
-from ghzforge.errors import PreconditionError
+from ghzforge.errors import ApproximationWarning, PreconditionError
 from ghzforge.model import (
     QubitSpec,
     ResonatorDrive,
     SingleTlrCircuit,
     TimeDependentHamiltonian,
+    effective_hamiltonian,
     full_simulation_hamiltonian,
     rotating_frame_hamiltonian,
 )
-from ghzforge.operators import HilbertSpace, number_operator, pauli
+from ghzforge.operators import (
+    HilbertSpace,
+    embed,
+    number_operator,
+    partial_trace_modes,
+    pauli,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -154,8 +166,6 @@ def test_effective_run_matches_closure_unitary():
     """State-level agreement with the closed-form propagator at T_1."""
     circuit = reference_single()
     space = HilbertSpace(n_qubits=2, mode_levels=(10,))
-    from ghzforge.model import effective_hamiltonian
-
     t_gate = decoupling_time(circuit.detuning, 1)
     psi = evolve(
         effective_hamiltonian(circuit, space), ground_vacuum_state(space), t_gate
@@ -199,16 +209,6 @@ def test_evolve_sampled_hits_times_exactly():
         assert np.max(np.abs(row - expected)) < 1e-10
     # t = 0 row is the initial state, bit for bit
     assert np.array_equal(states[0], psi0)
-
-
-def test_renormalization_pins_the_norm():
-    circuit = reference_single()
-    space = HilbertSpace(n_qubits=2, mode_levels=(6,))
-    h = full_simulation_hamiltonian(circuit, space)
-    psi = evolve(
-        h, ground_vacuum_state(space), 1.0, IntegratorConfig(dt=5e-4, renormalize_every=1)
-    )
-    assert abs(np.linalg.norm(psi) - 1.0) < 1e-14
 
 
 def test_evolve_sampled_rejects_non_finite_state():
@@ -315,6 +315,92 @@ def test_ghz_fidelity_of_product_state():
     psi = ground_vacuum_state(space)
     target = ghz_target(2, "i_power")
     assert ghz_fidelity(psi, space, target) == pytest.approx(0.5, abs=1e-14)
+
+
+def random_states(space, n_states, seed):
+    rng = np.random.default_rng(seed)
+    states = rng.normal(size=(n_states, space.dim)) + 1j * rng.normal(size=(n_states, space.dim))
+    return states / np.linalg.norm(states, axis=1, keepdims=True)
+
+
+def test_ghz_fidelity_matches_the_partial_trace():
+    for space in (
+        HilbertSpace(n_qubits=2, mode_levels=(6,)),
+        HilbertSpace(n_qubits=3, mode_levels=(4, 3)),
+        HilbertSpace(n_qubits=2, mode_levels=(2, 3, 2)),
+    ):
+        for psi in random_states(space, 20, seed=space.dim):
+            rho_q = partial_trace_modes(psi, space)
+            for c in GHZ_CONVENTIONS:
+                target = ghz_target(space.n_qubits, c)
+                expected = np.real(np.vdot(target, rho_q @ target))
+                assert abs(ghz_fidelity(psi, space, target) - expected) < 1e-14
+
+
+def observe_by_sample(states, space):
+    """Per-sample reference for _observe: dense number operators and one
+    partial trace per state; returns fidelities, occupations, norms, winner."""
+    targets = {c: ghz_target(space.n_qubits, c) for c in GHZ_CONVENTIONS}
+    number_ops = [
+        embed(number_operator(space.mode_levels[m]), space.mode_factor(m), space)
+        for m in range(space.n_modes)
+    ]
+    occupations = np.empty((len(states), space.n_modes))
+    fids = {c: np.empty(len(states)) for c in GHZ_CONVENTIONS}
+    for i, psi in enumerate(states):
+        for m, n_op in enumerate(number_ops):
+            occupations[i, m] = np.real(np.vdot(psi, n_op @ psi))
+        rho_q = partial_trace_modes(psi, space)
+        for c, tgt in targets.items():
+            fids[c][i] = np.real(np.vdot(tgt, rho_q @ tgt))
+    stacked = np.vstack([fids[c] for c in GHZ_CONVENTIONS])
+    winner = GHZ_CONVENTIONS[int(np.argmax(stacked[:, int(np.argmax(stacked.max(axis=0)))]))]
+    return fids, occupations, np.linalg.norm(states, axis=1), winner
+
+
+def _sampled(builder, circuit, mode_levels, t_final, sample_every):
+    space = HilbertSpace(n_qubits=circuit.n_qubits, mode_levels=mode_levels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ApproximationWarning)
+        h = builder(circuit, space)
+    times = np.arange(0.0, t_final + 1e-12, sample_every)
+    return evolve_sampled(h, ground_vacuum_state(space), times), space
+
+
+OBSERVE_CASES = {
+    "one-mode": lambda: _sampled(
+        effective_hamiltonian, reference_single(), (10,), 10.0, 0.05
+    ),
+    "coupled-8x8": lambda: _sampled(
+        effective_hamiltonian, reference_coupled(), (8, 8), 25.0, 0.25
+    ),
+    "three-mode": lambda: _sampled(
+        rotating_frame_hamiltonian, three_mode_record(), (2, 3, 2), 3.0, 0.05
+    ),
+    "random-3q-2modes": lambda: (
+        random_states(HilbertSpace(3, (4, 3)), 50, seed=1), HilbertSpace(3, (4, 3))
+    ),
+    "random-2q-3modes": lambda: (
+        random_states(HilbertSpace(2, (3, 2, 4)), 50, seed=2), HilbertSpace(2, (3, 2, 4))
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OBSERVE_CASES))
+def test_observe_matches_the_per_sample_reference(case):
+    states, space = OBSERVE_CASES[case]()
+    fids, occupations, norms, winner = observe_by_sample(states, space)
+    times = np.arange(len(states), dtype=float)
+    traj = _observe(states, times, space, "case", "auto")
+    tol = dict(rtol=1e-12, atol=1e-14)
+    for c in GHZ_CONVENTIONS:
+        np.testing.assert_allclose(traj.fidelity_by_convention[c], fids[c], **tol)
+        pinned = _observe(states, times, space, "case", c)
+        np.testing.assert_allclose(pinned.fidelity, fids[c], **tol)
+        assert pinned.convention == c
+    np.testing.assert_allclose(traj.mode_occupation, occupations, **tol)
+    np.testing.assert_allclose(traj.norm, norms, **tol)
+    assert traj.convention == winner
 
 
 # ---------------------------------------------------------------------------

@@ -315,8 +315,13 @@ def test_run_malformed_json_exits_2(tmp_path, capsys):
 
 
 def test_run_unknown_key_exits_2(tmp_path):
-    # a misspelt key, and time_budget_s, which the schema no longer has
-    for doc in (scenario_doc(fock_cutof=8), scenario_doc(time_budget_s=30)):
+    # a misspelt key, and time_budget_s and renormalize_every, which the
+    # schema no longer has
+    for doc in (
+        scenario_doc(fock_cutof=8),
+        scenario_doc(time_budget_s=30),
+        scenario_doc(integrator={"renormalize_every": 1}),
+    ):
         path = write_scenario(tmp_path, "typo", doc)
         assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 2
 
@@ -448,7 +453,19 @@ def test_sweep_honors_threads_env(tmp_path, monkeypatch):
     assert summary["workers"] == 2
 
 
-def test_sweep_input_errors(tmp_path, capsys):
+def test_one_qubit_scenario_exits_2_before_running(tmp_path, capsys):
+    doc = scenario_doc(qubits=[{"gap_ghz": 10.1, "coupling_ghz": 0.05}])
+    path = write_scenario(tmp_path, "one", doc)
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    assert "at least two qubits" in capsys.readouterr().err
+    sweep = ["sweep", str(path), "--param", "omega_r_multiple", "--values", "5"]
+    assert main(sweep + ["--out-dir", str(out)]) == 2
+    assert "at least two qubits" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_input_errors(tmp_path, capsys, monkeypatch):
     path = write_scenario(tmp_path, "gate", scenario_doc())
     base = ["sweep", str(path), "--out-dir", str(tmp_path / "o")]
     assert main(base + ["--param", "detuning", "--values", "5"]) == 2
@@ -475,6 +492,16 @@ def test_sweep_input_errors(tmp_path, capsys):
         base + ["--param", "omega_r_multiple", "--values", "5", "--window", "0:1e300"]
     ) == 2
     assert "stored amplitudes" in capsys.readouterr().err
+    # worker counts, from the flag and from the environment
+    one_point = base + ["--param", "omega_r_multiple", "--values", "5"]
+    for flag in ("0", "-2"):
+        assert main(one_point + ["--workers", flag]) == 2
+        assert "worker count must be >= 1" in capsys.readouterr().err
+    for env, message in (("abc", "GHZFORGE_THREADS must be"), ("0", "worker count must be")):
+        monkeypatch.setenv("GHZFORGE_THREADS", env)
+        assert main(one_point) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_size_limits_admit_the_largest_planned_run():
