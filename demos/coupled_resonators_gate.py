@@ -36,8 +36,8 @@ circuit = CoupledTlrCircuit(
     omega_a=OMEGA,
     omega_b=OMEGA,
     qubits=(
-        QubitSpec(gap=OMEGA_D, coupling=G, resonator="A"),
-        QubitSpec(gap=OMEGA_D, coupling=G, resonator="B"),
+        QubitSpec(gap=OMEGA_D, coupling=G, resonator=0),
+        QubitSpec(gap=OMEGA_D, coupling=G, resonator=1),
     ),
     coupler_rate=J,
     omega_d=OMEGA_D,

@@ -8,7 +8,12 @@ field carrying pairwise sigma_x sigma_x phases that turn a product state
 into a GHZ state.
 
 Both layouts are one model: N qubits coupled to M modes with detunings
-Delta_m through a coupling matrix G, which the layout records expose.
+Delta_m through a coupling matrix G.  One record, `ResonatorArray`, holds
+M identical resonators and their photon-hopping matrix J_rs (J != 0 when
+M > 1); its normal modes are the eigenvectors of J, the mode with the larger
+overlap with the uniform vector first and each with a positive first
+nonzero entry.  `SingleTlrCircuit` (M = 1) and `CoupledTlrCircuit` (M = 2)
+are its two constructors.
 
 Layers: `operators` (truncated-space linear algebra), `model` (circuit
 records and Hamiltonian builders), `analytic` (closed forms: displacement
@@ -54,6 +59,7 @@ from .model import (
     CoupledTlrCircuit,
     DriveMappingReport,
     QubitSpec,
+    ResonatorArray,
     ResonatorDrive,
     SingleTlrCircuit,
     TimeDependentHamiltonian,
@@ -86,6 +92,7 @@ __all__ = [
     "UnsolvableConditionError",
     "HilbertSpace",
     "QubitSpec",
+    "ResonatorArray",
     "SingleTlrCircuit",
     "CoupledTlrCircuit",
     "ResonatorDrive",

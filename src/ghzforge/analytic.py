@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import hadamard
 
 from . import constants
 from .errors import UnsolvableConditionError
@@ -132,25 +132,22 @@ def decoupling_unitary(phase_matrix: np.ndarray) -> np.ndarray:
 
     phase_matrix is a full (N, N) matrix of ordered-pair phases (both
     orders counted, diagonal included as a global phase), as returned by
-    pair_phase_matrix.  The result is unitary
-    and diagonal in the product sigma_x basis.
+    pair_phase_matrix.  The generator is diagonal in the product sigma_x
+    basis, whose eigenvectors are the columns of the Sylvester Hadamard
+    matrix W: U = W diag(exp(i theta_s)) W / 2^N with
+    theta_s = sum_{k,j} gamma_kj s_k s_j over the sign patterns s in {+-1}^N.
     """
     gamma = np.asarray(phase_matrix, dtype=float)
     n_qubits = gamma.shape[0]
     if gamma.shape != (n_qubits, n_qubits):
         raise ValueError("phase matrix must be square")
     dim = 2**n_qubits
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    generator = np.zeros((dim, dim), dtype=complex)
-    for k in range(n_qubits):
-        for j in range(n_qubits):
-            op = np.array([[1.0]])
-            for q in range(n_qubits):
-                op = np.kron(op, sx if q in (k, j) and k != j else np.eye(2))
-            if k == j:
-                op = np.eye(dim)
-            generator += gamma[k, j] * op
-    return expm(1j * generator)
+    # qubit 0 is the most significant bit of a basis index; bit 0 is s = +1
+    bits = (np.arange(dim)[:, None] >> np.arange(n_qubits - 1, -1, -1)) & 1
+    signs = 1 - 2 * bits
+    theta = np.einsum("sk,kj,sj->s", signs, gamma, signs)
+    w = hadamard(dim)
+    return (w * np.exp(1j * theta)) @ w / dim
 
 
 def ghz_target(n_qubits: int, convention: str = "i_power") -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -52,20 +53,22 @@ def _mode_columns(n_modes: int) -> list[str]:
 
 
 def _write_trajectory_csv(path: Path, trajectory: Trajectory) -> None:
-    n_modes = trajectory.mode_occupation.shape[1]
+    """One row per sample: the numbers in _fmt's format, then the label.
+
+    Every row comes from one template over the whole table; the template's
+    tail, the label cell and the CRLF row end, is written by csv.writer, so
+    the bytes are those of writing each row with csv.writer.
+    """
+    columns = np.column_stack(
+        [trajectory.times, trajectory.fidelity, trajectory.norm, trajectory.mode_occupation]
+    )
+    header = ["t_ns", "fidelity", "norm", *_mode_columns(columns.shape[1] - 3), "variant"]
+    tail = io.StringIO()
+    csv.writer(tail).writerow(["", trajectory.label])
+    row = ",".join(["%.11e"] * columns.shape[1]) + tail.getvalue().replace("%", "%%")
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t_ns", "fidelity", "norm", *_mode_columns(n_modes), "variant"])
-        for i, t in enumerate(trajectory.times):
-            writer.writerow(
-                [
-                    _fmt(t),
-                    _fmt(trajectory.fidelity[i]),
-                    _fmt(trajectory.norm[i]),
-                    *(_fmt(trajectory.mode_occupation[i, m]) for m in range(n_modes)),
-                    trajectory.label,
-                ]
-            )
+        csv.writer(handle).writerow(header)
+        handle.write("".join(row % tuple(values) for values in columns.tolist()))
 
 
 def _summary_dict(scenario: LoadedScenario, trajectory: Trajectory, wall_s: float) -> dict:

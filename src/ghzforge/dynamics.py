@@ -39,9 +39,10 @@ import numpy as np
 from .analytic import GHZ_CONVENTIONS, ghz_target
 from .errors import PreconditionError
 from .model import (
+    ResonatorArray,
     ResonatorDrive,
-    SingleTlrCircuit,
     TimeDependentHamiltonian,
+    _require_one_resonator,
     effective_hamiltonian,
     full_simulation_hamiltonian,
     interaction_picture_hamiltonian,
@@ -359,7 +360,7 @@ def sweep_drive_strength(
     """One trajectory per Rabi amplitude, sampled densely inside a time window.
 
     The drive amplitude at each point is multiplier x circuit.loop_rate
-    (|delta| for one resonator, |J| for the coupled pair); fock holds one
+    (|delta| for one resonator, max |J_rs| otherwise); fock holds one
     Fock cutoff per mode, as in :func:`run`.
     Each run still starts at t = 0; only the sampling is restricted to the
     window, dense enough to expose the fast fidelity oscillation at the
@@ -416,7 +417,7 @@ class FrameConsistencyReport:
 
 
 def frame_consistency_report(
-    circuit: SingleTlrCircuit,
+    circuit: ResonatorArray,
     drive: ResonatorDrive,
     fock_cutoff: int = 24,
     t_final: float | None = None,
@@ -427,8 +428,9 @@ def frame_consistency_report(
     The circuit should carry modest parameters: the lab mode sits in a
     coherent state of amplitude |nu/delta|, so the Fock cutoff must cover
     |nu/delta|^2 photons with room to spare, and the lab integration must
-    resolve phases up to omega_r x n_max.
+    resolve phases up to omega x n_max.  One resonator only.
     """
+    _require_one_resonator(circuit)
     if circuit.n_qubits != 1:
         raise ValueError("the frame-consistency diagnostic is defined for one qubit")
     delta = circuit.detuning

@@ -1,24 +1,27 @@
 """Circuit parameter records and Hamiltonian builders.
 
 The physical system is N gap-tunable flux qubits coupled through sigma_x to
-M detuned bosonic modes.  Two layouts are modelled: one transmission-line
-resonator (TLR), M = 1, and two TLRs coupled through a dc-SQUID, whose
-normal modes P = (a + b)/sqrt2 and Q = (a - b)/sqrt2 split by the
-photon-exchange rate +-J, M = 2.  The resonators are driven at the common
+M detuned bosonic modes.  One record, :class:`ResonatorArray`, describes
+every layout: M identical transmission-line resonators (TLRs) that
+exchange photons through a symmetric hopping matrix J_rs (one dc-SQUID
+coupler per nonzero entry), with each qubit sitting on one of them.  Its
+normal modes are the eigenvectors of the hopping matrix.  The paper's two
+layouts are two constructors of it: :func:`SingleTlrCircuit` (M = 1) and
+:func:`CoupledTlrCircuit` (M = 2, normal modes P = (a + b)/sqrt2 and
+Q = (a - b)/sqrt2 split by +-J).  The resonators are driven at the common
 qubit gap frequency omega_d; after displacing the modes the tone acts as a
 transverse qubit drive of Rabi amplitude Omega_R.
 
-A layout record is the only code that knows which layout is in use.  The
-builders read just what it exposes:
+The builders read just what the record exposes:
 
-* ``mode_detunings`` Delta_m, mode frequency minus omega_d:
-  (delta,) for one TLR, (delta' + J, delta' - J) for the coupled pair;
-* ``coupling_matrix`` G (N x M), the qubit-mode rates: [[g_k]] for one TLR,
-  g_k/sqrt2 [1, +1] for a qubit on resonator A and g_k/sqrt2 [1, -1] on B;
+* ``mode_detunings`` Delta_m = delta + lambda_m, normal-mode frequency minus
+  omega_d: (delta,) for one TLR, (delta' + J, delta' - J) for the pair;
+* ``coupling_matrix`` G (N x M), G_km = g_k U_{r(k), m}: [[g_k]] for one
+  TLR, g_k/sqrt2 [1, +1] on resonator 0 and g_k/sqrt2 [1, -1] on 1;
 * ``omega``, the bare resonator frequency: counter-rotating couplings
   oscillate at omega + omega_d;
-* ``loop_rate``, at which every mode closes its phase-space loop
-  (|delta|, resp. |J|): the decoupling rate and the drive-sweep unit.
+* ``loop_rate``, |delta| for one TLR and max |J_rs| otherwise: the
+  decoupling rate of both paper layouts and the drive-sweep unit.
 
 Builders return a :class:`TimeDependentHamiltonian`: a static part plus a
 list of (matrix, frequency) terms, where each term contributes
@@ -50,7 +53,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import ClassVar
 
 import numpy as np
 from scipy import sparse
@@ -71,6 +73,7 @@ from .operators import (
 
 __all__ = [
     "QubitSpec",
+    "ResonatorArray",
     "SingleTlrCircuit",
     "CoupledTlrCircuit",
     "ResonatorDrive",
@@ -82,7 +85,7 @@ __all__ = [
     "full_simulation_hamiltonian",
     "interaction_picture_hamiltonian",
     "effective_hamiltonian",
-    "coupled_bare_mode_hamiltonian",
+    "bare_mode_hamiltonian",
     "coupling_strength",
 ]
 
@@ -96,16 +99,15 @@ class QubitSpec:
     """One gap-tunable flux qubit biased at its optimal point.
 
     gap (rad/ns) is the tunnel splitting Delta; coupling (rad/ns) the
-    qubit-resonator rate g; resonator says which TLR the qubit sits on
-    ('A' or 'B', meaningful only in the two-resonator layout).  bias is
-    the energy-bias term epsilon and must be zero: away from the optimal
-    point the sigma-bar_z term re-enters and none of the frames below
-    apply.
+    qubit-resonator rate g; resonator is the index of the TLR the qubit
+    sits on.  bias is the energy-bias term epsilon and must be zero: away
+    from the optimal point the sigma-bar_z term re-enters and none of the
+    frames below apply.
     """
 
     gap: float
     coupling: float
-    resonator: str = "A"
+    resonator: int = 0
     bias: float = 0.0
 
     def __post_init__(self):
@@ -113,8 +115,8 @@ class QubitSpec:
             raise ValueError("qubit gap must be positive")
         if self.coupling < 0:
             raise ValueError("qubit-resonator coupling must be non-negative")
-        if self.resonator not in ("A", "B"):
-            raise ValueError("resonator assignment must be 'A' or 'B'")
+        if not isinstance(self.resonator, int) or self.resonator < 0:
+            raise ValueError("resonator must be a non-negative resonator index")
         if self.bias != 0.0:
             raise ValueError(
                 "nonzero energy bias epsilon is not supported; qubits must sit "
@@ -122,131 +124,129 @@ class QubitSpec:
             )
 
 
-@dataclass(frozen=True)
-class SingleTlrCircuit:
-    """N qubits coupled to one driven TLR: one mode.
+def _normal_modes(hopping: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues lambda_m and eigenvectors U[:, m] of the hopping matrix.
 
-    omega_r: resonator frequency (rad/ns); omega_d: drive frequency, equal to
+    Canonical order: descending overlap |sum_r U_rm| with the uniform
+    vector (ties keep eigh's ascending eigenvalues); canonical sign: each
+    column's first nonzero entry is positive.
+    """
+    lam, u = np.linalg.eigh(hopping)
+    order = np.argsort(-np.round(np.abs(u.sum(axis=0)), 12), kind="stable")
+    lam, u = lam[order], u[:, order]
+    first = np.argmax(np.abs(u) > 1e-12, axis=0)
+    return lam, u * np.sign(u[first, np.arange(u.shape[1])])
+
+
+@dataclass(frozen=True)
+class ResonatorArray:
+    """N qubits on M identical TLRs that exchange photons.
+
+    omega: bare resonator frequency (rad/ns); hopping: the symmetric M x M
+    photon-exchange matrix J_rs (rad/ns) with a zero diagonal; each qubit's
+    ``resonator`` indexes a row of it; omega_d: drive frequency, equal to
     every qubit gap on resonance; rabi: transverse drive amplitude Omega_R
-    (rad/ns, may carry sign).  The working detuning is delta = omega_r -
-    omega_d and must be nonzero.
+    (rad/ns, may carry sign).  The working detuning is delta = omega -
+    omega_d.  The normal modes are the eigenvectors U of the hopping
+    matrix, so Delta_m = delta + lambda_m and G_km = g_k U_{r(k), m}.  The
+    mode with the larger overlap with the uniform vector comes first, and
+    each column of U has a positive first nonzero entry; for M = 2 that
+    gives P = delta' + J and Q = delta' - J whatever the sign of J.  Coupled
+    resonators must exchange photons (some J_rs != 0), and no normal mode
+    may be resonant with the drive (Delta_m != 0).
     """
 
-    omega_r: float
+    omega: float
+    hopping: tuple[tuple[float, ...], ...]
     qubits: tuple[QubitSpec, ...]
     omega_d: float
     rabi: float = 0.0
-
-    kind: ClassVar[str] = "single"
-    variants: ClassVar[tuple[str, ...]] = ("full", "rotating", "intermediate", "effective")
+    mode_detunings: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    coupling_matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        hopping = np.array(self.hopping, dtype=float)
         object.__setattr__(self, "qubits", tuple(self.qubits))
-        if self.omega_r <= 0 or self.omega_d <= 0:
+        if self.omega <= 0 or self.omega_d <= 0:
             raise ValueError("frequencies must be positive")
         if not self.qubits:
             raise ValueError("circuit needs at least one qubit")
-        if self.detuning == 0.0:
-            raise ValueError("drive must be detuned from the resonator (delta != 0)")
+        if hopping.ndim != 2 or not hopping.size or not np.isfinite(hopping).all():
+            raise ValueError("hopping must be a finite M x M matrix with M >= 1")
+        if not np.array_equal(hopping, hopping.T) or np.diag(hopping).any():
+            raise ValueError("hopping must be symmetric with a zero diagonal")
+        object.__setattr__(self, "hopping", tuple(map(tuple, hopping.tolist())))
+        if any(q.resonator >= self.n_resonators for q in self.qubits):
+            raise ValueError(f"a qubit's resonator index is not below M = {self.n_resonators}")
+        if self.n_resonators > 1 and not hopping.any():
+            raise ValueError("coupled resonators must exchange photons (J != 0)")
+        lam, u = _normal_modes(hopping)
+        detunings = tuple(self.detuning + float(x) for x in lam)
+        if not all(np.isfinite(detunings)):
+            raise ValueError("mode detunings overflow the floating-point range")
+        if 0.0 in detunings:
+            raise ValueError("drive must be detuned from every normal mode (Delta_m != 0)")
+        resonators = [q.resonator for q in self.qubits]
+        g = np.array(self.couplings)[:, None] * u[resonators]
+        g.setflags(write=False)
+        object.__setattr__(self, "mode_detunings", detunings)
+        object.__setattr__(self, "coupling_matrix", g)
 
     @property
     def n_qubits(self) -> int:
         return len(self.qubits)
 
     @property
-    def detuning(self) -> float:
-        """delta = omega_r - omega_d, signed."""
-        return self.omega_r - self.omega_d
-
-    @property
-    def couplings(self) -> tuple[float, ...]:
-        return tuple(q.coupling for q in self.qubits)
-
-    @property
-    def omega(self) -> float:
-        return self.omega_r
-
-    @property
-    def mode_detunings(self) -> tuple[float, ...]:
-        return (self.detuning,)
-
-    @property
-    def coupling_matrix(self) -> np.ndarray:
-        return np.array([[q.coupling] for q in self.qubits])
-
-    @property
-    def loop_rate(self) -> float:
-        return abs(self.detuning)
-
-
-@dataclass(frozen=True)
-class CoupledTlrCircuit:
-    """N qubits split over two identical TLRs that exchange photons at rate J.
-
-    omega_a and omega_b must be equal (the normal-mode picture assumes
-    degenerate bare resonators); the working detuning is
-    delta' = omega - omega_d with |delta'| != |J| so neither normal mode is
-    resonant with the drive.  The modes are P (detuning delta' + J) and Q
-    (delta' - J); a qubit on B couples to Q with a minus sign.
-    """
-
-    omega_a: float
-    omega_b: float
-    qubits: tuple[QubitSpec, ...]
-    coupler_rate: float
-    omega_d: float
-    rabi: float = 0.0
-
-    kind: ClassVar[str] = "coupled"
-    variants: ClassVar[tuple[str, ...]] = ("full", "rotating", "effective")
-
-    def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(self.qubits))
-        if self.omega_a != self.omega_b:
-            raise ValueError("the two resonators must be degenerate (omega_a == omega_b)")
-        if self.omega_a <= 0 or self.omega_d <= 0:
-            raise ValueError("frequencies must be positive")
-        if not self.qubits:
-            raise ValueError("circuit needs at least one qubit")
-        if abs(self.detuning) == abs(self.coupler_rate):
-            raise ValueError("|delta'| must differ from |J| (degenerate normal mode)")
-
-    @property
-    def omega(self) -> float:
-        return self.omega_a
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.qubits)
+    def n_resonators(self) -> int:
+        return len(self.hopping)
 
     @property
     def detuning(self) -> float:
-        """delta' = omega - omega_d, signed."""
+        """delta = omega - omega_d, signed."""
         return self.omega - self.omega_d
 
     @property
     def couplings(self) -> tuple[float, ...]:
         return tuple(q.coupling for q in self.qubits)
 
-    def qubit_indices(self, resonator: str) -> tuple[int, ...]:
-        return tuple(i for i, q in enumerate(self.qubits) if q.resonator == resonator)
+    @property
+    def kind(self) -> str:
+        """Label prefix: 'single' (M = 1), 'coupled' (M = 2), else 'array'."""
+        return {1: "single", 2: "coupled"}.get(self.n_resonators, "array")
 
     @property
-    def mode_detunings(self) -> tuple[float, ...]:
-        return (self.detuning + self.coupler_rate, self.detuning - self.coupler_rate)
-
-    @property
-    def coupling_matrix(self) -> np.ndarray:
-        inv_sqrt2 = 1.0 / np.sqrt(2.0)
-        rows = []
-        for q in self.qubits:
-            g = q.coupling * inv_sqrt2
-            rows.append([g, g if q.resonator == "A" else -g])
-        return np.array(rows)
+    def variants(self) -> tuple[str, ...]:
+        """Accepted variants; 'intermediate' is checked for one resonator only."""
+        if self.n_resonators == 1:
+            return ("full", "rotating", "intermediate", "effective")
+        return ("full", "rotating", "effective")
 
     @property
     def loop_rate(self) -> float:
-        return abs(self.coupler_rate)
+        """|delta| for one TLR, else max |J_rs|: the drive-sweep unit."""
+        if self.n_resonators == 1:
+            return abs(self.detuning)
+        return max(abs(j) for row in self.hopping for j in row)
+
+
+def SingleTlrCircuit(omega_r, qubits, omega_d, rabi=0.0) -> ResonatorArray:
+    """N qubits on one driven TLR of frequency omega_r: hopping [[0]]."""
+    return ResonatorArray(omega_r, ((0.0,),), qubits, omega_d, rabi)
+
+
+def CoupledTlrCircuit(
+    omega_a, omega_b, qubits, coupler_rate, omega_d, rabi=0.0
+) -> ResonatorArray:
+    """N qubits on two degenerate TLRs exchanging photons at rate J.
+
+    The normal modes are P = (a + b)/sqrt2 (detuning delta' + J) and
+    Q = (a - b)/sqrt2 (delta' - J); a qubit on resonator 1 couples to Q
+    with a minus sign.
+    """
+    if omega_a != omega_b:
+        raise ValueError("the two resonators must be degenerate (omega_a == omega_b)")
+    hopping = ((0.0, coupler_rate), (coupler_rate, 0.0))
+    return ResonatorArray(omega_a, hopping, qubits, omega_d, rabi)
 
 
 @dataclass(frozen=True)
@@ -335,8 +335,17 @@ class TimeDependentHamiltonian:
 # ---------------------------------------------------------------------------
 
 
+def _require_one_resonator(circuit) -> None:
+    """The resonator tone and the lab frame are modelled for one TLR only."""
+    if circuit.n_resonators != 1:
+        raise ValueError(
+            "the resonator drive and the lab frame are modelled for one "
+            f"resonator (M = 1), got M = {circuit.n_resonators}"
+        )
+
+
 def lab_frame_hamiltonian(
-    circuit: SingleTlrCircuit, drive: ResonatorDrive, space: HilbertSpace
+    circuit: ResonatorArray, drive: ResonatorDrive, space: HilbertSpace
 ) -> TimeDependentHamiltonian:
     """Laboratory-frame Hamiltonian in the persistent-current basis.
 
@@ -348,8 +357,9 @@ def lab_frame_hamiltonian(
     eigenbasis used by every rotating-frame builder is a Hadamard rotation
     away.  Used for the frame-consistency diagnostic, not for production
     runs (the lab mode sits in a coherent state of amplitude ~ nu/delta, so
-    the commensurate Fock truncation can be large).
+    the commensurate Fock truncation can be large).  One resonator only.
     """
+    _require_one_resonator(circuit)
     if space.n_modes != 1 or space.n_qubits != circuit.n_qubits:
         raise ValueError("space must carry the circuit's qubits and exactly one mode")
     if drive.omega_d != circuit.omega_d:
@@ -357,7 +367,7 @@ def lab_frame_hamiltonian(
     nm = space.mode_levels[0]
     a = embed(annihilation(nm), space.mode_factor(0), space)
     n_op = embed(number_operator(nm), space.mode_factor(0), space)
-    static = circuit.omega_r * n_op
+    static = circuit.omega * n_op
     for k, q in enumerate(circuit.qubits):
         static = static + 0.5 * q.gap * embed(pauli("x"), k, space)
         static = static + q.coupling * embedded_product(
@@ -366,13 +376,13 @@ def lab_frame_hamiltonian(
     terms = []
     if drive.amplitude != 0.0:
         terms.append((drive.amplitude * a.conj().T, -circuit.omega_d))
-    fastest = circuit.omega_r * nm + circuit.omega_d
+    fastest = circuit.omega * nm + circuit.omega_d
     return TimeDependentHamiltonian(space, static, tuple(terms), fastest, "single:lab")
 
 
 def qubit_drive_from_resonator_drive(
-    circuit: SingleTlrCircuit, drive: ResonatorDrive
-) -> tuple[SingleTlrCircuit, DriveMappingReport]:
+    circuit: ResonatorArray, drive: ResonatorDrive
+) -> tuple[ResonatorArray, DriveMappingReport]:
     """Translate a resonator tone into the equivalent transverse qubit drive.
 
     Displacing the driven mode by beta(t) = -(nu/delta) e^{-i omega_d t}
@@ -381,8 +391,9 @@ def qubit_drive_from_resonator_drive(
     Omega_R = -2 g_k nu / delta (positive for a red-detuned drive).
     Returns the circuit with ``rabi`` set and a report with the per-qubit
     values; raises if the couplings are inhomogeneous, since a single
-    Omega_R cannot represent that case.
+    Omega_R cannot represent that case, and for more than one resonator.
     """
+    _require_one_resonator(circuit)
     if drive.omega_d != circuit.omega_d:
         raise ValueError("drive tone and circuit drive frequency disagree")
     delta = circuit.detuning
@@ -478,8 +489,8 @@ def rotating_frame_hamiltonian(circuit, space: HilbertSpace) -> TimeDependentHam
       + sum_k (Omega_R/2) sigma_x^k
 
     in the frame rotating at omega_d for the modes and the (resonant)
-    qubits.  For the coupled pair this is the normal-mode form of the bare
-    a/b Hamiltonian (:func:`coupled_bare_mode_hamiltonian`).
+    qubits.  For coupled resonators this is the normal-mode form of the
+    bare-resonator Hamiltonian (:func:`bare_mode_hamiltonian`).
     """
     _check_frame(circuit, space)
     static = sum(
@@ -579,47 +590,44 @@ def effective_hamiltonian(circuit, space: HilbertSpace) -> TimeDependentHamilton
 
 
 # ---------------------------------------------------------------------------
-# two coupled resonators in the bare a/b basis
+# coupled resonators in the bare-resonator basis
 # ---------------------------------------------------------------------------
 
 
-def coupled_bare_mode_hamiltonian(
-    circuit: CoupledTlrCircuit, space: HilbertSpace
+def bare_mode_hamiltonian(
+    circuit: ResonatorArray, space: HilbertSpace
 ) -> TimeDependentHamiltonian:
-    """Rotating-frame Hamiltonian in the bare a/b mode basis.
+    """Rotating-frame Hamiltonian in the bare-resonator basis, any hopping matrix.
 
-    H = delta' (a^dag a + b^dag b) + J (a^dag b + a b^dag)
-      + sum_A g_k (a^dag sigma_-^k + h.c.) + sum_B g_j (b^dag sigma_-^j + h.c.)
-      + sum_k (Omega_R/2) sigma_x^k
+    H = delta sum_r a_r^dag a_r + sum_{r != s} J_rs a_r^dag a_s
+      + sum_k g_k (a_{r(k)}^dag sigma_-^k + h.c.) + sum_k (Omega_R/2) sigma_x^k
 
     Exists to check that the normal-mode builder is a spectral identity,
     not to run dynamics.
     """
     _require_resonant(circuit)
-    if space.n_modes != 2 or space.n_qubits != circuit.n_qubits:
-        raise ValueError("space must carry the circuit's qubits and exactly two modes")
-    na_levels, nb_levels = space.mode_levels
-    a_fac, b_fac = space.mode_factor(0), space.mode_factor(1)
-    delta = circuit.detuning
-    static = delta * embed(number_operator(na_levels), a_fac, space)
-    static = static + delta * embed(number_operator(nb_levels), b_fac, space)
-    static = static + circuit.coupler_rate * embedded_product(
-        space, {a_fac: creation(na_levels), b_fac: annihilation(nb_levels)}
+    if space.n_modes != circuit.n_resonators or space.n_qubits != circuit.n_qubits:
+        raise ValueError("space must carry the circuit's qubits and one Fock cutoff per resonator")
+    levels, factor = space.mode_levels, space.mode_factor
+    static = sum(
+        circuit.detuning * embed(number_operator(levels[r]), factor(r), space)
+        for r in range(circuit.n_resonators)
     )
-    static = static + circuit.coupler_rate * embedded_product(
-        space, {a_fac: annihilation(na_levels), b_fac: creation(nb_levels)}
-    )
+    for r, row in enumerate(circuit.hopping):
+        for s, j in enumerate(row):
+            if j != 0.0:
+                static = static + j * embedded_product(
+                    space, {factor(r): creation(levels[r]), factor(s): annihilation(levels[s])}
+                )
     for k, q in enumerate(circuit.qubits):
-        fac, levels = (a_fac, na_levels) if q.resonator == "A" else (b_fac, nb_levels)
-        static = static + q.coupling * embedded_product(
-            space, {k: sigma_minus(), fac: creation(levels)}
-        )
-        static = static + q.coupling * embedded_product(
-            space, {k: sigma_plus(), fac: annihilation(levels)}
-        )
+        r = q.resonator
+        for qubit_op, mode_op in ((sigma_minus(), creation), (sigma_plus(), annihilation)):
+            static = static + q.coupling * embedded_product(
+                space, {k: qubit_op, factor(r): mode_op(levels[r])}
+            )
         static = static + 0.5 * circuit.rabi * embed(pauli("x"), k, space)
-    fastest = abs(circuit.rabi) + abs(circuit.detuning) + abs(circuit.coupler_rate)
-    return TimeDependentHamiltonian(space, static, (), fastest, "coupled:bare")
+    fastest = abs(circuit.rabi) + _fastest_detuning(circuit)
+    return TimeDependentHamiltonian(space, static, (), fastest, f"{circuit.kind}:bare")
 
 
 # ---------------------------------------------------------------------------

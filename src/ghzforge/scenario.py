@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from .model import (
     CoupledTlrCircuit,
     DriveMappingReport,
     QubitSpec,
+    ResonatorArray,
     ResonatorDrive,
     SingleTlrCircuit,
     qubit_drive_from_resonator_drive,
@@ -60,8 +62,7 @@ class LoadedScenario:
     """A validated scenario, converted to internal units (rad/ns)."""
 
     name: str
-    kind: str
-    circuit: SingleTlrCircuit | CoupledTlrCircuit
+    circuit: ResonatorArray
     variant: str
     fock: tuple[int, ...]  # one Fock cutoff per mode
     t_final_ns: float
@@ -139,17 +140,13 @@ def _qubit_from_entry(entry, index: int, kind: str) -> QubitSpec:
         # The scheme needs the qubits parked at their degeneracy points;
         # a biased qubit changes the coupling operator, not just numbers.
         raise _fail(f"{where}.bias_ghz", "must be 0 (qubits sit at the degeneracy point)")
-    resonator = "A"
+    resonator = 0
     if kind == "coupled":
-        resonator = _get(obj, "resonator", where)
-        if resonator not in ("A", "B"):
-            raise _fail(f"{where}.resonator", f"must be 'A' or 'B', got {resonator!r}")
-    return QubitSpec(
-        gap=gap,
-        coupling=coupling,
-        resonator=resonator,
-        bias=0.0,
-    )
+        label = _get(obj, "resonator", where)
+        if label not in ("A", "B"):
+            raise _fail(f"{where}.resonator", f"must be 'A' or 'B', got {label!r}")
+        resonator = "AB".index(label)
+    return QubitSpec(gap=gap, coupling=coupling, resonator=resonator)
 
 
 def _integrator_from_entry(entry, where: str) -> IntegratorConfig:
@@ -220,17 +217,15 @@ def validate_scenario(data, name: str = "<scenario>") -> LoadedScenario:
     )
     integrator = _integrator_from_entry(top.get("integrator"), f"{name}.integrator")
 
-    resonator = _require_mapping(_get(top, "resonator", name), f"{name}.resonator")
-    mapping = None
-    layout = SingleTlrCircuit if kind == "single" else CoupledTlrCircuit
-    if variant not in layout.variants:
-        raise _fail(f"{name}.variant", f"must be one of {layout.variants}, got {variant!r}")
+    where = f"{name}.resonator"
+    resonator = _require_mapping(_get(top, "resonator", name), where)
     if kind == "single":
-        _reject_unknown(resonator, {"omega_ghz"}, f"{name}.resonator")
-        omega_r = _frequency(
-            _get(resonator, "omega_ghz", f"{name}.resonator"),
-            f"{name}.resonator.omega_ghz",
-            positive=True,
+        _reject_unknown(resonator, {"omega_ghz"}, where)
+        layout = partial(
+            SingleTlrCircuit,
+            omega_r=_frequency(
+                _get(resonator, "omega_ghz", where), f"{where}.omega_ghz", positive=True
+            ),
         )
         if "fock_cutoffs" in top:
             raise _fail(name, "'fock_cutoffs' is for coupled scenarios; use 'fock_cutoff'")
@@ -238,39 +233,19 @@ def validate_scenario(data, name: str = "<scenario>") -> LoadedScenario:
         if not _is_cutoff(fock_entry):
             raise _fail(f"{name}.fock_cutoff", f"expected an integer >= 2, got {fock_entry!r}")
         fock = (fock_entry,)
-        try:
-            if "rabi_ghz" in drive:
-                rabi = _frequency(drive["rabi_ghz"], f"{name}.drive.rabi_ghz")
-                circuit = SingleTlrCircuit(
-                    omega_r=omega_r, qubits=qubits, omega_d=omega_d, rabi=rabi
-                )
-            else:
-                amplitude = _frequency(
-                    drive["resonator_amplitude_ghz"], f"{name}.drive.resonator_amplitude_ghz"
-                )
-                undriven = SingleTlrCircuit(
-                    omega_r=omega_r, qubits=qubits, omega_d=omega_d, rabi=0.0
-                )
-                circuit, mapping = qubit_drive_from_resonator_drive(
-                    undriven, ResonatorDrive(amplitude=amplitude, omega_d=omega_d)
-                )
-        except ValueError as exc:
-            raise _fail(name, str(exc)) from exc
     else:
-        _reject_unknown(
-            resonator,
-            {"omega_a_ghz", "omega_b_ghz", "coupler_rate_ghz"},
-            f"{name}.resonator",
-        )
-        where = f"{name}.resonator"
-        omega_a = _frequency(
-            _get(resonator, "omega_a_ghz", where), f"{where}.omega_a_ghz", positive=True
-        )
-        omega_b = _frequency(
-            _get(resonator, "omega_b_ghz", where), f"{where}.omega_b_ghz", positive=True
-        )
-        coupler_rate = _frequency(
-            _get(resonator, "coupler_rate_ghz", where), f"{where}.coupler_rate_ghz"
+        _reject_unknown(resonator, {"omega_a_ghz", "omega_b_ghz", "coupler_rate_ghz"}, where)
+        layout = partial(
+            CoupledTlrCircuit,
+            omega_a=_frequency(
+                _get(resonator, "omega_a_ghz", where), f"{where}.omega_a_ghz", positive=True
+            ),
+            omega_b=_frequency(
+                _get(resonator, "omega_b_ghz", where), f"{where}.omega_b_ghz", positive=True
+            ),
+            coupler_rate=_frequency(
+                _get(resonator, "coupler_rate_ghz", where), f"{where}.coupler_rate_ghz"
+            ),
         )
         if "fock_cutoff" in top:
             raise _fail(name, "'fock_cutoff' is for single scenarios; use 'fock_cutoffs'")
@@ -290,25 +265,27 @@ def validate_scenario(data, name: str = "<scenario>") -> LoadedScenario:
                 "driving through the resonator is only defined for the "
                 "single-resonator layout; use 'rabi_ghz' here",
             )
-        rabi = _frequency(drive["rabi_ghz"], f"{name}.drive.rabi_ghz")
-        try:
-            circuit = CoupledTlrCircuit(
-                omega_a=omega_a,
-                omega_b=omega_b,
-                qubits=qubits,
-                coupler_rate=coupler_rate,
-                omega_d=omega_d,
-                rabi=rabi,
-            )
-        except ValueError as exc:
-            raise _fail(name, str(exc)) from exc
 
-    if not all(math.isfinite(d) for d in circuit.mode_detunings):
-        raise _fail(name, "mode detunings overflow the floating-point range")
+    mapping = None
+    try:
+        if "rabi_ghz" in drive:
+            rabi = _frequency(drive["rabi_ghz"], f"{name}.drive.rabi_ghz")
+            circuit = layout(qubits=qubits, omega_d=omega_d, rabi=rabi)
+        else:
+            amplitude = _frequency(
+                drive["resonator_amplitude_ghz"], f"{name}.drive.resonator_amplitude_ghz"
+            )
+            circuit, mapping = qubit_drive_from_resonator_drive(
+                layout(qubits=qubits, omega_d=omega_d),
+                ResonatorDrive(amplitude=amplitude, omega_d=omega_d),
+            )
+    except ValueError as exc:
+        raise _fail(name, str(exc)) from exc
+    if variant not in circuit.variants:
+        raise _fail(f"{name}.variant", f"must be one of {circuit.variants}, got {variant!r}")
 
     loaded = LoadedScenario(
         name=name,
-        kind=kind,
         circuit=circuit,
         variant=variant,
         fock=fock,

@@ -291,8 +291,8 @@ def test_criterion_7_phase_condition_solvers():
         omega_a=omega,
         omega_b=omega,
         qubits=(
-            QubitSpec(gap=omega_d, coupling=g, resonator="A"),
-            QubitSpec(gap=omega_d, coupling=g, resonator="B"),
+            QubitSpec(gap=omega_d, coupling=g, resonator=0),
+            QubitSpec(gap=omega_d, coupling=g, resonator=1),
         ),
         coupler_rate=coupled.coupler_rate,
         omega_d=omega_d,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from ghzforge.analytic import (
     GHZ_CONVENTIONS,
@@ -192,6 +193,32 @@ def test_decoupling_unitary_is_unitary_and_x_diagonal():
     diag_form = h3 @ u @ h3
     off = diag_form - np.diag(np.diag(diag_form))
     assert np.max(np.abs(off)) < 1e-12
+
+
+def _decoupling_unitary_reference(gamma):
+    """exp(i sum_kj gamma_kj sigma_x^k sigma_x^j) from Kronecker products and expm."""
+    n_qubits = gamma.shape[0]
+    dim = 2**n_qubits
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    generator = np.zeros((dim, dim), dtype=complex)
+    for k in range(n_qubits):
+        for j in range(n_qubits):
+            op = np.array([[1.0]])
+            for q in range(n_qubits):
+                op = np.kron(op, sx if q in (k, j) and k != j else np.eye(2))
+            if k == j:
+                op = np.eye(dim)
+            generator += gamma[k, j] * op
+    return expm(1j * generator)
+
+
+@pytest.mark.parametrize("n_qubits", range(1, 9))
+def test_decoupling_unitary_matches_generator_exponential(n_qubits):
+    rng = np.random.default_rng(n_qubits)
+    gamma = rng.normal(size=(n_qubits, n_qubits))
+    gamma = gamma + gamma.T
+    expected = _decoupling_unitary_reference(gamma)
+    assert np.max(np.abs(decoupling_unitary(gamma) - expected)) <= 1e-12
 
 
 def test_decoupling_unitary_produces_ghz_from_all_ground():

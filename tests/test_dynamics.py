@@ -269,8 +269,8 @@ def test_run_rejects_unknown_variant():
         omega_a=TWO_PI * 10.0,
         omega_b=TWO_PI * 10.0,
         qubits=(
-            QubitSpec(gap=TWO_PI * 10.0 + 3 * j, coupling=np.sqrt(2) * j, resonator="A"),
-            QubitSpec(gap=TWO_PI * 10.0 + 3 * j, coupling=np.sqrt(2) * j, resonator="B"),
+            QubitSpec(gap=TWO_PI * 10.0 + 3 * j, coupling=np.sqrt(2) * j, resonator=0),
+            QubitSpec(gap=TWO_PI * 10.0 + 3 * j, coupling=np.sqrt(2) * j, resonator=1),
         ),
         coupler_rate=j,
         omega_d=TWO_PI * 10.0 + 3 * j,

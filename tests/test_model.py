@@ -2,7 +2,7 @@
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -10,13 +10,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghzforge.errors import ApproximationWarning, PreconditionError
+from ghzforge.dynamics import frame_consistency_report
 from ghzforge.model import (
     CoupledTlrCircuit,
     QubitSpec,
+    ResonatorArray,
     ResonatorDrive,
     SingleTlrCircuit,
     TimeDependentHamiltonian,
-    coupled_bare_mode_hamiltonian,
+    bare_mode_hamiltonian,
     coupling_strength,
     effective_hamiltonian,
     full_simulation_hamiltonian,
@@ -63,8 +65,8 @@ def reference_coupled(rabi_mult=42.0):
         omega_a=omega,
         omega_b=omega,
         qubits=(
-            QubitSpec(gap=omega_d, coupling=g, resonator="A"),
-            QubitSpec(gap=omega_d, coupling=g, resonator="B"),
+            QubitSpec(gap=omega_d, coupling=g, resonator=0),
+            QubitSpec(gap=omega_d, coupling=g, resonator=1),
         ),
         coupler_rate=j,
         omega_d=omega_d,
@@ -111,6 +113,8 @@ def test_qubit_spec_validation():
         QubitSpec(gap=1.0, coupling=-0.1)
     with pytest.raises(ValueError):
         QubitSpec(gap=1.0, coupling=0.1, resonator="C")
+    with pytest.raises(ValueError):
+        QubitSpec(gap=1.0, coupling=0.1, resonator=-1)
     with pytest.raises(ValueError, match="optimal point"):
         QubitSpec(gap=1.0, coupling=0.1, bias=0.5)
 
@@ -129,8 +133,8 @@ def test_single_circuit_validation():
 
 
 def test_coupled_circuit_validation():
-    qa = QubitSpec(gap=1.0, coupling=0.1, resonator="A")
-    qb = QubitSpec(gap=1.0, coupling=0.1, resonator="B")
+    qa = QubitSpec(gap=1.0, coupling=0.1, resonator=0)
+    qb = QubitSpec(gap=1.0, coupling=0.1, resonator=1)
     with pytest.raises(ValueError, match="degenerate"):
         CoupledTlrCircuit(
             omega_a=1.0, omega_b=1.01, qubits=(qa, qb), coupler_rate=0.02, omega_d=0.9
@@ -143,8 +147,7 @@ def test_coupled_circuit_validation():
     circuit = CoupledTlrCircuit(
         omega_a=1.0, omega_b=1.0, qubits=(qa, qb, qa), coupler_rate=0.02, omega_d=1.06
     )
-    assert circuit.qubit_indices("A") == (0, 2)
-    assert circuit.qubit_indices("B") == (1,)
+    assert [q.resonator for q in circuit.qubits] == [0, 1, 0]
     assert circuit.detuning == pytest.approx(-0.06)
 
 
@@ -152,16 +155,16 @@ def test_layout_records_expose_modes():
     single = reference_single()
     assert single.mode_detunings == (single.detuning,)
     assert np.array_equal(single.coupling_matrix, [[q.coupling] for q in single.qubits])
-    assert single.omega == single.omega_r
+    assert single.omega == TWO_PI * 10.0
     assert single.loop_rate == abs(single.detuning)
 
     coupled = reference_coupled()
-    j = coupled.coupler_rate
+    j = coupled.hopping[0][1]
     assert coupled.mode_detunings == (coupled.detuning + j, coupled.detuning - j)
     g = coupled.qubits[0].coupling / np.sqrt(2.0)
     # P couples to both resonators alike, Q with a minus sign on B
     assert np.allclose(coupled.coupling_matrix, [[g, g], [g, -g]], rtol=1e-15, atol=0.0)
-    assert coupled.omega == coupled.omega_a
+    assert coupled.omega == TWO_PI * 10.0
     assert coupled.loop_rate == abs(j)
 
 
@@ -246,8 +249,8 @@ def _stage_hamiltonian(case):
 
 
 STAGE_CASES = [
-    *(f"single:{v}" for v in SingleTlrCircuit.variants),
-    *(f"coupled:{v}" for v in CoupledTlrCircuit.variants),
+    *(f"single:{v}" for v in reference_single().variants),
+    *(f"coupled:{v}" for v in reference_coupled().variants),
     *(f"chain:{v}" for v in ("full", "rotating", "intermediate", "effective")),
     "lab",
     "zero",
@@ -310,7 +313,7 @@ def test_single_builders_hermitian(builder):
     "builder",
     [
         rotating_frame_hamiltonian,
-        coupled_bare_mode_hamiltonian,
+        bare_mode_hamiltonian,
         full_simulation_hamiltonian,
         effective_hamiltonian,
     ],
@@ -459,19 +462,106 @@ def _excitation_block_spectrum(h: np.ndarray, space: HilbertSpace, n_exc: int):
     return np.sort(np.linalg.eigvalsh(block))
 
 
+def three_resonator_ring():
+    """Three TLRs in a closed circle, uniform J, one qubit on each."""
+    j = TWO_PI * 0.04
+    omega = TWO_PI * 10.0
+    omega_d = omega + 3.0 * j
+    g = np.sqrt(2.0) * j
+    hopping = j * (np.ones((3, 3)) - np.eye(3))
+    qubits = tuple(QubitSpec(gap=omega_d, coupling=g, resonator=r) for r in range(3))
+    return ResonatorArray(omega, hopping, qubits, omega_d)
+
+
 def test_normal_mode_spectrum_matches_bare_modes():
-    """The P/Q-basis builder is a basis change of the a/b-basis one: within
-    any excitation-number block (exactly represented despite truncation)
-    the two spectra must coincide."""
+    """The normal-mode builder is a basis change of the bare-resonator one,
+    for the coupled pair and for a three-resonator ring: within any
+    excitation-number block (exactly represented despite truncation) the
+    two spectra must coincide."""
+    for circuit, levels in (
+        (reference_coupled(rabi_mult=0.0), (5, 5)),
+        (three_resonator_ring(), (4, 4, 4)),
+    ):
+        space = HilbertSpace(n_qubits=circuit.n_qubits, mode_levels=levels)
+        h_pq = rotating_frame_hamiltonian(circuit, space)(0.0)
+        h_ab = bare_mode_hamiltonian(circuit, space)(0.0)
+        for n_exc in (1, 2, 3):
+            ev_pq = _excitation_block_spectrum(h_pq, space, n_exc)
+            ev_ab = _excitation_block_spectrum(h_ab, space, n_exc)
+            assert ev_pq.shape == ev_ab.shape
+            assert np.allclose(ev_pq, ev_ab, atol=1e-10)
+
+
+def test_ring_normal_modes():
+    """Uniform ring of three: Delta = delta' + 2J for the uniform mode,
+    then delta' - J twice; the modes are orthonormal."""
+    circuit = three_resonator_ring()
+    j, delta = circuit.hopping[0][1], circuit.detuning
+    assert circuit.kind == "array"
+    assert circuit.loop_rate == abs(j)
+    assert np.allclose(circuit.mode_detunings, [delta + 2 * j, delta - j, delta - j], atol=1e-13)
+    u = circuit.coupling_matrix / circuit.qubits[0].coupling
+    assert np.allclose(u.T @ u, np.eye(3), atol=1e-14)
+    assert np.allclose(u[:, 0], 1.0 / np.sqrt(3.0), atol=1e-15)
+
+
+@pytest.mark.parametrize("j_sign", [1.0, -1.0])
+@pytest.mark.parametrize("resonators", [(0, 1), (1, 0), (0, 0), (1, 1)])
+def test_coupled_mode_order_and_sign_rule(j_sign, resonators):
+    """For J of either sign and qubits on either resonator the coupled
+    constructor gives Delta = (delta' + J, delta' - J) and
+    G_k = g/sqrt2 [1, +1] on resonator 0, [1, -1] on resonator 1, bit for
+    bit: the mode closer to the uniform vector comes first, not the larger
+    detuning."""
+    j = j_sign * TWO_PI * 0.04
+    omega, omega_d = TWO_PI * 10.0, TWO_PI * 10.12
+    g = TWO_PI * 0.05
+    circuit = CoupledTlrCircuit(
+        omega_a=omega,
+        omega_b=omega,
+        qubits=tuple(QubitSpec(gap=omega_d, coupling=g, resonator=r) for r in resonators),
+        coupler_rate=j,
+        omega_d=omega_d,
+    )
+    delta = omega - omega_d
+    assert circuit.mode_detunings == (delta + j, delta - j)
+    h = g * (1.0 / np.sqrt(2.0))
+    expected = np.array([[h, h if r == 0 else -h] for r in resonators])
+    assert np.array_equal(circuit.coupling_matrix, expected)
+    assert circuit.loop_rate == abs(j)
+
+
+def test_array_validation():
+    q = QubitSpec(gap=1.0, coupling=0.1)
+    with pytest.raises(ValueError, match="J != 0"):
+        CoupledTlrCircuit(omega_a=1.0, omega_b=1.0, qubits=(q,), coupler_rate=0.0, omega_d=1.1)
+    with pytest.raises(ValueError, match="symmetric"):
+        ResonatorArray(1.0, [[0.0, 0.1], [0.2, 0.0]], (q,), 1.1)
+    with pytest.raises(ValueError, match="zero diagonal"):
+        ResonatorArray(1.0, [[0.1]], (q,), 1.1)
+    with pytest.raises(ValueError, match="M x M"):
+        ResonatorArray(1.0, [0.0, 0.1], (q,), 1.1)
+    with pytest.raises(ValueError, match="symmetric"):
+        ResonatorArray(1.0, [[0.0, 0.1]], (q,), 1.1)
+    with pytest.raises(ValueError, match="finite"):
+        ResonatorArray(1.0, [[0.0, np.inf], [np.inf, 0.0]], (q,), 1.1)
+    with pytest.raises(ValueError, match="resonator index"):
+        ResonatorArray(1.0, [[0.0]], (QubitSpec(gap=1.0, coupling=0.1, resonator=1),), 1.1)
+
+
+def test_single_resonator_entry_points_reject_arrays():
+    """The resonator tone and the lab frame exist for one TLR only."""
     circuit = reference_coupled(rabi_mult=0.0)
-    space = HilbertSpace(n_qubits=2, mode_levels=(5, 5))
-    h_pq = rotating_frame_hamiltonian(circuit, space)(0.0)
-    h_ab = coupled_bare_mode_hamiltonian(circuit, space)(0.0)
-    for n_exc in (1, 2, 3):
-        ev_pq = _excitation_block_spectrum(h_pq, space, n_exc)
-        ev_ab = _excitation_block_spectrum(h_ab, space, n_exc)
-        assert ev_pq.shape == ev_ab.shape
-        assert np.allclose(ev_pq, ev_ab, atol=1e-10)
+    drive = ResonatorDrive(amplitude=TWO_PI * 0.05, omega_d=circuit.omega_d)
+    space = HilbertSpace(n_qubits=2, mode_levels=(3, 3))
+    one_qubit = replace(circuit, qubits=circuit.qubits[:1])
+    for call in (
+        lambda: qubit_drive_from_resonator_drive(circuit, drive),
+        lambda: lab_frame_hamiltonian(circuit, drive, space),
+        lambda: frame_consistency_report(one_qubit, drive),
+    ):
+        with pytest.raises(ValueError, match="one resonator \\(M = 1\\), got M = 2"):
+            call()
 
 
 def test_normal_mode_splitting_without_qubits():
@@ -483,8 +573,8 @@ def test_normal_mode_splitting_without_qubits():
         omega_a=omega,
         omega_b=omega,
         qubits=(
-            QubitSpec(gap=omega_d, coupling=0.0, resonator="A"),
-            QubitSpec(gap=omega_d, coupling=0.0, resonator="B"),
+            QubitSpec(gap=omega_d, coupling=0.0, resonator=0),
+            QubitSpec(gap=omega_d, coupling=0.0, resonator=1),
         ),
         coupler_rate=j,
         omega_d=omega_d,

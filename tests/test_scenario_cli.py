@@ -16,8 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ghzforge import constants
-from ghzforge.cli import main
-from ghzforge.dynamics import sweep_drive_strength
+from ghzforge.cli import _write_trajectory_csv, main
+from ghzforge.dynamics import Trajectory, sweep_drive_strength
 from ghzforge.errors import ScenarioFormatError
 from ghzforge.scenario import (
     MAX_STORED_AMPLITUDES,
@@ -73,7 +73,7 @@ def test_bundled_scenarios_validate():
     for name in names:
         scenario = load_scenario(bundled_scenario_path(name))
         assert scenario.name == name
-        kinds.add(scenario.kind)
+        kinds.add(scenario.circuit.kind)
     assert kinds == {"single", "coupled"}
 
 
@@ -84,7 +84,7 @@ def test_missing_bundled_scenario():
 
 def test_reference_doc_round_trip():
     scenario = validate_scenario(scenario_doc(), name="reference")
-    assert scenario.kind == "single"
+    assert scenario.circuit.kind == "single"
     assert scenario.circuit.rabi == pytest.approx(2 * np.pi * 2.0)
     assert scenario.circuit.detuning == pytest.approx(-2 * np.pi * 0.1)
     assert scenario.fock == (6,)
@@ -186,9 +186,9 @@ def coupled_doc(**overrides):
 
 def test_coupled_doc_round_trip():
     scenario = validate_scenario(coupled_doc(), name="coupled_ref")
-    assert scenario.kind == "coupled"
+    assert scenario.circuit.kind == "coupled"
     assert scenario.fock == (6, 6)
-    assert scenario.circuit.coupler_rate == pytest.approx(2 * np.pi * 0.04)
+    assert scenario.circuit.hopping[0][1] == pytest.approx(2 * np.pi * 0.04)
     assert scenario.circuit.detuning == pytest.approx(-2 * np.pi * 0.12)
 
 
@@ -305,6 +305,47 @@ def test_run_reports_drive_mapping(tmp_path):
     assert mapping["displacement_magnitude"] == pytest.approx(10.0, rel=1e-12)
 
 
+def _reference_trajectory_csv(path, trajectory):
+    """The trajectory CSV written value by value through csv.writer."""
+    columns = ["mode_occupation"]
+    if trajectory.mode_occupation.shape[1] == 2:
+        columns = ["mode_occupation_p", "mode_occupation_q"]
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["t_ns", "fidelity", "norm", *columns, "variant"])
+        for i, t in enumerate(trajectory.times):
+            writer.writerow([
+                f"{t:.11e}",
+                f"{trajectory.fidelity[i]:.11e}",
+                f"{trajectory.norm[i]:.11e}",
+                *(f"{x:.11e}" for x in trajectory.mode_occupation[i]),
+                trajectory.label,
+            ])
+
+
+@pytest.mark.parametrize(
+    "n_modes, label",
+    [(1, "single:full"), (2, "coupled:effective"), (1, "single:full:rabi=3.14159265")],
+    ids=["one-mode", "two-mode", "sweep-label"],
+)
+def test_trajectory_csv_is_byte_identical_to_csv_writer(n_modes, label, tmp_path):
+    rng = np.random.default_rng(n_modes)
+    samples = 257
+    values = rng.normal(size=(samples, 3 + n_modes)) * 10.0 ** rng.integers(-300, 300, (samples, 1))
+    values[:4, 1] = [0.0, -0.0, 5e-324, 1.0]
+    trajectory = Trajectory(
+        times=np.arange(samples) * 0.04,
+        fidelity=values[:, 1],
+        norm=values[:, 2],
+        mode_occupation=values[:, 3:],
+        label=label,
+        convention="i_power",
+    )
+    _write_trajectory_csv(tmp_path / "fast.csv", trajectory)
+    _reference_trajectory_csv(tmp_path / "reference.csv", trajectory)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
 def test_run_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"schema_version": 1,,}')
@@ -332,6 +373,13 @@ def _with_coupling(value):
     return doc
 
 
+def _uncoupled_pair():
+    # J = 0: no photon exchange, so the sweep unit max|J| would be 0
+    doc = coupled_doc()
+    doc["resonator"] = dict(doc["resonator"], coupler_rate_ghz=0)
+    return doc
+
+
 def _overflowing_normal_mode():
     # each frequency is finite, but delta' - J is not
     doc = coupled_doc(drive_frequency_ghz=2.5e307)
@@ -352,19 +400,23 @@ def _overflowing_normal_mode():
         scenario_doc(t_final_ns=10**400),
         scenario_doc(drive_frequency_ghz=1e308),
         _overflowing_normal_mode(),
+        _uncoupled_pair(),
         scenario_doc(fock_cutoff=10**6),
         scenario_doc(sample_every_ns=1e-300),
     ],
     ids=[
         "fock_cutoff=1", "fock_cutoffs=[8,1]", "coupling=NaN", "rabi=NaN",
         "t_final=Infinity", "t_final=10**400", "drive=1e308", "delta'-J=-inf",
-        "fock_cutoff=10**6", "sample_every=1e-300",
+        "coupler_rate=0", "fock_cutoff=10**6", "sample_every=1e-300",
     ],
 )
 def test_run_rejects_non_finite_and_out_of_range_numbers(doc, tmp_path, capsys):
     path = write_scenario(tmp_path, "bad_number", doc)
     out = tmp_path / "o"
     assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    sweep = ["sweep", str(path), "--param", "omega_r_multiple", "--values", "20,40"]
+    assert main(sweep + ["--out-dir", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
 
@@ -572,7 +624,7 @@ def test_solve_single(tmp_path, capsys):
     assert result["detunings_ghz"][1] == pytest.approx(-0.1, rel=1e-12)
     # the emitted fragment is itself a valid scenario
     scenario = validate_scenario(result["scenario_fragment"], name="solved")
-    assert scenario.kind == "single"
+    assert scenario.circuit.kind == "single"
     assert scenario.circuit.detuning == pytest.approx(-2 * np.pi * 0.1, rel=1e-12)
 
 
@@ -590,7 +642,7 @@ def test_solve_coupled(tmp_path):
     assert result["same_pair_phase_rad"] == pytest.approx(3 * np.pi / 8, rel=1e-12)
     assert result["cross_pair_phase_rad"] == pytest.approx(-np.pi / 8, rel=1e-12)
     scenario = validate_scenario(result["scenario_fragment"], name="solved")
-    assert scenario.kind == "coupled"
+    assert scenario.circuit.kind == "coupled"
 
 
 def test_solve_unsolvable_exits_4(capsys):
