@@ -31,7 +31,7 @@ rate J.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import hadamard
@@ -237,6 +237,8 @@ class SquidCoupler:
     zero_point_current_b_na: float = 50.0
 
     def __post_init__(self):
+        if not np.isfinite([getattr(self, f.name) for f in fields(self)]).all():
+            raise ValueError("coupler parameters must be finite")
         if self.loop_inductance_ph <= 0 or self.critical_current_ua <= 0:
             raise ValueError("loop inductance and critical current must be positive")
         if self.mutual_a_ph <= 0 or self.mutual_b_ph <= 0:

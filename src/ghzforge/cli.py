@@ -238,8 +238,8 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ScenarioFormatError(f"--phie-grid must be number:number:integer, got {text!r}")
-    if count < 2 or not lo < hi:
-        raise ScenarioFormatError("--phie-grid needs start < stop and count >= 2")
+    if count < 2 or not lo < hi or not math.isfinite(hi - lo):
+        raise ScenarioFormatError("--phie-grid needs finite start < stop and count >= 2")
     return np.linspace(lo, hi, count)
 
 
@@ -259,6 +259,12 @@ def cmd_coupler(args) -> int:
     grid = _parse_grid(args.phie_grid)
     m_eff = np.array([effective_mutual_inductance(coupler, phi) for phi in grid])
     j_rate = np.array([resonator_coupling_rate(coupler, phi) for phi in grid])
+    m_zero = effective_mutual_inductance(coupler, 0.0)
+    j_zero = resonator_coupling_rate(coupler, 0.0)
+    if not np.isfinite([*m_eff, *j_rate, m_zero, j_zero]).all():
+        raise ScenarioFormatError(
+            "the coupler table is not finite: M_eff or J overflows for these device parameters"
+        )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "coupler.csv"
@@ -281,8 +287,8 @@ def cmd_coupler(args) -> int:
         "grid": {"start": float(grid[0]), "stop": float(grid[-1]), "count": len(grid)},
         "max_abs_m_eff_ph": float(abs(m_eff[i_max])),
         "max_abs_m_eff_at_phi": float(grid[i_max]),
-        "m_eff_at_zero_flux_ph": float(effective_mutual_inductance(coupler, 0.0)),
-        "j_at_zero_flux_ghz": ghz_from_rad_per_ns(resonator_coupling_rate(coupler, 0.0)),
+        "m_eff_at_zero_flux_ph": m_zero,
+        "j_at_zero_flux_ghz": ghz_from_rad_per_ns(j_zero),
         "zero_crossings_phi0": crossings,
         "csv": csv_path.name,
     }
@@ -346,8 +352,7 @@ def _scenario_fragment_coupled(solution, coupling_ghz: float) -> dict:
     }
 
 
-def cmd_solve(args) -> int:
-    coupling = 2.0 * np.pi * args.g_ghz
+def _solution(args, coupling: float) -> dict:
     if args.mode == "single":
         solution = solve_single_phase_condition(coupling, n=args.n, m=args.m)
         result = {
@@ -381,7 +386,19 @@ def cmd_solve(args) -> int:
             "cross_pair_phase_rad": solution.cross_pair_phase,
             "scenario_fragment": _scenario_fragment_coupled(solution, args.g_ghz),
         }
-    text = json.dumps(result, indent=2)
+    return result
+
+
+def cmd_solve(args) -> int:
+    coupling = 2.0 * np.pi * args.g_ghz
+    if not math.isfinite(coupling):
+        raise ScenarioFormatError(f"--g-ghz {args.g_ghz!r} is not finite after the 2 pi scaling")
+    try:
+        text = json.dumps(_solution(args, coupling), indent=2, allow_nan=False)
+    except (OverflowError, ValueError) as exc:
+        raise ScenarioFormatError(
+            f"--g-ghz {args.g_ghz!r} gives no finite solution ({exc})"
+        ) from exc
     if args.out:
         Path(args.out).write_text(text + "\n")
         print(f"wrote {args.out}")

@@ -445,9 +445,8 @@ def frame_consistency_report(
     space = HilbertSpace(n_qubits=1, mode_levels=(fock_cutoff,))
 
     # lab-frame leg: displaced ground state, persistent-current basis
-    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     ground_eigen = ground_vacuum_state(space)
-    qubit_map = np.kron(hadamard, np.eye(fock_cutoff))
+    qubit_map = embed(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), 0, space)
     psi_pc = qubit_map @ ground_eigen
     d_start = embed(displacement(beta0, fock_cutoff), 1, space)
     psi_lab0 = d_start @ psi_pc
@@ -461,7 +460,7 @@ def frame_consistency_report(
     number_full = embed(number_operator(fock_cutoff), 1, space)
     sz_full = embed(np.diag([1.0, -1.0]), 0, space)
     generator = circuit.omega_d * (number_full + 0.5 * sz_full)
-    phases = np.exp(1j * np.diag(generator) * t_final)
+    phases = np.exp(1j * generator.diagonal() * t_final)
     psi_rot = phases * psi_disp
 
     # rotating-frame leg with counter-rotating terms kept

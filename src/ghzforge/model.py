@@ -23,12 +23,13 @@ The builders read just what the record exposes:
 * ``loop_rate``, |delta| for one TLR and max |J_rs| otherwise: the
   decoupling rate of both paper layouts and the drive-sweep unit.
 
-Builders return a :class:`TimeDependentHamiltonian`: a static part plus a
-list of (matrix, frequency) terms, where each term contributes
-``exp(i w t) M + exp(-i w t) M^dag``.  Terms that share a frequency share
-one matrix.  Calling the handle at a time t assembles the dense matrix; the
-integrator instead consumes one sparse block matrix stacking the static
-part, every M and every M^dag, plus a phase table of the block weights.
+Builders sum CSR operators from :func:`~ghzforge.operators.embedded_product`
+into a :class:`TimeDependentHamiltonian`: a static part plus (matrix,
+frequency) terms, each contributing ``exp(i w t) M + exp(-i w t) M^dag``.
+Terms that share a frequency share one matrix, stored once.  The
+integrator consumes one sparse block matrix stacking the static part, every
+M and every M^dag, plus a phase table of the block weights; calling the
+handle at a time t densifies H(t), for tests and diagnostics only.
 Every builder also declares the fastest angular frequency present so the
 step-size precondition can be enforced mechanically.
 
@@ -274,18 +275,18 @@ class DriveMappingReport:
 class TimeDependentHamiltonian:
     """H(t) = static + sum_j [exp(i w_j t) M_j + exp(-i w_j t) M_j^dag].
 
+    static (None for none) and every M_j are stored once, as CSR matrices.
     fastest_frequency (rad/ns) is the largest angular frequency relevant to
     resolving the dynamics and feeds the integrator step-size rule.
 
-    ``stacked`` is the CSR block column [static; M_1..M_J; M_1^dag..M_J^dag]
-    (a zero block for a missing static part), whose blocks oscillate at
-    ``frequencies`` (0, w_j, -w_j):
+    ``stacked`` is the CSR block column [static; M_1..M_J; M_1^dag..M_J^dag],
+    whose blocks oscillate at ``frequencies`` (0, w_j, -w_j):
     -i H(t) y = coefficients(t) @ (stacked @ y).reshape(n_blocks, dim).
     """
 
     space: HilbertSpace
-    static: np.ndarray | None
-    terms: tuple[tuple[np.ndarray, float], ...]
+    static: sparse.csr_matrix | None
+    terms: tuple[tuple[sparse.csr_matrix, float], ...]
     fastest_frequency: float
     label: str
     stacked: sparse.csr_matrix = field(init=False, repr=False)
@@ -293,31 +294,27 @@ class TimeDependentHamiltonian:
 
     def __post_init__(self):
         dim = self.space.dim
-        if self.static is not None and self.static.shape != (dim, dim):
+        static = (dim, dim) if self.static is None else self.static
+        self.static = sparse.csr_matrix(static, dtype=complex)
+        if self.static.shape != (dim, dim):
             raise ValueError("static part does not match the space dimension")
-        self.terms = tuple((np.asarray(m, dtype=complex), float(w)) for m, w in self.terms)
+        self.terms = tuple((sparse.csr_matrix(m, dtype=complex), float(w)) for m, w in self.terms)
         if any(m.shape != (dim, dim) for m, _ in self.terms):
             raise ValueError("a term matrix does not match the space dimension")
         if self.fastest_frequency <= 0:
             raise ValueError("fastest_frequency must be positive")
-        static = sparse.csr_matrix(
-            (dim, dim) if self.static is None else self.static, dtype=complex
-        )
-        forward = [sparse.csr_matrix(m) for m, _ in self.terms]
-        blocks = [static, *forward, *(b.conj().T for b in forward)]
+        blocks = [self.static, *(m for m, _ in self.terms), *(m.conj().T for m, _ in self.terms)]
         self.stacked = sparse.vstack(blocks, format="csr")
+        self.stacked.eliminate_zeros()  # a zero coupling or drive stores explicit zeros
         w = np.array([freq for _, freq in self.terms])
         self.frequencies = np.concatenate([[0.0], w, -w])
 
     def __call__(self, t: float) -> np.ndarray:
-        h = (
-            np.zeros((self.space.dim, self.space.dim), dtype=complex)
-            if self.static is None
-            else self.static.astype(complex, copy=True)
-        )
+        """Dense H(t), for tests and diagnostics; the integrator reads ``stacked``."""
+        h = self.static.toarray()
         for m, w in self.terms:
-            z = np.exp(1j * w * t)
-            h += z * m + np.conj(z) * m.conj().T
+            term = np.exp(1j * w * t) * m.toarray()
+            h += term + term.conj().T
         return h
 
     def coefficients(self, times) -> np.ndarray:

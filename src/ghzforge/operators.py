@@ -1,7 +1,8 @@
-"""Dense operator toolbox for few-qubit, few-mode Hilbert spaces.
+"""Operator toolbox for few-qubit, few-mode Hilbert spaces.
 
-States are plain 1-D complex ndarrays and operators are 2-D complex ndarrays;
-a :class:`HilbertSpace` records how the flat index factors into qubits and
+States are 1-D complex ndarrays, single-factor operators small 2-D ones,
+and full-space operators CSR matrices from :func:`embedded_product`.  A
+:class:`HilbertSpace` records how the flat index factors into qubits and
 bosonic modes.  Tensor factors are ordered qubits first (qubit 0 is the
 slowest-varying index), then modes in declaration order.
 
@@ -15,9 +16,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import expm
 
 from .errors import ApproximationWarning
@@ -124,37 +125,39 @@ def number_operator(n_levels: int) -> np.ndarray:
     return np.diag(np.arange(n_levels, dtype=float)).astype(complex)
 
 
-def _identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=complex)
-
-
-def embed(op: np.ndarray, factor: int, space: HilbertSpace) -> np.ndarray:
+def embed(op: np.ndarray, factor: int, space: HilbertSpace) -> sparse.csr_matrix:
     """Lift a single-factor operator to the full space by tensoring identities."""
     return embedded_product(space, {factor: op})
 
 
-def embedded_product(space: HilbertSpace, factor_ops: dict[int, np.ndarray]) -> np.ndarray:
+def embedded_product(space: HilbertSpace, factor_ops: dict[int, np.ndarray]) -> sparse.csr_matrix:
     """Tensor product with the given operators on selected factors, identity elsewhere.
 
-    Equivalent to the matrix product of the individually embedded operators
-    when the factors are distinct, but built in one pass.
+    Built in one pass by index arithmetic: each factor contributes its
+    nonzero (row, col, value) triplets, an identity its diagonal, and the
+    full indices are their mixed-radix combinations.  No dense intermediate
+    is formed.
     """
-    dims = space.dims
-    pieces = []
-    for i, d in enumerate(dims):
-        if i in factor_ops:
+    unknown = set(factor_ops) - set(range(len(space.dims)))
+    if unknown:
+        raise ValueError(f"factor index out of range: {sorted(unknown)}")
+    rows = cols = np.zeros(1, dtype=np.int64)
+    values = np.ones(1, dtype=complex)
+    for i, d in enumerate(space.dims):
+        if i not in factor_ops:
+            r = c = np.arange(d)
+            values = np.repeat(values, d)
+        else:
             op = np.asarray(factor_ops[i], dtype=complex)
             if op.shape != (d, d):
                 raise ValueError(
                     f"operator for factor {i} has shape {op.shape}, expected {(d, d)}"
                 )
-            pieces.append(op)
-        else:
-            pieces.append(_identity(d))
-    unknown = set(factor_ops) - set(range(len(dims)))
-    if unknown:
-        raise ValueError(f"factor index out of range: {sorted(unknown)}")
-    return reduce(np.kron, pieces)
+            r, c = np.nonzero(op)
+            values = np.outer(values, op[r, c]).ravel()
+        rows = (rows[:, None] * d + r).ravel()
+        cols = (cols[:, None] * d + c).ravel()
+    return sparse.csr_matrix((values, (rows, cols)), shape=(space.dim, space.dim))
 
 
 def partial_trace_modes(state: np.ndarray, space: HilbertSpace) -> np.ndarray:

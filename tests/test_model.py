@@ -1,6 +1,7 @@
 """Hamiltonian builders: validation, Hermiticity, and frame identities."""
 
 import functools
+import tracemalloc
 import warnings
 from dataclasses import dataclass, replace
 
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from test_operators import kron_embed
 
 from ghzforge.errors import ApproximationWarning, PreconditionError
 from ghzforge.dynamics import frame_consistency_report
@@ -31,7 +34,6 @@ from ghzforge.operators import (
     HilbertSpace,
     annihilation,
     creation,
-    embed,
     hermiticity_defect,
     matrix_exponential,
     number_operator,
@@ -179,13 +181,13 @@ def test_builders_take_any_number_of_modes():
         h = rotating_frame_hamiltonian(circuit, space)(0.0)
         effective = effective_hamiltonian(circuit, space)
         intermediate = interaction_picture_hamiltonian(circuit, space)
-    expected = sum(0.5 * circuit.rabi * embed(pauli("x"), k, space) for k in range(2))
+    expected = sum(0.5 * circuit.rabi * kron_embed(pauli("x"), k, space) for k in range(2))
     for m, delta in enumerate(circuit.mode_detunings):
         levels, factor = space.mode_levels[m], space.mode_factor(m)
-        a = embed(annihilation(levels), factor, space)
+        a = kron_embed(annihilation(levels), factor, space)
         expected = expected + delta * a.conj().T @ a
         for k in range(2):
-            sm = embed(np.array([[0.0, 0.0], [1.0, 0.0]]), k, space)
+            sm = kron_embed(np.array([[0.0, 0.0], [1.0, 0.0]]), k, space)
             coupling = circuit.coupling_matrix[k, m] * a.conj().T @ sm
             expected = expected + coupling + coupling.conj().T
     assert np.allclose(h, expected, atol=1e-14)
@@ -205,6 +207,42 @@ def test_time_dependent_hamiltonian_call():
     assert not h.is_static
     h_static = TimeDependentHamiltonian(space, static, (), 1.0, "toy-static")
     assert h_static.is_static
+
+
+def test_hamiltonian_stores_each_operator_once_as_csr():
+    """static and every term are CSR; a missing static part is an empty
+    block, and the stacked column is made of exactly those matrices."""
+    circuit = reference_single()
+    space = HilbertSpace(n_qubits=2, mode_levels=(4,))
+    dim = space.dim
+    for h in (
+        full_simulation_hamiltonian(circuit, space),
+        effective_hamiltonian(circuit, space),
+    ):
+        assert isinstance(h.static, sparse.csr_matrix)
+        assert all(isinstance(m, sparse.csr_matrix) for m, _ in h.terms)
+        blocks = [h.static, *(m for m, _ in h.terms), *(m.conj().T for m, _ in h.terms)]
+        for b, block in enumerate(blocks):
+            assert np.array_equal(h.stacked[b * dim:(b + 1) * dim].toarray(), block.toarray())
+    assert effective_hamiltonian(circuit, space).static.nnz == 0
+
+
+def test_full_build_stays_below_one_dense_matrix():
+    """The dimension-1,728 three-mode full build never holds as much as one
+    dense dim x dim complex matrix (45.6 MiB); a Kronecker build peaks near
+    229 MiB."""
+    space = HilbertSpace(n_qubits=2, mode_levels=(6, 8, 9))
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ApproximationWarning)
+            h = full_simulation_hamiltonian(three_mode_record(), space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert space.dim == 1728
+    assert h.stacked.shape == (5 * space.dim, space.dim)
+    assert peak < space.dim**2 * np.dtype(complex).itemsize
 
 
 def test_term_shape_mismatch_rejected():
@@ -390,12 +428,12 @@ def test_full_equals_rotating_plus_counter_terms():
     nm = space.mode_levels[0]
     sp = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     drive_cr = sum(
-        0.5 * circuit.rabi * embed(sp, k, space) for k in range(2)
+        0.5 * circuit.rabi * kron_embed(sp, k, space) for k in range(2)
     )
     coupling_cr = sum(
         q.coupling
-        * embed(sp, k, space)
-        @ embed(creation(nm), space.mode_factor(0), space)
+        * kron_embed(sp, k, space)
+        @ kron_embed(creation(nm), space.mode_factor(0), space)
         for k, q in enumerate(circuit.qubits)
     )
     remainder = drive_cr + drive_cr.conj().T + coupling_cr + coupling_cr.conj().T
@@ -411,11 +449,11 @@ def test_interaction_picture_matches_frame_conjugation():
     h_int = interaction_picture_hamiltonian(circuit, space)
 
     nm = space.mode_levels[0]
-    generator = circuit.detuning * embed(
+    generator = circuit.detuning * kron_embed(
         number_operator(nm), space.mode_factor(0), space
     )
     for k in range(2):
-        generator = generator + 0.5 * circuit.rabi * embed(pauli("x"), k, space)
+        generator = generator + 0.5 * circuit.rabi * kron_embed(pauli("x"), k, space)
 
     for t in (0.0, 0.27, 1.44):
         u0 = matrix_exponential(generator, scale=-1j * t)
@@ -429,11 +467,11 @@ def test_effective_is_sigma_x_part_of_interaction_picture():
     space = HilbertSpace(n_qubits=2, mode_levels=(4,))
     h_eff = effective_hamiltonian(circuit, space)
     nm = space.mode_levels[0]
-    a_full = embed(annihilation(nm), space.mode_factor(0), space)
+    a_full = kron_embed(annihilation(nm), space.mode_factor(0), space)
     delta = circuit.detuning
     for t in (0.0, 0.5, 2.3):
         expected = sum(
-            0.5 * q.coupling * np.exp(-1j * delta * t) * embed(pauli("x"), k, space) @ a_full
+            0.5 * q.coupling * np.exp(-1j * delta * t) * kron_embed(pauli("x"), k, space) @ a_full
             for k, q in enumerate(circuit.qubits)
         )
         expected = expected + expected.conj().T
@@ -450,10 +488,10 @@ def _excitation_block_spectrum(h: np.ndarray, space: HilbertSpace, n_exc: int):
     counts = np.zeros(space.dim)
     for k in range(space.n_qubits):
         # excited state is index 0, so the qubit number operator is (1+sz)/2
-        counts += np.real(np.diag(embed((np.eye(2) + pauli("z")) / 2.0, k, space)))
+        counts += np.real(np.diag(kron_embed((np.eye(2) + pauli("z")) / 2.0, k, space)))
     for m in range(space.n_modes):
         counts += np.real(
-            np.diag(embed(number_operator(space.mode_levels[m]), space.mode_factor(m), space))
+            np.diag(kron_embed(number_operator(space.mode_levels[m]), space.mode_factor(m), space))
         )
     idx = np.flatnonzero(np.abs(counts - n_exc) < 1e-9)
     block = h[np.ix_(idx, idx)]
@@ -597,7 +635,7 @@ def test_coupled_full_counter_terms_at_t0():
     assert hermiticity_defect(diff) < 1e-12
     # counter-rotating drive contributes Omega_R/2 per qubit on sigma_x
     sp = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    drive_cr = sum(0.5 * circuit.rabi * embed(sp, k, space) for k in range(2))
+    drive_cr = sum(0.5 * circuit.rabi * kron_embed(sp, k, space) for k in range(2))
     corner = diff - drive_cr - drive_cr.conj().T
     # whatever remains is the coupling counter-term; it must not touch the
     # qubit-only block (vacuum modes, both qubits flipped together)

@@ -1,9 +1,14 @@
 """Unit tests for the truncated-space operator toolbox."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import sparse
 
 from ghzforge.operators import (
     HilbertSpace,
@@ -67,14 +72,30 @@ def test_ladder_matrix_elements():
     assert np.allclose(number_operator(5), np.diag(np.arange(5.0)))
 
 
+def kron_embedded_product(space, factor_ops):
+    """Dense reference for embedded_product: the Kronecker product of every
+    factor, identity where none is given."""
+    pieces = [
+        np.asarray(factor_ops[i], dtype=complex) if i in factor_ops else np.eye(d, dtype=complex)
+        for i, d in enumerate(space.dims)
+    ]
+    return reduce(np.kron, pieces)
+
+
+def kron_embed(op, factor, space):
+    """Dense reference for embed."""
+    return kron_embedded_product(space, {factor: op})
+
+
 def test_embed_matches_explicit_kron():
     space = HilbertSpace(n_qubits=2, mode_levels=(3,))
     sx = pauli("x")
     a = annihilation(3)
     eye2, eye3 = np.eye(2), np.eye(3)
-    assert np.allclose(embed(sx, 0, space), np.kron(np.kron(sx, eye2), eye3))
-    assert np.allclose(embed(sx, 1, space), np.kron(np.kron(eye2, sx), eye3))
-    assert np.allclose(embed(a, 2, space), np.kron(np.kron(eye2, eye2), a))
+    assert isinstance(embed(sx, 0, space), sparse.csr_matrix)
+    assert np.allclose(embed(sx, 0, space).toarray(), np.kron(np.kron(sx, eye2), eye3))
+    assert np.allclose(embed(sx, 1, space).toarray(), np.kron(np.kron(eye2, sx), eye3))
+    assert np.allclose(embed(a, 2, space).toarray(), np.kron(np.kron(eye2, eye2), a))
 
 
 def test_embedded_product_equals_product_of_embeds():
@@ -83,7 +104,46 @@ def test_embedded_product_equals_product_of_embeds():
     op_q = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     op_m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     combined = embedded_product(space, {0: op_q, 2: op_m})
-    assert np.allclose(combined, embed(op_q, 0, space) @ embed(op_m, 2, space))
+    product = embed(op_q, 0, space) @ embed(op_m, 2, space)
+    assert np.allclose(combined.toarray(), product.toarray())
+
+
+_ENTRIES = st.one_of(
+    st.just(0j),
+    st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def spaces_with_factor_ops(draw):
+    """0-3 qubits and 0-3 modes of 2-5 levels, complex operators (explicit
+    zeros included) on a random subset of the factors, possibly none."""
+    n_qubits = draw(st.integers(0, 3))
+    levels = draw(st.lists(st.integers(2, 5), min_size=0 if n_qubits else 1, max_size=3))
+    space = HilbertSpace(n_qubits, tuple(levels))
+    factors = draw(st.lists(st.sampled_from(range(len(space.dims))), unique=True))
+    ops = {i: draw(hnp.arrays(complex, (space.dims[i],) * 2, elements=_ENTRIES)) for i in factors}
+    return space, ops
+
+
+@settings(max_examples=200, deadline=None)
+@given(spaces_with_factor_ops())
+def test_embedded_product_equals_the_kronecker_reference(case):
+    space, ops = case
+    product = embedded_product(space, ops)
+    assert isinstance(product, sparse.csr_matrix)
+    assert product.shape == (space.dim, space.dim)
+    assert np.array_equal(product.toarray(), kron_embedded_product(space, ops))
+
+
+def test_embedded_product_rejects_bad_factors():
+    space = HilbertSpace(n_qubits=1, mode_levels=(3,))
+    with pytest.raises(ValueError, match="factor 1 has shape \\(2, 2\\), expected \\(3, 3\\)"):
+        embedded_product(space, {0: pauli("x"), 1: pauli("z")})
+    with pytest.raises(ValueError, match="factor index out of range: \\[2, 5\\]"):
+        embedded_product(space, {0: pauli("x"), 2: pauli("z"), 5: pauli("z")})
+    with pytest.raises(ValueError, match="factor index out of range: \\[-1\\]"):
+        embed(pauli("x"), -1, space)
 
 
 def test_partial_trace_of_product_state():

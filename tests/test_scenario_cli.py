@@ -611,6 +611,27 @@ def test_coupler_bad_grid_exits_2(tmp_path):
     assert main(COUPLER_ARGS + ["--phie-grid", "1:0:11", "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--lc-ph", "nan"],
+        ["--phie-grid", "0:inf:5"],
+        ["--phie-grid=-inf:0:5"],
+        ["--phie-grid=-1e308:1e308:5"],
+        ["--mca-ph", "1e200", "--mcb-ph", "1e200"],
+        ["--ia0-na", "inf"],
+    ],
+)
+def test_coupler_non_finite_table_exits_2_without_writing(tmp_path, capsys, extra):
+    """No NaN/inf coupler table: non-finite inputs, and finite ones whose
+    M_eff or J overflows, exit 2 before any file is opened."""
+    out = tmp_path / "out"
+    assert main(COUPLER_ARGS + extra + ["--out-dir", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (out / "coupler.csv").exists()
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # solve subcommand
 # ---------------------------------------------------------------------------
@@ -649,6 +670,20 @@ def test_solve_unsolvable_exits_4(capsys):
     assert main(["solve", "--mode", "coupled", "--xi", "4", "--g-ghz", "0.05"]) == 4
     assert "unsolvable" in capsys.readouterr().err
     assert main(["solve", "--mode", "coupled", "--xi", "5", "--g-ghz", "0.05"]) == 4
+
+
+@pytest.mark.parametrize("mode", [["--mode", "single"], ["--mode", "coupled", "--xi", "3"]])
+@pytest.mark.parametrize("g_ghz", ["nan", "inf", "-inf", "1e308", "1e200", "1e-300"])
+def test_solve_never_prints_a_non_finite_solution(tmp_path, capsys, mode, g_ghz):
+    """A coupling that is not finite after the 2 pi scaling, or whose
+    solution over- or underflows, exits 2 without printing NaN/Infinity."""
+    out = tmp_path / "solution.json"
+    assert main(["solve", *mode, f"--g-ghz={g_ghz}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--g-ghz" in captured.err
+    assert main(["solve", *mode, f"--g-ghz={g_ghz}", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_solve_missing_xi_exits_2():
