@@ -15,7 +15,6 @@ import numpy as np
 
 from ghzforge import (
     CoupledTlrCircuit,
-    IntegratorConfig,
     QubitSpec,
     decoupling_time,
     run,
@@ -59,7 +58,7 @@ print(f"\neffective model: F({t_gate:.0f} ns) = {eff.final_fidelity:.6f}")
 
 if args.full:
     print("\nintegrating the full model (a few seconds)...")
-    full = run(circuit, "full", t_gate, 2.5, (8, 8), config=IntegratorConfig(dt=0.000388))
+    full = run(circuit, "full", t_gate, 2.5, (8, 8), dt=0.000388)
     drift = float(np.max(np.abs(full.norm - 1.0)))
     print(
         f"full model: F({t_gate:.0f} ns) = {full.final_fidelity:.6f} "

@@ -41,7 +41,6 @@ from .analytic import (
 )
 from .dynamics import (
     FrameConsistencyReport,
-    IntegratorConfig,
     Trajectory,
     frame_consistency_report,
     ground_vacuum_state,
@@ -60,7 +59,6 @@ from .model import (
     DriveMappingReport,
     QubitSpec,
     ResonatorArray,
-    ResonatorDrive,
     SingleTlrCircuit,
     TimeDependentHamiltonian,
     coupling_strength,
@@ -95,7 +93,6 @@ __all__ = [
     "ResonatorArray",
     "SingleTlrCircuit",
     "CoupledTlrCircuit",
-    "ResonatorDrive",
     "DriveMappingReport",
     "TimeDependentHamiltonian",
     "lab_frame_hamiltonian",
@@ -120,7 +117,6 @@ __all__ = [
     "CoupledPhaseSolution",
     "solve_single_phase_condition",
     "solve_coupled_phase_condition",
-    "IntegratorConfig",
     "Trajectory",
     "ground_vacuum_state",
     "run",

@@ -316,12 +316,22 @@ class CoupledPhaseSolution:
     cross_pair_phase: float
 
 
+def _require_normal(**quantities: float) -> None:
+    """ValueError unless each quantity is finite, nonzero and not subnormal."""
+    for name, value in quantities.items():
+        if not np.finfo(float).tiny <= abs(value) < np.inf:
+            raise ValueError(f"{name} = {value} is not a finite normal float")
+
+
+# A float error gives inf, NaN or an underflow, which _require_normal rejects.
+@np.errstate(all="ignore")
 def solve_single_phase_condition(coupling: float, n: int = 1, m: int = 0) -> SinglePhaseSolution:
     """Solve n pi g^2 / (2 delta^2) = (1 + 2m) pi / 8 for the detuning.
 
     Returns both detuning signs (positive first): |delta| =
     g sqrt(4n/(1+2m)), with gate time T_n = 2 pi n/|delta|.  The phase
     branch m must keep 1 + 2m positive, otherwise no real detuning exists.
+    ValueError when g^2, delta^2 or a result is not a finite normal float.
     """
     if coupling <= 0:
         raise UnsolvableConditionError("coupling must be positive")
@@ -331,17 +341,20 @@ def solve_single_phase_condition(coupling: float, n: int = 1, m: int = 0) -> Sin
         raise UnsolvableConditionError(
             f"phase branch m = {m} gives 1 + 2m = {1 + 2 * m} <= 0: no real detuning"
         )
+    g_squared = np.float64(coupling) ** 2  # numpy: inf, not OverflowError
     magnitude = coupling * np.sqrt(4.0 * n / (1 + 2 * m))
     gate_time = 2.0 * np.pi * n / magnitude
-    phase = n * np.pi * coupling**2 / (2.0 * magnitude**2)
+    phase = n * np.pi * g_squared / (2.0 * magnitude**2)
+    _require_normal(g_squared=g_squared, delta_squared=magnitude**2, T=gate_time, phase=phase)
     residual = abs(phase - (1 + 2 * m) * np.pi / 8.0)
-    if residual > 1e-10:
+    if not residual <= 1e-10:
         raise RuntimeError(f"phase-condition residual {residual:.3e} exceeds 1e-10")
     return SinglePhaseSolution(
         deltas=(magnitude, -magnitude), gate_time=gate_time, pair_phase=phase
     )
 
 
+@np.errstate(all="ignore")
 def solve_coupled_phase_condition(
     coupling: float, xi: int, n: int = 1, m: int = 0, l: int = 0
 ) -> CoupledPhaseSolution:
@@ -355,7 +368,8 @@ def solve_coupled_phase_condition(
 
     are jointly solvable only when xi (1 + 4l) = 3 + 4m; then
     J = g sqrt(4n / ((xi^2 - 1)(1 + 4l))).  Raises UnsolvableConditionError
-    naming the violated constraint otherwise.  Both conditions are
+    naming the violated constraint otherwise, and ValueError when a square
+    or a result is not a finite normal float.  Both conditions are
     re-verified on the returned parameters to 1e-10.
     """
     if coupling <= 0:
@@ -378,15 +392,17 @@ def solve_coupled_phase_condition(
         raise UnsolvableConditionError(
             f"branch l = {l} gives 1 + 4l = {1 + 4 * l} <= 0: no real coupler rate"
         )
+    g_squared = np.float64(coupling) ** 2
     j_rate = coupling * np.sqrt(4.0 * n / ((xi * xi - 1) * (1 + 4 * l)))
     delta_prime = xi * j_rate
     gate_time = 2.0 * np.pi * n / j_rate
     denom = delta_prime**2 - j_rate**2
-    same = coupling**2 * delta_prime * gate_time / denom
-    cross = coupling**2 * j_rate * gate_time / denom
+    same = g_squared * delta_prime * gate_time / denom
+    cross = g_squared * j_rate * gate_time / denom
+    _require_normal(g_squared=g_squared, j_squared=j_rate**2, denom=denom, same=same, cross=cross)
     res_same = abs(same - (3 + 4 * m) * np.pi / 2.0)
     res_cross = abs(cross - (1 + 4 * l) * np.pi / 2.0)
-    if max(res_same, res_cross) > 1e-10:
+    if not (res_same <= 1e-10 and res_cross <= 1e-10):
         raise RuntimeError(
             f"phase-condition residuals ({res_same:.3e}, {res_cross:.3e}) exceed 1e-10"
         )

@@ -39,6 +39,8 @@ EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_UNSOLVABLE = 4
 
+MAX_GRID_POINTS = 10**6  # coupler flux grid, checked before it is allocated
+
 
 def _fmt(value: float) -> str:
     """CSV number format: 12 significant digits, locale-independent."""
@@ -48,8 +50,9 @@ def _fmt(value: float) -> str:
 def _mode_columns(n_modes: int) -> list[str]:
     if n_modes == 1:
         return ["mode_occupation"]
-    # two modes are the normal modes of the coupled pair
-    return ["mode_occupation_p", "mode_occupation_q"]
+    if n_modes == 2:  # the normal modes P and Q of the coupled pair
+        return ["mode_occupation_p", "mode_occupation_q"]
+    return [f"mode_occupation_{m}" for m in range(n_modes)]
 
 
 def _write_trajectory_csv(path: Path, trajectory: Trajectory) -> None:
@@ -174,7 +177,7 @@ def cmd_sweep(args) -> int:
         window,
         scenario.sample_every_ns,
         fock=scenario.fock,
-        config=scenario.integrator,
+        dt=scenario.dt,
         convention=scenario.convention,
         workers=workers,
     )
@@ -238,8 +241,10 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ScenarioFormatError(f"--phie-grid must be number:number:integer, got {text!r}")
-    if count < 2 or not lo < hi or not math.isfinite(hi - lo):
-        raise ScenarioFormatError("--phie-grid needs finite start < stop and count >= 2")
+    if not 2 <= count <= MAX_GRID_POINTS or not lo < hi or not math.isfinite(hi - lo):
+        raise ScenarioFormatError(
+            f"--phie-grid needs finite start < stop and 2 <= count <= {MAX_GRID_POINTS}"
+        )
     return np.linspace(lo, hi, count)
 
 
@@ -445,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker processes (default: GHZFORGE_THREADS or CPU count)",
+        help="worker processes (default: CPU count)",
     )
     p_sweep.add_argument("--out-dir", default=".", help="output directory (default: .)")
     p_sweep.set_defaults(func=cmd_sweep)

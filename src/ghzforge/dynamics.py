@@ -24,8 +24,8 @@ mode occupation is the photon-number marginal of |psi|^2, and neither a
 density matrix nor a dense number operator is formed.
 
 Drive-strength sweeps fan out across a process pool (size from the
-GHZFORGE_THREADS environment variable, else the CPU count); results are
-ordered by multiplier index regardless of completion order.
+``workers`` argument, else the CPU count); results are ordered by
+multiplier index regardless of completion order.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .analytic import GHZ_CONVENTIONS, ghz_target
 from .errors import PreconditionError
 from .model import (
     ResonatorArray,
-    ResonatorDrive,
     TimeDependentHamiltonian,
     _require_one_resonator,
     effective_hamiltonian,
@@ -53,7 +52,7 @@ from .model import (
 from .operators import HilbertSpace, displacement, embed, number_operator
 
 __all__ = [
-    "IntegratorConfig",
+    "VARIANTS",
     "Trajectory",
     "FrameConsistencyReport",
     "ground_vacuum_state",
@@ -70,29 +69,14 @@ DEFAULT_STEP_DIVISOR = 64
 MINIMUM_STEP_DIVISOR = 50
 _STEPS_PER_TABLE = 4096  # bounds the phase table's memory on long segments
 
-# Every variant a layout accepts (its record's `variants`) maps to a builder.
+# Every variant maps to a builder, and every layout accepts every variant.
 _BUILDERS = {
     "full": full_simulation_hamiltonian,
     "rotating": rotating_frame_hamiltonian,
     "intermediate": interaction_picture_hamiltonian,
     "effective": effective_hamiltonian,
 }
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Fixed-step RK4 settings.
-
-    dt = None picks (2 pi / omega_fastest) / 64 from the Hamiltonian's
-    declared fastest frequency.  The state is never renormalized in flight:
-    norm drift is a diagnostic we want to see, not hide.
-    """
-
-    dt: float | None = None
-
-    def __post_init__(self):
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
+VARIANTS = tuple(_BUILDERS)
 
 
 @dataclass
@@ -147,41 +131,50 @@ def ghz_fidelity(psi: np.ndarray, space: HilbertSpace, target: np.ndarray) -> fl
     return float(_ghz_overlap(psi, space, target))
 
 
-def resolve_step(hamiltonian: TimeDependentHamiltonian, config: IntegratorConfig | None) -> float:
-    """Step size for this Hamiltonian, enforcing the fastest-frequency rule."""
+def resolve_step(hamiltonian: TimeDependentHamiltonian, dt: float | None) -> float:
+    """Step size for this Hamiltonian, enforcing the fastest-frequency rule.
+
+    dt = None picks (2 pi / omega_fastest) / 64 from the Hamiltonian's
+    declared fastest frequency; an explicit dt must be positive and no
+    coarser than a 50th of that period.  The state is never renormalized
+    in flight: norm drift is a diagnostic we want to see, not hide.
+    """
     period = 2.0 * np.pi / hamiltonian.fastest_frequency
-    if config is None or config.dt is None:
+    if dt is None:
         return period / DEFAULT_STEP_DIVISOR
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
     limit = period / MINIMUM_STEP_DIVISOR
-    if config.dt > limit:
+    if dt > limit:
         raise PreconditionError(
-            f"dt = {config.dt:g} ns too coarse for fastest frequency "
+            f"dt = {dt:g} ns too coarse for fastest frequency "
             f"{hamiltonian.fastest_frequency:g} rad/ns (limit {limit:g} ns, "
             f"= period/{MINIMUM_STEP_DIVISOR})"
         )
-    return config.dt
+    return dt
 
 
 def evolve_sampled(
     hamiltonian: TimeDependentHamiltonian,
     psi0: np.ndarray,
     sample_times,
-    config: IntegratorConfig | None = None,
+    dt: float | None = None,
 ) -> np.ndarray:
     """Integrate from t = 0 and return the state at each requested time.
 
     sample_times must be non-decreasing and non-negative; each is hit
     exactly (the step is shrunk uniformly inside each segment so sampling
-    never perturbs the grid elsewhere).  Returns an array of shape
-    (len(sample_times), dim).  Raises PreconditionError as soon as the
-    state at a sample time is no longer finite.
+    never perturbs the grid elsewhere); dt is the step resolve_step checks
+    or picks.  Returns an array of shape (len(sample_times), dim).  Raises
+    PreconditionError as soon as the state at a sample time is no longer
+    finite.
     """
     samples = np.asarray(sample_times, dtype=float)
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError("sample_times must be a non-empty 1-D sequence")
     if samples[0] < 0 or np.any(np.diff(samples) < 0):
         raise ValueError("sample_times must be non-decreasing and start at t >= 0")
-    dt = resolve_step(hamiltonian, config)
+    dt = resolve_step(hamiltonian, dt)
 
     y = np.asarray(psi0, dtype=complex).copy()
     if y.shape != (hamiltonian.space.dim,):
@@ -224,10 +217,10 @@ def evolve(
     hamiltonian: TimeDependentHamiltonian,
     psi0: np.ndarray,
     t_final: float,
-    config: IntegratorConfig | None = None,
+    dt: float | None = None,
 ) -> np.ndarray:
     """State at t_final, integrating from t = 0."""
-    return evolve_sampled(hamiltonian, psi0, [t_final], config)[0]
+    return evolve_sampled(hamiltonian, psi0, [t_final], dt)[0]
 
 
 def _observe(
@@ -281,14 +274,12 @@ def _sample_grid(t_final: float, sample_every: float) -> np.ndarray:
     return times
 
 
-def _trajectory(circuit, variant, times, fock_cutoffs, config, convention) -> Trajectory:
-    if variant not in circuit.variants:
-        raise ValueError(
-            f"unknown variant {variant!r}; expected one of {circuit.variants}"
-        )
+def _trajectory(circuit, variant, times, fock_cutoffs, dt, convention) -> Trajectory:
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     space = HilbertSpace(n_qubits=circuit.n_qubits, mode_levels=tuple(fock_cutoffs))
     hamiltonian = _BUILDERS[variant](circuit, space)
-    states = evolve_sampled(hamiltonian, ground_vacuum_state(space), times, config)
+    states = evolve_sampled(hamiltonian, ground_vacuum_state(space), times, dt)
     return _observe(states, times, space, hamiltonian.label, convention)
 
 
@@ -298,20 +289,20 @@ def run(
     t_final: float,
     sample_every: float,
     fock_cutoffs,
-    config: IntegratorConfig | None = None,
+    dt: float | None = None,
     convention: str = "auto",
 ) -> Trajectory:
     """Fidelity trajectory of a layout record, sampled every sample_every.
 
-    variant picks the Hamiltonian among the record's `variants`: 'full'
+    variant picks the Hamiltonian among VARIANTS, for any layout: 'full'
     (counter-rotating terms kept), 'rotating' (static RWA form),
     'intermediate' (interaction picture with the drive-oscillating error
-    terms; one resonator only), 'effective' (strong-driving limit).
-    fock_cutoffs holds one Fock truncation per mode: (n,) for one
-    resonator, (n_P, n_Q) for the coupled pair's normal modes.
+    terms), 'effective' (strong-driving limit).  fock_cutoffs holds one
+    Fock truncation per mode: (n,) for one resonator, (n_P, n_Q) for the
+    coupled pair's normal modes.  dt is the RK4 step (see resolve_step).
     """
     times = _sample_grid(t_final, sample_every)
-    return _trajectory(circuit, variant, times, fock_cutoffs, config, convention)
+    return _trajectory(circuit, variant, times, fock_cutoffs, dt, convention)
 
 
 # ---------------------------------------------------------------------------
@@ -320,25 +311,16 @@ def run(
 
 
 def _sweep_point(args):
-    (circuit, variant, window_times, fock, config, convention) = args
-    traj = _trajectory(circuit, variant, window_times, fock, config, convention)
+    (circuit, variant, window_times, fock, dt, convention) = args
+    traj = _trajectory(circuit, variant, window_times, fock, dt, convention)
     traj.label = f"{traj.label}:rabi={circuit.rabi:.9g}"
     return traj
 
 
 def worker_count(requested: int | None = None, n_tasks: int | None = None) -> int:
-    """Process-pool size: explicit argument, else GHZFORGE_THREADS, else CPU count."""
+    """Process-pool size: explicit argument, else CPU count."""
     if requested is None:
-        env = os.environ.get("GHZFORGE_THREADS", "").strip()
-        if env:
-            try:
-                requested = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"GHZFORGE_THREADS must be a positive integer, got {env!r}"
-                ) from None
-        else:
-            requested = os.cpu_count() or 1
+        requested = os.cpu_count() or 1
     if requested < 1:
         raise ValueError("worker count must be >= 1")
     if n_tasks is not None:
@@ -353,7 +335,7 @@ def sweep_drive_strength(
     window: tuple[float, float],
     window_sample_every: float,
     fock=(10,),
-    config: IntegratorConfig | None = None,
+    dt: float | None = None,
     convention: str = "auto",
     workers: int | None = None,
 ) -> list[Trajectory]:
@@ -380,7 +362,7 @@ def sweep_drive_strength(
     n_window = int(np.floor((hi - lo) / window_sample_every + 1e-9))
     window_times = lo + np.arange(n_window + 1) * window_sample_every
     tasks = [
-        (replace(circuit, rabi=float(mult) * base), variant, window_times, fock, config, convention)
+        (replace(circuit, rabi=float(mult) * base), variant, window_times, fock, dt, convention)
         for mult in multipliers
     ]
     n_workers = worker_count(workers, len(tasks))
@@ -418,13 +400,14 @@ class FrameConsistencyReport:
 
 def frame_consistency_report(
     circuit: ResonatorArray,
-    drive: ResonatorDrive,
+    amplitude: float,
     fock_cutoff: int = 24,
     t_final: float | None = None,
-    config: IntegratorConfig | None = None,
+    dt: float | None = None,
 ) -> FrameConsistencyReport:
     """Run the lab-frame/rotating-frame comparison for a one-qubit circuit.
 
+    amplitude is the resonator tone nu (rad/ns) at the circuit's omega_d.
     The circuit should carry modest parameters: the lab mode sits in a
     coherent state of amplitude |nu/delta|, so the Fock cutoff must cover
     |nu/delta|^2 photons with room to spare, and the lab integration must
@@ -434,7 +417,7 @@ def frame_consistency_report(
     if circuit.n_qubits != 1:
         raise ValueError("the frame-consistency diagnostic is defined for one qubit")
     delta = circuit.detuning
-    beta0 = -drive.amplitude / delta
+    beta0 = -amplitude / delta
     if abs(beta0) ** 2 > fock_cutoff / 4:
         raise ValueError(
             f"displacement |beta|^2 = {abs(beta0)**2:.2f} too large for "
@@ -450,8 +433,8 @@ def frame_consistency_report(
     psi_pc = qubit_map @ ground_eigen
     d_start = embed(displacement(beta0, fock_cutoff), 1, space)
     psi_lab0 = d_start @ psi_pc
-    h_lab = lab_frame_hamiltonian(circuit, drive, space)
-    psi_lab = evolve(h_lab, psi_lab0, t_final, config)
+    h_lab = lab_frame_hamiltonian(circuit, amplitude, space)
+    psi_lab = evolve(h_lab, psi_lab0, t_final, dt)
 
     beta_t = beta0 * np.exp(-1j * circuit.omega_d * t_final)
     d_back = embed(displacement(-beta_t, fock_cutoff), 1, space)
@@ -464,9 +447,9 @@ def frame_consistency_report(
     psi_rot = phases * psi_disp
 
     # rotating-frame leg with counter-rotating terms kept
-    circuit_driven, _mapping = qubit_drive_from_resonator_drive(circuit, drive)
+    circuit_driven, _mapping = qubit_drive_from_resonator_drive(circuit, amplitude)
     h_full = full_simulation_hamiltonian(circuit_driven, space)
-    psi_full = evolve(h_full, ground_eigen, t_final, config)
+    psi_full = evolve(h_full, ground_eigen, t_final, dt)
 
     overlap = float(abs(np.vdot(psi_full, psi_rot)) ** 2)
     phase = np.vdot(psi_rot, psi_full)

@@ -77,7 +77,6 @@ __all__ = [
     "ResonatorArray",
     "SingleTlrCircuit",
     "CoupledTlrCircuit",
-    "ResonatorDrive",
     "DriveMappingReport",
     "TimeDependentHamiltonian",
     "lab_frame_hamiltonian",
@@ -101,15 +100,13 @@ class QubitSpec:
 
     gap (rad/ns) is the tunnel splitting Delta; coupling (rad/ns) the
     qubit-resonator rate g; resonator is the index of the TLR the qubit
-    sits on.  bias is the energy-bias term epsilon and must be zero: away
-    from the optimal point the sigma-bar_z term re-enters and none of the
-    frames below apply.
+    sits on.  There is no energy-bias term epsilon: away from the optimal
+    point the sigma-bar_z term re-enters and none of the frames below apply.
     """
 
     gap: float
     coupling: float
     resonator: int = 0
-    bias: float = 0.0
 
     def __post_init__(self):
         if self.gap <= 0:
@@ -118,11 +115,6 @@ class QubitSpec:
             raise ValueError("qubit-resonator coupling must be non-negative")
         if not isinstance(self.resonator, int) or self.resonator < 0:
             raise ValueError("resonator must be a non-negative resonator index")
-        if self.bias != 0.0:
-            raise ValueError(
-                "nonzero energy bias epsilon is not supported; qubits must sit "
-                "at the optimal point"
-            )
 
 
 def _normal_modes(hopping: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,13 +208,6 @@ class ResonatorArray:
         return {1: "single", 2: "coupled"}.get(self.n_resonators, "array")
 
     @property
-    def variants(self) -> tuple[str, ...]:
-        """Accepted variants; 'intermediate' is checked for one resonator only."""
-        if self.n_resonators == 1:
-            return ("full", "rotating", "intermediate", "effective")
-        return ("full", "rotating", "effective")
-
-    @property
     def loop_rate(self) -> float:
         """|delta| for one TLR, else max |J_rs|: the drive-sweep unit."""
         if self.n_resonators == 1:
@@ -251,24 +236,11 @@ def CoupledTlrCircuit(
 
 
 @dataclass(frozen=True)
-class ResonatorDrive:
-    """Microwave tone applied to the resonator: amplitude nu (rad/ns) at omega_d."""
-
-    amplitude: float
-    omega_d: float
-
-    def __post_init__(self):
-        if self.omega_d <= 0:
-            raise ValueError("drive frequency must be positive")
-
-
-@dataclass(frozen=True)
 class DriveMappingReport:
     """Bookkeeping from the resonator-drive to qubit-drive translation."""
 
     rabi_per_qubit: tuple[float, ...]
     displacement_magnitude: float  # |nu / delta|, coherent amplitude of the displaced frame
-    homogeneous: bool
 
 
 @dataclass
@@ -342,7 +314,7 @@ def _require_one_resonator(circuit) -> None:
 
 
 def lab_frame_hamiltonian(
-    circuit: ResonatorArray, drive: ResonatorDrive, space: HilbertSpace
+    circuit: ResonatorArray, amplitude: float, space: HilbertSpace
 ) -> TimeDependentHamiltonian:
     """Laboratory-frame Hamiltonian in the persistent-current basis.
 
@@ -350,17 +322,16 @@ def lab_frame_hamiltonian(
          + sum_k g_k (a^dag + a) sigma-bar_z^k
          + nu (a^dag e^{-i omega_d t} + a e^{i omega_d t})
 
-    Here sigma-bar are Paulis over the persistent-current states; the energy
-    eigenbasis used by every rotating-frame builder is a Hadamard rotation
-    away.  Used for the frame-consistency diagnostic, not for production
+    with nu = amplitude (rad/ns) at the circuit's omega_d.  Here sigma-bar
+    are Paulis over the persistent-current states; the energy eigenbasis
+    used by every rotating-frame builder is a Hadamard rotation away.
+    Used for the frame-consistency diagnostic, not for production
     runs (the lab mode sits in a coherent state of amplitude ~ nu/delta, so
     the commensurate Fock truncation can be large).  One resonator only.
     """
     _require_one_resonator(circuit)
     if space.n_modes != 1 or space.n_qubits != circuit.n_qubits:
         raise ValueError("space must carry the circuit's qubits and exactly one mode")
-    if drive.omega_d != circuit.omega_d:
-        raise ValueError("drive tone and circuit drive frequency disagree")
     nm = space.mode_levels[0]
     a = embed(annihilation(nm), space.mode_factor(0), space)
     n_op = embed(number_operator(nm), space.mode_factor(0), space)
@@ -371,17 +342,18 @@ def lab_frame_hamiltonian(
             space, {k: pauli("z"), space.mode_factor(0): annihilation(nm) + creation(nm)}
         )
     terms = []
-    if drive.amplitude != 0.0:
-        terms.append((drive.amplitude * a.conj().T, -circuit.omega_d))
+    if amplitude != 0.0:
+        terms.append((amplitude * a.conj().T, -circuit.omega_d))
     fastest = circuit.omega * nm + circuit.omega_d
     return TimeDependentHamiltonian(space, static, tuple(terms), fastest, "single:lab")
 
 
 def qubit_drive_from_resonator_drive(
-    circuit: ResonatorArray, drive: ResonatorDrive
+    circuit: ResonatorArray, amplitude: float
 ) -> tuple[ResonatorArray, DriveMappingReport]:
     """Translate a resonator tone into the equivalent transverse qubit drive.
 
+    The tone has amplitude nu (rad/ns) at the circuit's omega_d.
     Displacing the driven mode by beta(t) = -(nu/delta) e^{-i omega_d t}
     cancels the tone and leaves each qubit with the transverse drive
     -(2 g_k nu / delta) cos(omega_d t) sigma_x, i.e. a Rabi amplitude
@@ -391,20 +363,15 @@ def qubit_drive_from_resonator_drive(
     Omega_R cannot represent that case, and for more than one resonator.
     """
     _require_one_resonator(circuit)
-    if drive.omega_d != circuit.omega_d:
-        raise ValueError("drive tone and circuit drive frequency disagree")
     delta = circuit.detuning
-    per_qubit = tuple(-2.0 * q.coupling * drive.amplitude / delta for q in circuit.qubits)
-    homogeneous = max(per_qubit) - min(per_qubit) <= 1e-12 * max(1.0, abs(per_qubit[0]))
-    if not homogeneous:
+    per_qubit = tuple(-2.0 * q.coupling * amplitude / delta for q in circuit.qubits)
+    if not max(per_qubit) - min(per_qubit) <= 1e-12 * max(1.0, abs(per_qubit[0])):
         raise ValueError(
             "qubit couplings are inhomogeneous; the resonator tone maps to "
             f"per-qubit Rabi amplitudes {per_qubit} and no single Omega_R exists"
         )
     report = DriveMappingReport(
-        rabi_per_qubit=per_qubit,
-        displacement_magnitude=abs(drive.amplitude / delta),
-        homogeneous=homogeneous,
+        rabi_per_qubit=per_qubit, displacement_magnitude=abs(amplitude / delta)
     )
     return replace(circuit, rabi=per_qubit[0]), report
 

@@ -17,14 +17,13 @@ from importlib import resources
 from pathlib import Path
 
 from .constants import rad_per_ns_from_ghz
-from .dynamics import IntegratorConfig, Trajectory, run
+from .dynamics import VARIANTS, Trajectory, run
 from .errors import ScenarioFormatError
 from .model import (
     CoupledTlrCircuit,
     DriveMappingReport,
     QubitSpec,
     ResonatorArray,
-    ResonatorDrive,
     SingleTlrCircuit,
     qubit_drive_from_resonator_drive,
 )
@@ -69,7 +68,7 @@ class LoadedScenario:
     t_final_ns: float
     sample_every_ns: float
     convention: str
-    integrator: IntegratorConfig
+    dt: float | None  # RK4 step (ns); None picks the default
     drive_mapping: DriveMappingReport | None
     raw: dict
 
@@ -150,15 +149,16 @@ def _qubit_from_entry(entry, index: int, kind: str) -> QubitSpec:
     return QubitSpec(gap=gap, coupling=coupling, resonator=resonator)
 
 
-def _integrator_from_entry(entry, where: str) -> IntegratorConfig:
+def _step_from_entry(entry, where: str) -> float | None:
+    """The integrator entry's dt_ns, or None when it gives none."""
     if entry is None:
-        return IntegratorConfig()
+        return None
     obj = _require_mapping(entry, where)
     _reject_unknown(obj, {"dt_ns"}, where)
     dt = obj.get("dt_ns")
     if dt is not None:
         dt = _number(dt, f"{where}.dt_ns", positive=True)
-    return IntegratorConfig(dt=dt)
+    return dt
 
 
 def validate_scenario(data, name: str = "<scenario>") -> LoadedScenario:
@@ -216,7 +216,7 @@ def validate_scenario(data, name: str = "<scenario>") -> LoadedScenario:
     sample_every = _number(
         _get(top, "sample_every_ns", name), f"{name}.sample_every_ns", positive=True
     )
-    integrator = _integrator_from_entry(top.get("integrator"), f"{name}.integrator")
+    dt = _step_from_entry(top.get("integrator"), f"{name}.integrator")
 
     where = f"{name}.resonator"
     resonator = _require_mapping(_get(top, "resonator", name), where)
@@ -277,13 +277,12 @@ def validate_scenario(data, name: str = "<scenario>") -> LoadedScenario:
                 drive["resonator_amplitude_ghz"], f"{name}.drive.resonator_amplitude_ghz"
             )
             circuit, mapping = qubit_drive_from_resonator_drive(
-                layout(qubits=qubits, omega_d=omega_d),
-                ResonatorDrive(amplitude=amplitude, omega_d=omega_d),
+                layout(qubits=qubits, omega_d=omega_d), amplitude
             )
     except ValueError as exc:
         raise _fail(name, str(exc)) from exc
-    if variant not in circuit.variants:
-        raise _fail(f"{name}.variant", f"must be one of {circuit.variants}, got {variant!r}")
+    if variant not in VARIANTS:
+        raise _fail(f"{name}.variant", f"must be one of {VARIANTS}, got {variant!r}")
 
     loaded = LoadedScenario(
         name=name,
@@ -293,7 +292,7 @@ def validate_scenario(data, name: str = "<scenario>") -> LoadedScenario:
         t_final_ns=t_final,
         sample_every_ns=sample_every,
         convention=convention,
-        integrator=integrator,
+        dt=dt,
         drive_mapping=mapping,
         raw=top,
     )
@@ -347,7 +346,7 @@ def run_scenario(scenario: LoadedScenario) -> Trajectory:
         scenario.t_final_ns,
         scenario.sample_every_ns,
         scenario.fock,
-        config=scenario.integrator,
+        dt=scenario.dt,
         convention=scenario.convention,
     )
 

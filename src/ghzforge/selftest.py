@@ -28,15 +28,9 @@ from .analytic import (
     solve_coupled_phase_condition,
     solve_single_phase_condition,
 )
-from .dynamics import (
-    IntegratorConfig,
-    evolve_sampled,
-    ground_vacuum_state,
-    run,
-)
+from .dynamics import evolve_sampled, ground_vacuum_state, run
 from .model import (
     QubitSpec,
-    ResonatorDrive,
     SingleTlrCircuit,
     lab_frame_hamiltonian,
     rotating_frame_hamiltonian,
@@ -112,9 +106,8 @@ def _builder_hermiticity():
         rabi=2 * np.pi * 2.0,
     )
     space = HilbertSpace(n_qubits=2, mode_levels=(4,))
-    drive = ResonatorDrive(amplitude=2 * np.pi * 0.1, omega_d=circuit.omega_d)
     hams = (
-        lab_frame_hamiltonian(circuit, drive, space),
+        lab_frame_hamiltonian(circuit, 2 * np.pi * 0.1, space),
         rotating_frame_hamiltonian(circuit, space),
     )
     worst = 0.0
@@ -246,9 +239,9 @@ def _integrator_order():
     psi0 = ground_vacuum_state(space)
     times = [1.0]
     dt = (2 * np.pi / h.fastest_frequency) / 64.0
-    truth = evolve_sampled(h, psi0, times, IntegratorConfig(dt=dt / 16))[-1]
-    coarse = evolve_sampled(h, psi0, times, IntegratorConfig(dt=dt))[-1]
-    fine = evolve_sampled(h, psi0, times, IntegratorConfig(dt=dt / 2))[-1]
+    truth = evolve_sampled(h, psi0, times, dt / 16)[-1]
+    coarse = evolve_sampled(h, psi0, times, dt)[-1]
+    fine = evolve_sampled(h, psi0, times, dt / 2)[-1]
     e_coarse = np.linalg.norm(coarse - truth)
     e_fine = np.linalg.norm(fine - truth)
     ratio = e_coarse / e_fine
@@ -284,7 +277,7 @@ def _norm_conservation():
         omega_d=2 * np.pi * 10.1,
         rabi=2 * np.pi * 2.0,
     )
-    trajectory = run(circuit, "rotating", 2.0, 0.1, (6,), config=IntegratorConfig(dt=1e-3))
+    trajectory = run(circuit, "rotating", 2.0, 0.1, (6,), dt=1e-3)
     drift = float(np.max(np.abs(trajectory.norm - 1.0)))
     return drift < 1e-9, f"max |norm - 1| = {drift:.2e}"
 

@@ -36,7 +36,6 @@ from ghzforge.analytic import (
 from ghzforge.cli import main
 from ghzforge.constants import ghz_from_rad_per_ns
 from ghzforge.dynamics import (
-    IntegratorConfig,
     evolve,
     evolve_sampled,
     ghz_fidelity,
@@ -316,9 +315,9 @@ def test_criterion_8_integrator_quality(coupled_outputs):
     h = rotating_frame_hamiltonian(circuit, space)
     psi0 = ground_vacuum_state(space)
     dt = (TWO_PI / h.fastest_frequency) / 64.0
-    truth = evolve_sampled(h, psi0, [1.0], IntegratorConfig(dt=dt / 16))[-1]
-    coarse = evolve_sampled(h, psi0, [1.0], IntegratorConfig(dt=dt))[-1]
-    fine = evolve_sampled(h, psi0, [1.0], IntegratorConfig(dt=dt / 2))[-1]
+    truth = evolve_sampled(h, psi0, [1.0], dt / 16)[-1]
+    coarse = evolve_sampled(h, psi0, [1.0], dt)[-1]
+    fine = evolve_sampled(h, psi0, [1.0], dt / 2)[-1]
     ratio = np.linalg.norm(coarse - truth) / np.linalg.norm(fine - truth)
     assert ratio >= 12.0, f"step-halving error ratio {ratio:.1f} < 12"
 

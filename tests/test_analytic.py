@@ -448,6 +448,23 @@ def test_solve_coupled_phase_condition_unsolvable_cases():
     assert high.delta_prime == pytest.approx(7.0 * high.coupler_rate, rel=1e-12)
 
 
+@pytest.mark.parametrize("g_ghz", [1e-300, 1e-160, 1e200, float("nan")])
+def test_phase_condition_solvers_reject_couplings_outside_float_range(g_ghz):
+    """g^2 that underflows (0 or subnormal), overflows or is NaN is a
+    ValueError from both solvers, never a NaN solution or an OverflowError."""
+    g = TWO_PI * g_ghz
+    with pytest.raises(ValueError, match="g_squared"):
+        solve_single_phase_condition(g)
+    with pytest.raises(ValueError, match="g_squared"):
+        solve_coupled_phase_condition(g, xi=3)
+
+
+def test_coupled_solver_rejects_a_non_finite_phase():
+    """g^2 fits, but g^2 delta' T_n overflows on the way to the phases."""
+    with pytest.raises(ValueError, match="same = inf"):
+        solve_coupled_phase_condition(TWO_PI * 1e150, xi=3)
+
+
 def test_solver_output_feeds_pair_phase_matrix():
     """Round trip: solver parameters reproduce the phases they were solved
     for, through the independent phase-matrix path."""

@@ -1,7 +1,7 @@
 """Every demo script runs to completion on its default path.
 
 Each demo runs in its own interpreter, as a user would start it, against
-the package source in this checkout and with a one-process sweep pool.
+the package source in this checkout.
 """
 
 import os
@@ -22,7 +22,7 @@ def test_demos_are_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_exits_0(demo, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, GHZFORGE_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=path)
     result = subprocess.run(
         [sys.executable, str(demo)],
         cwd=tmp_path,

@@ -39,6 +39,7 @@ BUILDERS = {
     ("single_tlr_ghz", "effective"): (1, 0.6283185307179551),
     ("coupled_tlr_ghz", "full"): (2, 126.41768838045327),
     ("coupled_tlr_ghz", "rotating"): (0, 11.561060965210434),
+    ("coupled_tlr_ghz", "intermediate"): (6, 11.561060965210434),
     ("coupled_tlr_ghz", "effective"): (2, 1.0053096491487294),
 }
 
@@ -51,11 +52,11 @@ def _capture(monkeypatch, integrate: bool) -> list:
     seen = []
     real = dynamics.evolve_sampled
 
-    def recording(hamiltonian, psi0, samples, config=None):
+    def recording(hamiltonian, psi0, samples, dt=None):
         seen.append(hamiltonian)
         if not integrate:
             raise _Built
-        return real(hamiltonian, psi0, samples, config)
+        return real(hamiltonian, psi0, samples, dt)
 
     monkeypatch.setattr(dynamics, "evolve_sampled", recording)
     return seen

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ghzforge import constants
+from ghzforge import cli, constants
 from ghzforge.cli import _write_trajectory_csv, main
 from ghzforge.dynamics import Trajectory, sweep_drive_strength
 from ghzforge.errors import ScenarioFormatError
@@ -256,7 +256,7 @@ def test_any_json_value_loads_finite_or_is_a_format_error(target, value):
         *(q.gap for q in circuit.qubits),
         scenario.t_final_ns,
         scenario.sample_every_ns,
-        scenario.integrator.dt if scenario.integrator.dt is not None else 0.0,
+        scenario.dt if scenario.dt is not None else 0.0,
     ]
     assert all(math.isfinite(x) for x in numbers)
     assert all(n >= 2 for n in scenario.fock)
@@ -307,8 +307,11 @@ def test_run_reports_drive_mapping(tmp_path):
 
 def _reference_trajectory_csv(path, trajectory):
     """The trajectory CSV written value by value through csv.writer."""
-    columns = ["mode_occupation"]
-    if trajectory.mode_occupation.shape[1] == 2:
+    n_modes = trajectory.mode_occupation.shape[1]
+    columns = [f"mode_occupation_{m}" for m in range(n_modes)]
+    if n_modes == 1:
+        columns = ["mode_occupation"]
+    if n_modes == 2:
         columns = ["mode_occupation_p", "mode_occupation_q"]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -325,8 +328,13 @@ def _reference_trajectory_csv(path, trajectory):
 
 @pytest.mark.parametrize(
     "n_modes, label",
-    [(1, "single:full"), (2, "coupled:effective"), (1, "single:full:rabi=3.14159265")],
-    ids=["one-mode", "two-mode", "sweep-label"],
+    [
+        (1, "single:full"),
+        (2, "coupled:effective"),
+        (3, "array:rotating"),
+        (1, "single:full:rabi=3.14159265"),
+    ],
+    ids=["one-mode", "two-mode", "three-mode", "sweep-label"],
 )
 def test_trajectory_csv_is_byte_identical_to_csv_writer(n_modes, label, tmp_path):
     rng = np.random.default_rng(n_modes)
@@ -344,6 +352,10 @@ def test_trajectory_csv_is_byte_identical_to_csv_writer(n_modes, label, tmp_path
     _write_trajectory_csv(tmp_path / "fast.csv", trajectory)
     _reference_trajectory_csv(tmp_path / "reference.csv", trajectory)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    with open(tmp_path / "fast.csv", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert len(rows) == samples + 1
+    assert {len(row) for row in rows} == {4 + n_modes}
 
 
 def test_run_malformed_json_exits_2(tmp_path, capsys):
@@ -485,24 +497,12 @@ def test_sweep_csv_matches_library_call(tmp_path):
     [traj] = sweep_drive_strength(
         scenario.circuit, scenario.variant, [20.0], (9.5, 10.0),
         scenario.sample_every_ns, fock=scenario.fock,
-        config=scenario.integrator, convention=scenario.convention, workers=1,
+        dt=scenario.dt, convention=scenario.convention, workers=1,
     )
     assert len(rows) == len(traj.times)
     for row, t, f in zip(rows, traj.times, traj.fidelity):
         assert row[0] == f"{t:.11e}"
         assert row[1] == f"{f:.11e}"
-
-
-def test_sweep_honors_threads_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("GHZFORGE_THREADS", "2")
-    path = write_scenario(tmp_path, "gate", scenario_doc())
-    out = tmp_path / "out"
-    assert main([
-        "sweep", str(path), "--param", "omega_r_multiple",
-        "--values", "5,20", "--window", "9.5:10.0", "--out-dir", str(out),
-    ]) == 0
-    summary = json.loads((out / "gate_sweep_summary.json").read_text())
-    assert summary["workers"] == 2
 
 
 def test_one_qubit_scenario_exits_2_before_running(tmp_path, capsys):
@@ -517,7 +517,7 @@ def test_one_qubit_scenario_exits_2_before_running(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_sweep_input_errors(tmp_path, capsys, monkeypatch):
+def test_sweep_input_errors(tmp_path, capsys):
     path = write_scenario(tmp_path, "gate", scenario_doc())
     base = ["sweep", str(path), "--out-dir", str(tmp_path / "o")]
     assert main(base + ["--param", "detuning", "--values", "5"]) == 2
@@ -544,15 +544,11 @@ def test_sweep_input_errors(tmp_path, capsys, monkeypatch):
         base + ["--param", "omega_r_multiple", "--values", "5", "--window", "0:1e300"]
     ) == 2
     assert "stored amplitudes" in capsys.readouterr().err
-    # worker counts, from the flag and from the environment
+    # worker counts from the flag
     one_point = base + ["--param", "omega_r_multiple", "--values", "5"]
     for flag in ("0", "-2"):
         assert main(one_point + ["--workers", flag]) == 2
         assert "worker count must be >= 1" in capsys.readouterr().err
-    for env, message in (("abc", "GHZFORGE_THREADS must be"), ("0", "worker count must be")):
-        monkeypatch.setenv("GHZFORGE_THREADS", env)
-        assert main(one_point) == 2
-        assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -606,9 +602,16 @@ def test_coupler_hysteretic_device_exits_2(tmp_path, capsys):
     assert "nonhysteretic" in capsys.readouterr().err
 
 
-def test_coupler_bad_grid_exits_2(tmp_path):
+def test_coupler_bad_grid_exits_2(tmp_path, capsys):
     assert main(COUPLER_ARGS + ["--phie-grid", "0:1", "--out-dir", str(tmp_path)]) == 2
     assert main(COUPLER_ARGS + ["--phie-grid", "1:0:11", "--out-dir", str(tmp_path)]) == 2
+    capsys.readouterr()
+    # a count past the limit is refused before the grid is allocated
+    out = tmp_path / "out"
+    huge = ["--phie-grid", "0:1:10000000000000", "--out-dir", str(out)]
+    assert main(COUPLER_ARGS + huge) == 2
+    assert f"count <= {cli.MAX_GRID_POINTS}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
