@@ -8,9 +8,17 @@ trajectories bit-reproducible, which the CSV regression harness relies on;
 adaptive control would trade that away for speed nobody needs at these
 dimensions.
 
-Each RK4 stage is one sparse product with the Hamiltonian's stacked block
-matrix, weighted by a row of a phase table computed once per sample
-segment over its half-step times (k2 and k3 share a row).
+A run follows one step schedule: each sample segment's step count and
+uniformly shrunk step are fixed up front, and the block weights are
+tabulated at the steps' half-step times once per chunk of
+_STEPS_PER_TABLE steps, across segment boundaries (k2 and k3 share a
+row).  Each RK4 stage is one sparse product with the Hamiltonian's stacked
+block matrix, by the CSR kernel that ``stacked @ v`` calls, into a
+preallocated buffer; the stages and the update run in place on
+preallocated vectors, in the operation order of the plain
+``y + (h/2) k1`` form, so the states match it bit for bit.  Whether the
+state is still finite is checked once per chunk, over the samples the
+chunk stored.
 
 Fidelity against the GHZ target is evaluated for both phase conventions at
 every sample; the trajectory keeps the pointwise maximum and records which
@@ -30,11 +38,14 @@ multiplier index regardless of completion order.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvec  # the kernel behind csr @ vector
 
 from .analytic import GHZ_CONVENTIONS, ghz_target
 from .errors import PreconditionError
@@ -67,7 +78,7 @@ __all__ = [
 
 DEFAULT_STEP_DIVISOR = 64
 MINIMUM_STEP_DIVISOR = 50
-_STEPS_PER_TABLE = 4096  # bounds the phase table's memory on long segments
+_STEPS_PER_TABLE = 4096  # steps per phase table: bounds its memory on long runs
 
 # Every variant maps to a builder, and every layout accepts every variant.
 _BUILDERS = {
@@ -154,6 +165,65 @@ def resolve_step(hamiltonian: TimeDependentHamiltonian, dt: float | None) -> flo
     return dt
 
 
+def _segments(samples: np.ndarray, dt: float):
+    """The run's step schedule: one (start, steps, step size, sample) per segment.
+
+    Segment k starts at starts[k] and takes steps[k] RK4 steps of sizes[k]
+    to reach sample ends[k] exactly (the step is shrunk uniformly inside a
+    segment, so sampling never perturbs the grid elsewhere).  A sample no
+    more than 1e-15 ns past the time already reached opens no segment: it
+    takes the state reached, and the next segment still starts there.
+    """
+    starts, steps, sizes, ends = [], [], [], []
+    t_now = 0.0
+    for idx, t_target in enumerate(samples.tolist()):
+        span = t_target - t_now
+        if span > 1e-15:
+            n_steps = max(1, math.ceil(span / dt - 1e-12))
+            starts.append(t_now)
+            steps.append(n_steps)
+            sizes.append(span / n_steps)
+            ends.append(idx)
+            t_now = t_target
+    return (
+        np.array(starts, dtype=float),
+        np.array(steps, dtype=np.int64),
+        np.array(sizes, dtype=float),
+        np.array(ends, dtype=np.int64),
+    )
+
+
+def _stage(stacked, dim: int):
+    """The RK4 stage k = c @ (stacked @ v).reshape(n_blocks, dim), into k.
+
+    The sparse product goes into one preallocated buffer through the kernel
+    that ``stacked @ v`` itself calls (SciPy's csr_matvec), without the
+    public operator's checks and result allocation.  Returns the stage
+    function stage(c, v, k) and that product buffer.
+    """
+    product = np.empty(stacked.shape[0], dtype=complex)
+    blocks = product.reshape(-1, dim)
+    kernel = partial(csr_matvec, *stacked.shape, stacked.indptr, stacked.indices, stacked.data)
+
+    def stage(c, v, k):
+        product.fill(0.0)
+        kernel(v, product)
+        np.matmul(c, blocks, out=k)
+
+    return stage, product
+
+
+def _require_finite(states: np.ndarray, first: int, samples: np.ndarray, dt: float) -> None:
+    """Raise at the first non-finite row of states, which hold samples[first:]."""
+    bad = ~np.isfinite(states).all(axis=1)
+    if bad.any():
+        t_target = samples[first + int(np.argmax(bad))]
+        raise PreconditionError(
+            f"state stopped being finite by t = {t_target:g} ns; the step "
+            f"{dt:g} ns or the Hamiltonian's entries are out of range"
+        )
+
+
 def evolve_sampled(
     hamiltonian: TimeDependentHamiltonian,
     psi0: np.ndarray,
@@ -163,11 +233,10 @@ def evolve_sampled(
     """Integrate from t = 0 and return the state at each requested time.
 
     sample_times must be non-decreasing and non-negative; each is hit
-    exactly (the step is shrunk uniformly inside each segment so sampling
-    never perturbs the grid elsewhere); dt is the step resolve_step checks
-    or picks.  Returns an array of shape (len(sample_times), dim).  Raises
-    PreconditionError as soon as the state at a sample time is no longer
-    finite.
+    exactly (see _segments); dt is the step resolve_step checks or picks.
+    Returns an array of shape (len(sample_times), dim).  Raises
+    PreconditionError naming the first sample time at which the state is
+    no longer finite.
     """
     samples = np.asarray(sample_times, dtype=float)
     if samples.ndim != 1 or samples.size == 0:
@@ -179,37 +248,55 @@ def evolve_sampled(
     y = np.asarray(psi0, dtype=complex).copy()
     if y.shape != (hamiltonian.space.dim,):
         raise ValueError("initial state does not match the Hamiltonian's space")
-    stacked = hamiltonian.stacked
-    blocks = (stacked.shape[0] // y.size, y.size)
+    stage, _ = _stage(hamiltonian.stacked, y.size)
+    k1, k2, k3, k4, tmp = np.empty((5, y.size), dtype=complex)
 
-    def stage(c, v):
-        return c @ (stacked @ v).reshape(blocks)
-
+    starts, steps, sizes, ends = _segments(samples, dt)
+    bounds = np.append(ends, samples.size).tolist()  # segment k fills bounds[k]:bounds[k+1]
+    first_step = np.concatenate([[0], np.cumsum(steps)])  # of each segment, run-wide
+    n_total = int(first_step[-1])
     out = np.empty((samples.size, y.size), dtype=complex)
-    t_now = 0.0
-    for idx, t_target in enumerate(samples):
-        span = t_target - t_now
-        if span > 1e-15:
-            n_steps = max(1, int(np.ceil(span / dt - 1e-12)))
-            h = span / n_steps
-            for first in range(0, n_steps, _STEPS_PER_TABLE):
-                last = min(first + _STEPS_PER_TABLE, n_steps)
-                phases = hamiltonian.coefficients(
-                    t_now + (0.5 * h) * np.arange(2 * first, 2 * last + 1)
-                )
-                for row in range(0, 2 * (last - first), 2):
-                    k1 = stage(phases[row], y)
-                    k2 = stage(phases[row + 1], y + (0.5 * h) * k1)
-                    k3 = stage(phases[row + 1], y + (0.5 * h) * k2)
-                    k4 = stage(phases[row + 2], y + h * k3)
-                    y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t_now = t_target
-        if not np.isfinite(y).all():
-            raise PreconditionError(
-                f"state stopped being finite by t = {t_target:g} ns; the step "
-                f"{dt:g} ns or the Hamiltonian's entries are out of range"
-            )
-        out[idx] = y
+    out[: bounds[0]] = y
+    checked = 0
+    for g0 in range(0, n_total, _STEPS_PER_TABLE):
+        # step s of segment k reads the weights at starts[k] + (h/2) j for
+        # j = 2s, 2s+1, 2s+2, h = sizes[k]: one table for the whole chunk
+        g = np.arange(g0, min(g0 + _STEPS_PER_TABLE, n_total))
+        seg = np.searchsorted(first_step, g, side="right") - 1
+        local = g - first_step[seg]
+        phases = hamiltonian.coefficients(
+            starts[seg, None] + (0.5 * sizes[seg, None]) * (2 * local[:, None] + np.arange(3))
+        )
+        closes = local == steps[seg] - 1
+        fills = [None] * g.size  # the sample rows a segment's last step stores
+        for i, k in zip(np.flatnonzero(closes).tolist(), seg[closes].tolist()):
+            fills[i] = slice(bounds[k], bounds[k + 1])
+        stored = checked
+        for c, h, fill in zip(phases, sizes[seg].tolist(), fills):
+            stage(c[0], y, k1)
+            np.multiply(0.5 * h, k1, out=tmp)
+            np.add(y, tmp, out=tmp)
+            stage(c[1], tmp, k2)
+            np.multiply(0.5 * h, k2, out=tmp)
+            np.add(y, tmp, out=tmp)
+            stage(c[1], tmp, k3)
+            np.multiply(h, k3, out=tmp)
+            np.add(y, tmp, out=tmp)
+            stage(c[2], tmp, k4)
+            # y += (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right
+            np.multiply(2.0, k2, out=k2)
+            np.add(k1, k2, out=k1)
+            np.multiply(2.0, k3, out=k3)
+            np.add(k1, k3, out=k1)
+            np.add(k1, k4, out=k1)
+            np.multiply(h / 6.0, k1, out=k1)
+            np.add(y, k1, out=y)
+            if fill is not None:
+                out[fill] = y
+                stored = fill.stop
+        _require_finite(out[checked:stored], checked, samples, dt)
+        checked = stored
+    _require_finite(out[checked:], checked, samples, dt)
     return out
 
 

@@ -1,10 +1,13 @@
 """Integrator and trajectory machinery against independent oracles."""
 
 import os
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from test_model import reference_coupled, three_mode_record
 
@@ -17,8 +20,12 @@ from ghzforge.analytic import (
     pair_phase_matrix,
 )
 from ghzforge.dynamics import (
+    _BUILDERS,
+    _STEPS_PER_TABLE,
+    VARIANTS,
     Trajectory,
     _observe,
+    _stage,
     evolve,
     evolve_sampled,
     frame_consistency_report,
@@ -44,7 +51,9 @@ from ghzforge.operators import (
     number_operator,
     partial_trace_modes,
     pauli,
+    sigma_plus,
 )
+from ghzforge.scenario import bundled_scenario_names, bundled_scenario_path, load_scenario
 
 TWO_PI = 2.0 * np.pi
 
@@ -100,6 +109,164 @@ def test_phase_table_pieces_leave_the_trajectory_unchanged(monkeypatch):
     whole = evolve_sampled(h, psi0, [0.3, 0.5], dt)
     monkeypatch.setattr("ghzforge.dynamics._STEPS_PER_TABLE", 7)
     assert np.array_equal(evolve_sampled(h, psi0, [0.3, 0.5], dt), whole)
+
+
+# ---------------------------------------------------------------------------
+# the run-wide step schedule against the per-segment loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_evolve_sampled(hamiltonian, psi0, sample_times, dt=None):
+    """Reference for evolve_sampled: a phase table per sample segment, fresh
+    arrays for every RK4 stage and update, the public sparse product, and a
+    finiteness check at every sample.  evolve_sampled must match it bit for
+    bit; the argument checks are left to evolve_sampled."""
+    samples = np.asarray(sample_times, dtype=float)
+    dt = resolve_step(hamiltonian, dt)
+    y = np.asarray(psi0, dtype=complex).copy()
+    stacked = hamiltonian.stacked
+    blocks = (stacked.shape[0] // y.size, y.size)
+
+    def stage(c, v):
+        return c @ (stacked @ v).reshape(blocks)
+
+    out = np.empty((samples.size, y.size), dtype=complex)
+    t_now = 0.0
+    for idx, t_target in enumerate(samples):
+        span = t_target - t_now
+        if span > 1e-15:
+            n_steps = max(1, int(np.ceil(span / dt - 1e-12)))
+            h = span / n_steps
+            phases = hamiltonian.coefficients(t_now + (0.5 * h) * np.arange(2 * n_steps + 1))
+            for row in range(0, 2 * n_steps, 2):
+                k1 = stage(phases[row], y)
+                k2 = stage(phases[row + 1], y + (0.5 * h) * k1)
+                k3 = stage(phases[row + 1], y + (0.5 * h) * k2)
+                k4 = stage(phases[row + 2], y + h * k3)
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t_now = t_target
+        if not np.isfinite(y).all():
+            raise PreconditionError(
+                f"state stopped being finite by t = {t_target:g} ns; the step "
+                f"{dt:g} ns or the Hamiltonian's entries are out of range"
+            )
+        out[idx] = y
+    return out
+
+
+def assert_same_bits(a, b):
+    """Equal bit for bit, signed zeros included (np.array_equal is not)."""
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def random_state(dim, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return psi / np.linalg.norm(psi)
+
+
+SCHEDULE_DT = 5e-4  # below a 50th of the full model's fastest period (0.05 ns)
+_SCHEDULE_SPACE = HilbertSpace(n_qubits=1, mode_levels=(3,))
+_SCHEDULE_H = full_simulation_hamiltonian(reference_single(n_qubits=1), _SCHEDULE_SPACE)
+
+
+@st.composite
+def sample_grids(draw):
+    """Non-decreasing grids in units of SCHEDULE_DT: t = 0 samples, then
+    gaps that are exact duplicates, near-duplicates (<= 1e-15 ns, which
+    open no segment), one-step segments or segments of up to 30 steps."""
+    gap = st.one_of(
+        st.just(0.0),
+        st.sampled_from([1e-16, 5e-16, 1e-15]),
+        st.floats(0.05, 1.0).map(lambda f: f * SCHEDULE_DT),
+        st.floats(1.0, 30.0).map(lambda f: f * SCHEDULE_DT),
+    )
+    t = draw(st.one_of(st.just(0.0), st.floats(0.0, 20.0 * SCHEDULE_DT)))
+    times = [0.0] * draw(st.integers(0, 2)) + [t]
+    for step in draw(st.lists(gap, min_size=1, max_size=12)):
+        t += step
+        times.append(t)
+    return times
+
+
+# seven one-step segments fill the first 7-step chunk exactly, then a
+# 20-step segment ends its chunks mid-segment
+_BOUNDARY_GRID = (
+    [0.0, 0.0]
+    + [i * SCHEDULE_DT for i in range(1, 8)]
+    + [7 * SCHEDULE_DT, 7 * SCHEDULE_DT + 1e-16, 27.5 * SCHEDULE_DT]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sample_grids())
+@example(_BOUNDARY_GRID)
+def test_step_schedule_matches_the_reference_loop(times):
+    psi0 = random_state(_SCHEDULE_SPACE.dim, seed=3)
+    expected = reference_evolve_sampled(_SCHEDULE_H, psi0, times, SCHEDULE_DT)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("ghzforge.dynamics._STEPS_PER_TABLE", 7)
+        assert_same_bits(evolve_sampled(_SCHEDULE_H, psi0, times, SCHEDULE_DT), expected)
+    assert_same_bits(evolve_sampled(_SCHEDULE_H, psi0, times, SCHEDULE_DT), expected)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_every_builder_matches_the_reference_loop(name, variant, monkeypatch):
+    scenario = load_scenario(bundled_scenario_path(name))
+    space = HilbertSpace(n_qubits=scenario.circuit.n_qubits, mode_levels=scenario.fock)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ApproximationWarning)
+        h = _BUILDERS[variant](scenario.circuit, space)
+    # duplicates, a one-step segment and multi-step segments at every step
+    times = resolve_step(h, scenario.dt) * np.array([0.0, 0.0, 0.6, 0.6, 4.5, 13.0])
+    psi0 = ground_vacuum_state(space)
+    expected = reference_evolve_sampled(h, psi0, times, scenario.dt)
+    monkeypatch.setattr("ghzforge.dynamics._STEPS_PER_TABLE", 7)
+    assert_same_bits(evolve_sampled(h, psi0, times, scenario.dt), expected)
+
+
+@pytest.mark.parametrize("case", ["zero", "coupled-full"])
+def test_stage_product_is_the_public_sparse_product(case):
+    """The stage calls SciPy's private CSR kernel; it must give what
+    `stacked @ v` gives, bit for bit, so a change to that entry point fails
+    here rather than in a trajectory."""
+    if case == "zero":  # one all-zero block, no stored entries
+        space = HilbertSpace(n_qubits=1, mode_levels=(3,))
+        h = TimeDependentHamiltonian(space, None, (), 1.0, "zero")
+    else:  # static part and two oscillating terms: five blocks
+        space = HilbertSpace(n_qubits=2, mode_levels=(3, 3))
+        h = full_simulation_hamiltonian(reference_coupled(), space)
+    stage, product = _stage(h.stacked, space.dim)
+    k = np.empty(space.dim, dtype=complex)
+    for seed, t in ((1, 0.0), (2, 0.37)):
+        v = random_state(space.dim, seed)
+        c = h.coefficients(t)
+        product.fill(np.nan)  # the stage overwrites its buffer, never accumulates
+        stage(c, v, k)
+        assert_same_bits(product, h.stacked @ v)
+        assert_same_bits(k, c @ (h.stacked @ v).reshape(-1, space.dim))
+
+
+@pytest.mark.parametrize("steps_per_table", [_STEPS_PER_TABLE, 7])
+def test_non_finite_state_is_named_at_the_reference_sample(steps_per_table, monkeypatch):
+    """The state overflows partway through a phase-table chunk that spans
+    many samples; the error still names the first non-finite sample."""
+    space = HilbertSpace(n_qubits=1)
+    growth = np.diag([100j, 0.0])  # -i H grows |0> as e^{100 t}
+    h = TimeDependentHamiltonian(space, growth, ((0.5 * sigma_plus(), 3.0),), 10.0, "growing")
+    times = np.arange(2000) * 0.01  # one step per sample; overflow near t = 7
+    psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    monkeypatch.setattr("ghzforge.dynamics._STEPS_PER_TABLE", steps_per_table)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(PreconditionError) as expected:
+            reference_evolve_sampled(h, psi0, times, 0.01)
+        with pytest.raises(PreconditionError) as got:
+            evolve_sampled(h, psi0, times, 0.01)
+    assert str(got.value) == str(expected.value)
+    named = float(re.search(r"t = (\S+) ns", str(got.value)).group(1))
+    assert times[1] < named < times[-1]
 
 
 def test_rabi_flop_oracle():
