@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import hadamard
 
 from . import constants
 from .errors import UnsolvableConditionError
@@ -146,7 +145,7 @@ def decoupling_unitary(phase_matrix: np.ndarray) -> np.ndarray:
     bits = (np.arange(dim)[:, None] >> np.arange(n_qubits - 1, -1, -1)) & 1
     signs = 1 - 2 * bits
     theta = np.einsum("sk,kj,sj->s", signs, gamma, signs)
-    w = hadamard(dim)
+    w = 1 - 2 * ((bits @ bits.T) & 1)  # Sylvester Hadamard: (-1)^popcount(i & j)
     return (w * np.exp(1j * theta)) @ w / dim
 
 

@@ -32,7 +32,6 @@ from .constants import ghz_from_rad_per_ns
 from .dynamics import Trajectory, sweep_drive_strength, worker_count
 from .errors import PreconditionError, ScenarioFormatError, UnsolvableConditionError
 from .scenario import LoadedScenario, check_run_size, load_scenario, run_scenario
-from .selftest import format_results, run_selftest
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -413,6 +412,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .selftest import format_results, run_selftest  # scipy.integrate: selftest only
     results = run_selftest(quick=args.quick)
     print(format_results(results))
     return EXIT_OK if all(r.passed for r in results) else 1

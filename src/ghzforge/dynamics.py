@@ -232,7 +232,7 @@ def evolve_sampled(
 ) -> np.ndarray:
     """Integrate from t = 0 and return the state at each requested time.
 
-    sample_times must be non-decreasing and non-negative; each is hit
+    sample_times must be finite, non-decreasing and non-negative; each is hit
     exactly (see _segments); dt is the step resolve_step checks or picks.
     Returns an array of shape (len(sample_times), dim).  Raises
     PreconditionError naming the first sample time at which the state is
@@ -241,6 +241,8 @@ def evolve_sampled(
     samples = np.asarray(sample_times, dtype=float)
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError("sample_times must be a non-empty 1-D sequence")
+    if not np.isfinite(samples).all():
+        raise ValueError("sample_times must be finite")
     if samples[0] < 0 or np.any(np.diff(samples) < 0):
         raise ValueError("sample_times must be non-decreasing and start at t >= 0")
     dt = resolve_step(hamiltonian, dt)
@@ -350,8 +352,8 @@ def _observe(
 
 
 def _sample_grid(t_final: float, sample_every: float) -> np.ndarray:
-    if t_final <= 0 or sample_every <= 0:
-        raise ValueError("t_final and sample_every must be positive")
+    if not (0 < t_final < math.inf and 0 < sample_every < math.inf):
+        raise ValueError("t_final and sample_every must be positive and finite")
     n = int(np.floor(t_final / sample_every + 1e-9))
     times = np.arange(n + 1) * sample_every
     if times[-1] < t_final - 1e-9 * max(1.0, t_final):
@@ -446,6 +448,8 @@ def sweep_drive_strength(
         base = circuit.loop_rate
     except AttributeError:
         raise TypeError("circuit must be a layout record with a loop_rate") from None
+    if not 0 < window_sample_every < math.inf:
+        raise ValueError(f"window_sample_every must be positive and finite: {window_sample_every}")
     n_window = int(np.floor((hi - lo) / window_sample_every + 1e-9))
     window_times = lo + np.arange(n_window + 1) * window_sample_every
     tasks = [

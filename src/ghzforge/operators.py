@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import expm
 
 from .errors import ApproximationWarning
 
@@ -180,6 +179,7 @@ def partial_trace_modes(state: np.ndarray, space: HilbertSpace) -> np.ndarray:
 
 def matrix_exponential(op: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     """expm(scale * op) via scaling-and-squaring."""
+    from scipy.linalg import expm  # off the start-up path: frame diagnostic and tests only
     return expm(np.asarray(op, dtype=complex) * scale)
 
 

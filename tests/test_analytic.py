@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.linalg import expm
+from scipy.linalg import expm, hadamard
 
 from ghzforge.analytic import (
     GHZ_CONVENTIONS,
@@ -219,6 +219,52 @@ def test_decoupling_unitary_matches_generator_exponential(n_qubits):
     gamma = gamma + gamma.T
     expected = _decoupling_unitary_reference(gamma)
     assert np.max(np.abs(decoupling_unitary(gamma) - expected)) <= 1e-12
+
+
+def _basis_bits(n_qubits):
+    """Bits of each basis index, qubit 0 most significant: shape (2^N, N)."""
+    return (np.arange(2**n_qubits)[:, None] >> np.arange(n_qubits - 1, -1, -1)) & 1
+
+
+@pytest.mark.parametrize("n_qubits", range(0, 9))
+def test_popcount_parity_is_the_sylvester_hadamard(n_qubits):
+    """decoupling_unitary builds W as (-1)^popcount(i & j) from its bit table;
+    that is scipy.linalg.hadamard(2^N), in value and in dtype."""
+    bits = _basis_bits(n_qubits)
+    w = 1 - 2 * ((bits @ bits.T) & 1)
+    expected = hadamard(2**n_qubits)
+    assert w.dtype == expected.dtype
+    assert np.array_equal(w, expected)
+
+
+def _decoupling_unitary_with_scipy_hadamard(gamma):
+    """W diag(exp(i theta_s)) W / 2^N, W from scipy.linalg.hadamard."""
+    dim = 2 ** gamma.shape[0]
+    signs = 1 - 2 * _basis_bits(gamma.shape[0])
+    theta = np.einsum("sk,kj,sj->s", signs, gamma, signs)
+    w = hadamard(dim)
+    return (w * np.exp(1j * theta)) @ w / dim
+
+
+def _phase_matrices():
+    """The phase matrices of the closure-unitary tests in this module."""
+    symmetric = np.random.default_rng(99).normal(size=(3, 3))
+    yield 0.5 * (symmetric + symmetric.T)
+    for n_qubits in range(1, 9):
+        gamma = np.random.default_rng(n_qubits).normal(size=(n_qubits, n_qubits))
+        yield gamma + gamma.T
+    for n_q in (2, 3, 5):
+        yield pair_phase_matrix(
+            one_mode((G_REF,) * n_q), (DELTA_REF,), decoupling_time(DELTA_REF, 1)
+        )
+    yield np.zeros((0, 0))
+
+
+def test_decoupling_unitary_is_bit_identical_to_the_scipy_hadamard_form():
+    for gamma in _phase_matrices():
+        assert np.array_equal(
+            decoupling_unitary(gamma), _decoupling_unitary_with_scipy_hadamard(gamma)
+        )
 
 
 def test_decoupling_unitary_produces_ghz_from_all_ground():

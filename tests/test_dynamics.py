@@ -387,6 +387,27 @@ def test_evolve_sampled_rejects_non_finite_state():
             evolve_sampled(h, psi0, [0.0, 0.5, 1.0], 1e-2)
 
 
+@pytest.mark.parametrize(
+    "times", [[0.0, np.nan, 0.5, np.nan], [0.0, np.inf], [np.nan]], ids=["nan-gaps", "inf", "nan"]
+)
+def test_evolve_sampled_rejects_non_finite_times(times):
+    # NaN slips through every ordering comparison and inf ends in math.ceil;
+    # both are refused before any step is taken
+    space = HilbertSpace(n_qubits=1)
+    h = TimeDependentHamiltonian(space, pauli("z"), (), 1.0, "toy")
+    with pytest.raises(ValueError, match="finite"):
+        evolve_sampled(h, np.array([1.0, 0.0], dtype=complex), times)
+
+
+@pytest.mark.parametrize(
+    "t_final, sample_every",
+    [(np.nan, 0.5), (np.inf, 0.5), (1.0, np.nan), (1.0, np.inf), (1.0, 0.0), (-1.0, 0.5)],
+)
+def test_run_rejects_a_bad_sample_grid(t_final, sample_every):
+    with pytest.raises(ValueError, match="positive and finite"):
+        run(reference_single(), "effective", t_final, sample_every, (6,))
+
+
 def test_resolve_step_rules():
     space = HilbertSpace(n_qubits=1)
     h = TimeDependentHamiltonian(space, pauli("x"), (), TWO_PI, "toy")
@@ -611,6 +632,12 @@ def test_sweep_validates_input():
         sweep_drive_strength(circuit, "effective", [5.0], (10.0, 9.0), 0.1)
     with pytest.raises(TypeError):
         sweep_drive_strength("circuit", "effective", [5.0], (9.0, 10.0), 0.1)
+
+
+@pytest.mark.parametrize("every", [0.0, np.nan, -0.1, np.inf])
+def test_sweep_rejects_a_bad_window_sample_every(every):
+    with pytest.raises(ValueError, match="window_sample_every"):
+        sweep_drive_strength(reference_single(), "effective", [5.0], (9.0, 10.0), every, workers=1)
 
 
 def test_worker_count_rules():
