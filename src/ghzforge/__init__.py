@@ -18,7 +18,7 @@ are its two constructors.
 Layers: `operators` (truncated-space linear algebra), `model` (circuit
 records and Hamiltonian builders), `analytic` (closed forms: displacement
 loops, pair phases, phase-condition solvers, SQUID coupler), `dynamics`
-(fixed-step integration, trajectories, sweeps), `scenario` (JSON run
+(exact and fixed-step propagation, trajectories, sweeps), `scenario` (JSON run
 descriptions), `cli` / `selftest` (command line).
 """
 

@@ -81,6 +81,8 @@ def _summary_dict(scenario: LoadedScenario, trajectory: Trajectory, wall_s: floa
         "peak_fidelity": trajectory.peak_fidelity,
         "peak_time_ns": trajectory.peak_time,
         "ghz_phase_convention_selected": trajectory.convention,
+        "propagator": trajectory.propagator,
+        "steps": trajectory.steps,
         "wall_time_s": wall_s,
         "parameters": scenario.raw,
     }
@@ -192,6 +194,8 @@ def cmd_sweep(args) -> int:
                 "peak_fidelity": trajectory.peak_fidelity,
                 "peak_time_ns": trajectory.peak_time,
                 "convention": trajectory.convention,
+                "propagator": trajectory.propagator,
+                "steps": trajectory.steps,
                 "csv": point_path.name,
             }
         )

@@ -251,6 +251,14 @@ class TimeDependentHamiltonian:
     fastest_frequency (rad/ns) is the largest angular frequency relevant to
     resolving the dynamics and feeds the integrator step-size rule.
 
+    ``frame`` is the diagonal of a real diagonal operator K with
+    K[r] - K[c] = w_j on every nonzero entry (r, c) of every M_j and
+    K[r] = K[c] on every nonzero entry of static, or None when no such K
+    is declared.  With it H(t) = e^{iKt} H_F e^{-iKt}, where
+    H_F = K + H(0) is static, so the dynamics need no time stepping.  A
+    Hamiltonian without terms gets the zero frame; a declared frame that
+    breaks the identity raises ValueError.
+
     ``stacked`` is the CSR block column [static; M_1..M_J; M_1^dag..M_J^dag],
     whose blocks oscillate at ``frequencies`` (0, w_j, -w_j):
     -i H(t) y = coefficients(t) @ (stacked @ y).reshape(n_blocks, dim).
@@ -261,6 +269,7 @@ class TimeDependentHamiltonian:
     terms: tuple[tuple[sparse.csr_matrix, float], ...]
     fastest_frequency: float
     label: str
+    frame: np.ndarray | None = field(default=None, repr=False)
     stacked: sparse.csr_matrix = field(init=False, repr=False)
     frequencies: np.ndarray = field(init=False, repr=False)
 
@@ -280,6 +289,23 @@ class TimeDependentHamiltonian:
         self.stacked.eliminate_zeros()  # a zero coupling or drive stores explicit zeros
         w = np.array([freq for _, freq in self.terms])
         self.frequencies = np.concatenate([[0.0], w, -w])
+        if self.frame is None and not self.terms:
+            self.frame = np.zeros(dim)  # no terms: static as it stands
+        elif self.frame is not None:
+            self._check_frame()
+
+    def _check_frame(self) -> None:
+        k = self.frame = np.asarray(self.frame, dtype=float)
+        if k.shape != (self.space.dim,) or not np.isfinite(k).all():
+            raise ValueError("frame must be a finite real diagonal of the space dimension")
+        scale = max(1.0, float(np.max(np.abs(k))), *(abs(w) for _, w in self.terms))
+        for m, w in ((self.static, 0.0), *self.terms):
+            rows, cols = m.nonzero()
+            if not np.all(np.abs(k[rows] - k[cols] - w) <= 1e-12 * scale):
+                raise ValueError(
+                    f"frame does not carry the block oscillating at {w:g} rad/ns: "
+                    "K[r] - K[c] must equal its frequency on every nonzero entry"
+                )
 
     def __call__(self, t: float) -> np.ndarray:
         """Dense H(t), for tests and diagnostics; the integrator reads ``stacked``."""
@@ -293,10 +319,6 @@ class TimeDependentHamiltonian:
         """Block weights -i exp(i frequencies t): one row per time in times."""
         t = np.asarray(times, dtype=float)[..., None]
         return -1j * np.exp(1j * (t * self.frequencies))
-
-    @property
-    def is_static(self) -> bool:
-        return not self.terms
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +570,13 @@ def effective_hamiltonian(circuit, space: HilbertSpace) -> TimeDependentHamilton
         (_coupling_sum(circuit, space, pauli("x"), annihilation, 0.5, [m]), -delta)
         for m, delta in enumerate(circuit.mode_detunings)
     )
+    # a_m lowers n_m by one, so K = sum_m Delta_m n_m turns at -Delta_m across it
+    frame = sum(
+        delta * embed(number_operator(levels), space.mode_factor(m), space).diagonal().real
+        for m, (delta, levels) in enumerate(zip(circuit.mode_detunings, space.mode_levels))
+    )
     return TimeDependentHamiltonian(
-        space, None, terms, _fastest_detuning(circuit), f"{circuit.kind}:effective"
+        space, None, terms, _fastest_detuning(circuit), f"{circuit.kind}:effective", frame
     )
 
 

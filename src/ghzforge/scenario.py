@@ -68,7 +68,7 @@ class LoadedScenario:
     t_final_ns: float
     sample_every_ns: float
     convention: str
-    dt: float | None  # RK4 step (ns); None picks the default
+    dt: float | None  # RK4 step (ns), None for the default; validated but unused on exact runs
     drive_mapping: DriveMappingReport | None
     raw: dict
 

@@ -1,5 +1,6 @@
 """Integrator and trajectory machinery against independent oracles."""
 
+import math
 import os
 import re
 import warnings
@@ -22,6 +23,7 @@ from ghzforge.analytic import (
 from ghzforge.dynamics import (
     _BUILDERS,
     _STEPS_PER_TABLE,
+    EXACT_DIMENSION_LIMIT,
     VARIANTS,
     Trajectory,
     _observe,
@@ -31,6 +33,7 @@ from ghzforge.dynamics import (
     frame_consistency_report,
     ghz_fidelity,
     ground_vacuum_state,
+    propagate_exactly,
     resolve_step,
     run,
     sweep_drive_strength,
@@ -50,6 +53,7 @@ from ghzforge.operators import (
     embed,
     number_operator,
     partial_trace_modes,
+    annihilation,
     pauli,
     sigma_plus,
 )
@@ -346,6 +350,102 @@ def test_effective_run_matches_closure_unitary():
 
 
 # ---------------------------------------------------------------------------
+# exact propagation of Hamiltonians that are static in a diagonal frame
+# ---------------------------------------------------------------------------
+
+
+EXACT_CASES = {
+    # (record, Fock cutoffs, span): the single gate is the whole 10 ns
+    "single": (reference_single, (6,), 10.0),
+    "coupled": (reference_coupled, (5, 5), 1.0),
+    "three-mode": (three_mode_record, (3, 3, 3), 1.0),
+}
+
+
+@pytest.mark.parametrize("variant", ["rotating", "effective"])
+@pytest.mark.parametrize("case", sorted(EXACT_CASES))
+def test_exact_states_match_rk4_at_a_256th_of_the_step(case, variant):
+    make, fock, span = EXACT_CASES[case]
+    circuit = make()
+    space = HilbertSpace(n_qubits=circuit.n_qubits, mode_levels=fock)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ApproximationWarning)
+        h = _BUILDERS[variant](circuit, space)
+    times = np.linspace(0.0, span, 6)
+    psi0 = ground_vacuum_state(space)
+    exact = propagate_exactly(h, psi0, times)
+    fine = evolve_sampled(h, psi0, times, resolve_step(h, None) / 256)
+    assert np.max(np.linalg.norm(exact - fine, axis=1)) <= 1e-10
+
+
+def test_repeat_exact_runs_are_bit_identical():
+    for variant in ("rotating", "effective"):
+        a, b = (run(reference_coupled(), variant, 1.0, 0.1, (4, 4)) for _ in range(2))
+        assert a.propagator == b.propagator == "exact"
+        assert np.array_equal(a.fidelity, b.fidelity)
+        assert np.array_equal(a.norm, b.norm)
+        assert np.array_equal(a.mode_occupation, b.mode_occupation)
+
+
+def test_a_frame_the_terms_contradict_is_refused():
+    space = HilbertSpace(n_qubits=0, mode_levels=(3,))
+    a = annihilation(3)
+    n = np.arange(3.0)
+    # a lowers n by one, so K = 0.7 n carries a only at -0.7 rad/ns
+    h = TimeDependentHamiltonian(space, None, ((a, -0.7),), 0.7, "ok", 0.7 * n)
+    assert np.array_equal(h.frame, 0.7 * n)
+    with pytest.raises(ValueError, match="frame"):
+        TimeDependentHamiltonian(space, None, ((a, 0.7),), 0.7, "wrong sign", 0.7 * n)
+    with pytest.raises(ValueError, match="frame"):  # a static part that K does not conserve
+        TimeDependentHamiltonian(space, a + a.T, (), 1.0, "static", 0.7 * n)
+    with pytest.raises(ValueError, match="frame"):
+        TimeDependentHamiltonian(space, None, ((a, -0.7),), 0.7, "short", 0.7 * n[:2])
+    with pytest.raises(ValueError, match="no frame"):
+        propagate_exactly(
+            TimeDependentHamiltonian(space, None, ((a, -0.7),), 0.7, "none"), np.eye(3)[0], [1.0]
+        )
+
+
+def test_exact_path_checks_its_input_like_rk4():
+    space = HilbertSpace(n_qubits=1)
+    h = TimeDependentHamiltonian(space, pauli("z"), (), 1.0, "toy")
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    for times in ([], [1.0, 0.5], [-0.1, 0.5], [0.0, np.nan]):
+        with pytest.raises(ValueError):
+            propagate_exactly(h, psi0, times)
+    with pytest.raises(ValueError):
+        propagate_exactly(h, np.ones(3, dtype=complex), [1.0])
+    with pytest.raises(PreconditionError, match="too coarse"):
+        propagate_exactly(h, psi0, [1.0], 1.0)
+    blown = TimeDependentHamiltonian(space, np.diag([np.inf, 0.0]), (), 1.0, "blown-up")
+    with pytest.raises(PreconditionError, match="finite"):
+        propagate_exactly(blown, psi0, [0.0, 1.0])
+
+
+def test_run_takes_rk4_above_the_dimension_limit_and_for_time_dependent_h(monkeypatch):
+    calls = []
+    real = evolve_sampled
+
+    def recording(hamiltonian, psi0, samples, dt=None):
+        calls.append(hamiltonian.space.dim)
+        return real(hamiltonian, psi0, samples, dt)
+
+    monkeypatch.setattr("ghzforge.dynamics.evolve_sampled", recording)
+    circuit = reference_single()
+    levels = EXACT_DIMENSION_LIMIT // 4
+    at_limit = run(circuit, "effective", 0.2, 0.1, (levels,))
+    assert (at_limit.propagator, at_limit.steps, calls) == ("exact", 0, [])
+    above = run(circuit, "effective", 0.2, 0.1, (levels + 1,))
+    assert above.propagator == "rk4" and calls == [4 * (levels + 1)]
+    # one step per 0.1 ns segment: the default step of the effective model is longer
+    assert above.steps == 2
+    full = run(circuit, "full", 0.2, 0.1, (4,))
+    assert full.propagator == "rk4" and calls[-1] == 16
+    dt = TWO_PI / (circuit.omega + circuit.omega_d) / 64
+    assert full.steps == 2 * math.ceil(0.1 / dt - 1e-12)
+
+
+# ---------------------------------------------------------------------------
 # sampling and step-size rules
 # ---------------------------------------------------------------------------
 
@@ -406,6 +506,12 @@ def test_evolve_sampled_rejects_non_finite_times(times):
 def test_run_rejects_a_bad_sample_grid(t_final, sample_every):
     with pytest.raises(ValueError, match="positive and finite"):
         run(reference_single(), "effective", t_final, sample_every, (6,))
+
+
+def test_run_rejects_a_sample_grid_past_the_sample_limit():
+    # 1e301 samples: refused by count, not left to numpy's allocation error
+    with pytest.raises(ValueError, match="samples"):
+        run(reference_single(), "effective", 1e300, 0.1, (6,))
 
 
 def test_resolve_step_rules():
@@ -632,6 +738,12 @@ def test_sweep_validates_input():
         sweep_drive_strength(circuit, "effective", [5.0], (10.0, 9.0), 0.1)
     with pytest.raises(TypeError):
         sweep_drive_strength("circuit", "effective", [5.0], (9.0, 10.0), 0.1)
+
+
+@pytest.mark.parametrize("window", [(0.0, np.inf), (0.0, 1e300)], ids=["infinite", "huge"])
+def test_sweep_rejects_an_unbounded_window(window):
+    with pytest.raises(ValueError, match="window"):
+        sweep_drive_strength(reference_single(), "effective", [5.0], window, 0.1, workers=1)
 
 
 @pytest.mark.parametrize("every", [0.0, np.nan, -0.1, np.inf])

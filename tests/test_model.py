@@ -201,9 +201,9 @@ def test_time_dependent_hamiltonian_call():
     t = 0.7
     expected = static + np.exp(2.0j * t) * m + np.exp(-2.0j * t) * m.conj().T
     assert np.allclose(h(t), expected, atol=1e-15)
-    assert not h.is_static
+    assert h.frame is None
     h_static = TimeDependentHamiltonian(space, static, (), 1.0, "toy-static")
-    assert h_static.is_static
+    assert np.array_equal(h_static.frame, np.zeros(2))
 
 
 def test_hamiltonian_stores_each_operator_once_as_csr():

@@ -286,6 +286,24 @@ def test_run_writes_csv_and_summary(tmp_path):
     assert summary["parameters"]["qubits"][0]["coupling_ghz"] == 0.05
 
 
+def test_summaries_record_the_propagator(tmp_path):
+    effective = write_scenario(tmp_path, "eff", scenario_doc())
+    full = write_scenario(tmp_path, "full", scenario_doc(variant="full", t_final_ns=0.1))
+    out = tmp_path / "out"
+    assert main(["run", str(effective), "--out-dir", str(out)]) == 0
+    assert main(["run", str(full), "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "eff_summary.json").read_text())
+    assert (summary["propagator"], summary["steps"]) == ("exact", 0)
+    summary = json.loads((out / "full_summary.json").read_text())
+    assert summary["propagator"] == "rk4" and summary["steps"] > 0
+    assert main([
+        "sweep", str(effective), "--param", "omega_r_multiple", "--values", "5,20",
+        "--window", "9.5:10.0", "--workers", "1", "--out-dir", str(out),
+    ]) == 0
+    points = json.loads((out / "eff_sweep_summary.json").read_text())["points"]
+    assert [(p["propagator"], p["steps"]) for p in points] == [("exact", 0)] * 2
+
+
 def test_run_outputs_are_deterministic(tmp_path):
     path = write_scenario(tmp_path, "det", scenario_doc())
     out_a, out_b = tmp_path / "a", tmp_path / "b"
