@@ -19,7 +19,7 @@ Layers: `operators` (truncated-space linear algebra), `model` (circuit
 records and Hamiltonian builders), `analytic` (closed forms: displacement
 loops, pair phases, phase-condition solvers, SQUID coupler), `dynamics`
 (exact and fixed-step propagation, trajectories, sweeps), `scenario` (JSON run
-descriptions), `cli` / `selftest` (command line).
+descriptions), `cli` (command line).
 """
 
 from .analytic import (
@@ -61,7 +61,6 @@ from .model import (
     ResonatorArray,
     SingleTlrCircuit,
     TimeDependentHamiltonian,
-    coupling_strength,
     effective_hamiltonian,
     full_simulation_hamiltonian,
     interaction_picture_hamiltonian,
@@ -101,7 +100,6 @@ __all__ = [
     "effective_hamiltonian",
     "full_simulation_hamiltonian",
     "qubit_drive_from_resonator_drive",
-    "coupling_strength",
     "GHZ_CONVENTIONS",
     "ghz_target",
     "mode_displacement_amplitude",

@@ -47,7 +47,6 @@ __all__ = [
     "decoupling_unitary",
     "ghz_target",
     "estimated_drive_fidelity",
-    "residual_drive_rotation",
     "SquidCoupler",
     "effective_mutual_inductance",
     "resonator_coupling_rate",
@@ -188,24 +187,6 @@ def estimated_drive_fidelity(n_qubits: int, coupling: float, rabi: float, t: flo
     return float(np.clip(1.0 - loss, 0.0, 1.0))
 
 
-def residual_drive_rotation(rabi: float, t: float, n_qubits: int = 1) -> np.ndarray:
-    """Leftover local rotation exp(-i (Omega_R t / 2) sigma_x) per qubit.
-
-    Relates the drive-dressed frame to the plain rotating frame at time t;
-    identity (up to global phase) whenever Omega_R t is a multiple of 2 pi,
-    which is why gate times are chosen commensurate with the drive period.
-    Returns the N-qubit tensor power.
-    """
-    theta = 0.5 * rabi * t
-    single = np.array(
-        [[np.cos(theta), -1j * np.sin(theta)], [-1j * np.sin(theta), np.cos(theta)]]
-    )
-    out = np.array([[1.0]], dtype=complex)
-    for _ in range(n_qubits):
-        out = np.kron(out, single)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # dc-SQUID coupler
 # ---------------------------------------------------------------------------
@@ -236,6 +217,8 @@ class SquidCoupler:
     zero_point_current_b_na: float = 50.0
 
     def __post_init__(self):
+        if abs(self.branch_parity) > 2**53:  # past this, float(l) may lose l's parity
+            raise ValueError(f"branch parity {self.branch_parity} must satisfy |l| <= 2**53")
         if not np.isfinite([getattr(self, f.name) for f in fields(self)]).all():
             raise ValueError("coupler parameters must be finite")
         if self.loop_inductance_ph <= 0 or self.critical_current_ua <= 0:

@@ -1,5 +1,5 @@
 """Command-line front end: run scenarios, sweep drive strengths, tabulate
-the SQUID coupler, solve the gate phase conditions, and self-test.
+the SQUID coupler, and solve the gate phase conditions.
 
 Exit codes: 0 success, 2 input error (bad file, bad flag, schema
 violation), 3 numerical precondition violation, 4 unsolvable phase
@@ -162,6 +162,13 @@ def cmd_sweep(args) -> int:
         )
     scenario = load_scenario(args.scenario)
     values = _parse_values(args.values)
+    tokens = [_multiplier_token(v) for v in values]
+    clashes = [v for v, token in zip(values, tokens) if tokens.count(token) > 1]
+    if clashes:
+        raise ScenarioFormatError(
+            f"--values {', '.join(map(repr, clashes))} share a point file name; "
+            "give each sweep point a value that differs in 6 significant digits"
+        )
     window = _parse_window(args.window, scenario.t_final_ns)
     check_run_size(scenario, window[1] - window[0], "--window")
     try:
@@ -184,8 +191,7 @@ def cmd_sweep(args) -> int:
     )
     wall = time.perf_counter() - start
     rows = []
-    for value, trajectory in zip(values, trajectories):
-        token = _multiplier_token(value)
+    for value, token, trajectory in zip(values, tokens, trajectories):
         point_path = out_dir / f"{scenario.name}_{args.param}={token}.csv"
         _write_trajectory_csv(point_path, trajectory)
         rows.append(
@@ -415,13 +421,6 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(args) -> int:
-    from .selftest import format_results, run_selftest  # scipy.integrate: selftest only
-    results = run_selftest(quick=args.quick)
-    print(format_results(results))
-    return EXIT_OK if all(r.passed for r in results) else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ghzforge",
@@ -492,10 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--g-ghz", type=float, required=True, help="qubit-resonator coupling g (GHz)")
     p_solve.add_argument("--out", default=None, help="write the JSON here instead of stdout")
     p_solve.set_defaults(func=cmd_solve)
-
-    p_self = sub.add_parser("selftest", help="run the built-in invariant checks")
-    p_self.add_argument("--quick", action="store_true", help="fast algebraic subset only")
-    p_self.set_defaults(func=cmd_selftest)
 
     return parser
 

@@ -34,10 +34,6 @@ def henry_from_ph(value_ph: float) -> float:
     return value_ph * 1e-12
 
 
-def henry_from_nh(value_nh: float) -> float:
-    return value_nh * 1e-9
-
-
 def ampere_from_na(value_na: float) -> float:
     return value_na * 1e-9
 

@@ -58,7 +58,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import sparse
 
-from . import constants
 from .errors import ApproximationWarning, PreconditionError
 from .operators import (
     HilbertSpace,
@@ -85,8 +84,6 @@ __all__ = [
     "full_simulation_hamiltonian",
     "interaction_picture_hamiltonian",
     "effective_hamiltonian",
-    "bare_mode_hamiltonian",
-    "coupling_strength",
 ]
 
 _RWA_RATIO = 0.2          # warn when g/omega or Omega_R/omega_d exceeds this
@@ -421,7 +418,8 @@ def _check_rwa(circuit) -> None:
         )
 
 
-def _require_resonant(circuit) -> None:
+def _check_frame(circuit, space: HilbertSpace) -> None:
+    """Preconditions shared by every rotating-frame builder."""
     for i, q in enumerate(circuit.qubits):
         if abs(q.gap - circuit.omega_d) > _RESONANCE_RTOL * circuit.omega_d:
             raise PreconditionError(
@@ -429,11 +427,6 @@ def _require_resonant(circuit) -> None:
                 f"{circuit.omega_d:g} rad/ns; the rotating-frame builders assume "
                 "Delta_k = omega_d"
             )
-
-
-def _check_frame(circuit, space: HilbertSpace) -> None:
-    """Preconditions shared by every rotating-frame builder."""
-    _require_resonant(circuit)
     _check_rwa(circuit)
     if space.n_qubits != circuit.n_qubits or space.n_modes != len(circuit.mode_detunings):
         raise ValueError("space must carry the circuit's qubits and one Fock cutoff per mode")
@@ -476,7 +469,7 @@ def rotating_frame_hamiltonian(circuit, space: HilbertSpace) -> TimeDependentHam
 
     in the frame rotating at omega_d for the modes and the (resonant)
     qubits.  For coupled resonators this is the normal-mode form of the
-    bare-resonator Hamiltonian (:func:`bare_mode_hamiltonian`).
+    bare-resonator Hamiltonian, with hopping sum_{r != s} J_rs a_r^dag a_s.
     """
     _check_frame(circuit, space)
     static = sum(
@@ -578,73 +571,3 @@ def effective_hamiltonian(circuit, space: HilbertSpace) -> TimeDependentHamilton
     return TimeDependentHamiltonian(
         space, None, terms, _fastest_detuning(circuit), f"{circuit.kind}:effective", frame
     )
-
-
-# ---------------------------------------------------------------------------
-# coupled resonators in the bare-resonator basis
-# ---------------------------------------------------------------------------
-
-
-def bare_mode_hamiltonian(
-    circuit: ResonatorArray, space: HilbertSpace
-) -> TimeDependentHamiltonian:
-    """Rotating-frame Hamiltonian in the bare-resonator basis, any hopping matrix.
-
-    H = delta sum_r a_r^dag a_r + sum_{r != s} J_rs a_r^dag a_s
-      + sum_k g_k (a_{r(k)}^dag sigma_-^k + h.c.) + sum_k (Omega_R/2) sigma_x^k
-
-    Exists to check that the normal-mode builder is a spectral identity,
-    not to run dynamics.
-    """
-    _require_resonant(circuit)
-    if space.n_modes != circuit.n_resonators or space.n_qubits != circuit.n_qubits:
-        raise ValueError("space must carry the circuit's qubits and one Fock cutoff per resonator")
-    levels, factor = space.mode_levels, space.mode_factor
-    static = sum(
-        circuit.detuning * embed(number_operator(levels[r]), factor(r), space)
-        for r in range(circuit.n_resonators)
-    )
-    for r, row in enumerate(circuit.hopping):
-        for s, j in enumerate(row):
-            if j != 0.0:
-                static = static + j * embedded_product(
-                    space, {factor(r): creation(levels[r]), factor(s): annihilation(levels[s])}
-                )
-    for k, q in enumerate(circuit.qubits):
-        r = q.resonator
-        for qubit_op, mode_op in ((sigma_minus(), creation), (sigma_plus(), annihilation)):
-            static = static + q.coupling * embedded_product(
-                space, {k: qubit_op, factor(r): mode_op(levels[r])}
-            )
-        static = static + 0.5 * circuit.rabi * embed(pauli("x"), k, space)
-    fastest = abs(circuit.rabi) + _fastest_detuning(circuit)
-    return TimeDependentHamiltonian(space, static, (), fastest, f"{circuit.kind}:bare")
-
-
-# ---------------------------------------------------------------------------
-# device-level coupling estimate
-# ---------------------------------------------------------------------------
-
-
-def coupling_strength(
-    mutual_ph: float, persistent_current_na: float, inductance_nh: float, omega_r: float
-) -> float:
-    """Qubit-resonator coupling g from device parameters.
-
-    g = M I_p I_r0 / hbar with the resonator's zero-point current
-    I_r0 = sqrt(hbar omega_r / L) taken at the qubit's position.
-
-    Parameters: mutual inductance in pH, qubit persistent current in nA,
-    total resonator inductance in nH, omega_r in rad/ns.  Returns rad/ns.
-    """
-    if mutual_ph < 0 or persistent_current_na < 0:
-        raise ValueError("mutual inductance and persistent current must be non-negative")
-    if inductance_nh <= 0 or omega_r <= 0:
-        raise ValueError("inductance and resonator frequency must be positive")
-    m_si = constants.henry_from_ph(mutual_ph)
-    ip_si = constants.ampere_from_na(persistent_current_na)
-    l_si = constants.henry_from_nh(inductance_nh)
-    omega_si = omega_r * 1e9
-    i_r0 = np.sqrt(constants.HBAR_JS * omega_si / l_si)
-    g_si = m_si * ip_si * i_r0 / constants.HBAR_JS
-    return float(constants.rad_per_ns_from_rad_per_s(g_si))

@@ -35,8 +35,6 @@ __all__ = [
     "partial_trace_modes",
     "matrix_exponential",
     "displacement",
-    "hermiticity_defect",
-    "unitarity_defect",
 ]
 
 _PAULI = {
@@ -198,15 +196,3 @@ def displacement(beta: complex, n_levels: int) -> np.ndarray:
         )
     a = annihilation(n_levels)
     return matrix_exponential(beta * a.conj().T - np.conj(beta) * a)
-
-
-def hermiticity_defect(op: np.ndarray) -> float:
-    """Max-abs deviation from H = H^dag."""
-    op = np.asarray(op)
-    return float(np.max(np.abs(op - op.conj().T)))
-
-
-def unitarity_defect(op: np.ndarray) -> float:
-    """Max-abs deviation of U^dag U from the identity."""
-    op = np.asarray(op)
-    return float(np.max(np.abs(op.conj().T @ op - np.eye(op.shape[0]))))

@@ -18,6 +18,7 @@ import json
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from test_analytic import residual_drive_rotation
 
 from ghzforge.analytic import (
     SquidCoupler,
@@ -28,7 +29,6 @@ from ghzforge.analytic import (
     ghz_target,
     mode_displacement_amplitude,
     pair_phase_matrix,
-    residual_drive_rotation,
     resonator_coupling_rate,
     solve_coupled_phase_condition,
     solve_single_phase_condition,

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm, hadamard
+from test_operators import unitarity_defect
 
+from ghzforge import constants
 from ghzforge.analytic import (
     GHZ_CONVENTIONS,
     CoupledPhaseSolution,
@@ -18,13 +20,11 @@ from ghzforge.analytic import (
     ghz_target,
     mode_displacement_amplitude,
     pair_phase_matrix,
-    residual_drive_rotation,
     resonator_coupling_rate,
     solve_coupled_phase_condition,
     solve_single_phase_condition,
 )
 from ghzforge.errors import UnsolvableConditionError
-from ghzforge.operators import unitarity_defect
 
 TWO_PI = 2.0 * np.pi
 G_REF = TWO_PI * 0.05
@@ -349,6 +349,20 @@ def test_estimated_drive_fidelity_worst_case():
         estimated_drive_fidelity(2, G_REF, 0.0, 1.0)
 
 
+def residual_drive_rotation(rabi, t, n_qubits=1):
+    """Leftover local rotation exp(-i (Omega_R t / 2) sigma_x) per qubit,
+    as the N-qubit tensor power: the identity (up to global phase) whenever
+    Omega_R t is a multiple of 2 pi."""
+    theta = 0.5 * rabi * t
+    single = np.array(
+        [[np.cos(theta), -1j * np.sin(theta)], [-1j * np.sin(theta), np.cos(theta)]]
+    )
+    out = np.array([[1.0]], dtype=complex)
+    for _ in range(n_qubits):
+        out = np.kron(out, single)
+    return out
+
+
 def test_residual_drive_rotation_closes_each_drive_period():
     rabi = TWO_PI * 2.0
     u = residual_drive_rotation(rabi, TWO_PI / rabi, n_qubits=2)
@@ -372,6 +386,21 @@ def reference_coupler(**overrides):
     )
     params.update(overrides)
     return SquidCoupler(**params)
+
+
+def flux_quantum_defect():
+    """Relative defect of the packaged Phi_0 against 2 pi hbar / 2e, read at
+    call time."""
+    electron_c = 1.602176634e-19  # exact in the SI since 2019
+    h_over_2e = TWO_PI * constants.HBAR_JS / (2.0 * electron_c)
+    return abs(constants.FLUX_QUANTUM_WB - h_over_2e) / constants.FLUX_QUANTUM_WB
+
+
+def test_flux_quantum_is_h_over_2e(monkeypatch):
+    assert flux_quantum_defect() < 1e-9
+    # a Phi_0 off by 0.1% must fail the same comparison
+    monkeypatch.setattr(constants, "FLUX_QUANTUM_WB", constants.FLUX_QUANTUM_WB * 1.001)
+    assert flux_quantum_defect() > 1e-9
 
 
 def test_screening_parameter_value():
@@ -406,6 +435,15 @@ def test_effective_mutual_inductance_curve():
     assert effective_mutual_inductance(coupler, 2.3) == pytest.approx(
         effective_mutual_inductance(coupler, 0.3), rel=1e-12
     )
+
+
+def test_effective_mutual_inductance_vanishes_with_the_critical_current():
+    """M_eff is proportional to beta_L for small beta_L, so it goes to zero
+    linearly with I_c."""
+    tiny = effective_mutual_inductance(reference_coupler(critical_current_ua=1e-9), 0.0)
+    small = effective_mutual_inductance(reference_coupler(critical_current_ua=1e-6), 0.0)
+    assert abs(tiny) < 1e-6
+    assert small / tiny == pytest.approx(1e3, rel=1e-6)
 
 
 def test_branch_parity_flips_the_coupling_sign():

@@ -349,6 +349,15 @@ def test_effective_run_matches_closure_unitary():
     assert fidelity > 0.9999
 
 
+def test_effective_gate_fidelity_is_converged_in_the_fock_cutoff():
+    """At the single-resonator reference point the gate fidelity moves by
+    less than 1e-5 between 8 and 12 Fock levels."""
+    circuit = reference_single()
+    t_gate = decoupling_time(circuit.detuning, 1)
+    f8, f12 = (run(circuit, "effective", t_gate, 1.0, (n,)).final_fidelity for n in (8, 12))
+    assert abs(f8 - f12) < 1e-5
+
+
 # ---------------------------------------------------------------------------
 # exact propagation of Hamiltonians that are static in a diagonal frame
 # ---------------------------------------------------------------------------

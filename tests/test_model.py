@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from test_operators import kron_embed
+from test_operators import hermiticity_defect, kron_embed
 
 from ghzforge.errors import ApproximationWarning, PreconditionError
 from ghzforge.dynamics import VARIANTS, frame_consistency_report
@@ -20,8 +20,6 @@ from ghzforge.model import (
     ResonatorArray,
     SingleTlrCircuit,
     TimeDependentHamiltonian,
-    bare_mode_hamiltonian,
-    coupling_strength,
     effective_hamiltonian,
     full_simulation_hamiltonian,
     interaction_picture_hamiltonian,
@@ -33,10 +31,13 @@ from ghzforge.operators import (
     HilbertSpace,
     annihilation,
     creation,
-    hermiticity_defect,
+    embed,
+    embedded_product,
     matrix_exponential,
     number_operator,
     pauli,
+    sigma_minus,
+    sigma_plus,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -100,6 +101,37 @@ def three_mode_record():
     omega_d = TWO_PI * 10.1
     qubit = QubitSpec(gap=omega_d, coupling=0.05)
     return ThreeModes(qubits=(qubit, qubit), omega_d=omega_d, rabi=4.0)
+
+
+def bare_mode_hamiltonian(circuit, space):
+    """Rotating-frame Hamiltonian of a ResonatorArray in the bare-resonator
+    basis, any hopping matrix:
+
+    H = delta sum_r a_r^dag a_r + sum_{r != s} J_rs a_r^dag a_s
+      + sum_k g_k (a_{r(k)}^dag sigma_-^k + h.c.) + sum_k (Omega_R/2) sigma_x^k
+
+    The reference the normal-mode builder must match up to a basis change.
+    """
+    levels, factor = space.mode_levels, space.mode_factor
+    static = sum(
+        circuit.detuning * embed(number_operator(levels[r]), factor(r), space)
+        for r in range(circuit.n_resonators)
+    )
+    for r, row in enumerate(circuit.hopping):
+        for s, j in enumerate(row):
+            if j != 0.0:
+                static = static + j * embedded_product(
+                    space, {factor(r): creation(levels[r]), factor(s): annihilation(levels[s])}
+                )
+    for k, q in enumerate(circuit.qubits):
+        r = q.resonator
+        for qubit_op, mode_op in ((sigma_minus(), creation), (sigma_plus(), annihilation)):
+            static = static + q.coupling * embedded_product(
+                space, {k: qubit_op, factor(r): mode_op(levels[r])}
+            )
+        static = static + 0.5 * circuit.rabi * embed(pauli("x"), k, space)
+    fastest = abs(circuit.rabi) + max(abs(d) for d in circuit.mode_detunings)
+    return TimeDependentHamiltonian(space, static, (), fastest, f"{circuit.kind}:bare")
 
 
 # ---------------------------------------------------------------------------
@@ -743,32 +775,3 @@ def test_reference_regime_is_warning_free():
         full_simulation_hamiltonian(circuit, space)
         interaction_picture_hamiltonian(circuit, space)
         effective_hamiltonian(circuit, space)
-
-
-# ---------------------------------------------------------------------------
-# device-level coupling estimate
-# ---------------------------------------------------------------------------
-
-
-def test_coupling_strength_value():
-    # frozen from the SI definition g = M I_p sqrt(hbar omega / L) / hbar
-    # with M = 20 pH, I_p = 300 nA, L = 100 nH, omega = 2pi*10 rad/ns
-    g = coupling_strength(20.0, 300.0, 100.0, TWO_PI * 10.0)
-    assert g == pytest.approx(0.463130202744, rel=1e-9)
-    # scaling laws: linear in M and I_p, sqrt in omega, 1/sqrt in L
-    assert coupling_strength(40.0, 300.0, 100.0, TWO_PI * 10.0) == pytest.approx(
-        2.0 * g, rel=1e-12
-    )
-    assert coupling_strength(20.0, 300.0, 400.0, TWO_PI * 10.0) == pytest.approx(
-        0.5 * g, rel=1e-12
-    )
-    assert coupling_strength(20.0, 300.0, 100.0, TWO_PI * 40.0) == pytest.approx(
-        2.0 * g, rel=1e-12
-    )
-
-
-def test_coupling_strength_validation():
-    with pytest.raises(ValueError):
-        coupling_strength(-1.0, 300.0, 100.0, TWO_PI * 10.0)
-    with pytest.raises(ValueError):
-        coupling_strength(20.0, 300.0, 0.0, TWO_PI * 10.0)

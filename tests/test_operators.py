@@ -17,15 +17,25 @@ from ghzforge.operators import (
     displacement,
     embed,
     embedded_product,
-    hermiticity_defect,
     matrix_exponential,
     number_operator,
     partial_trace_modes,
     pauli,
     sigma_minus,
     sigma_plus,
-    unitarity_defect,
 )
+
+
+def hermiticity_defect(op) -> float:
+    """Max-abs deviation from H = H^dag."""
+    op = np.asarray(op)
+    return float(np.max(np.abs(op - op.conj().T)))
+
+
+def unitarity_defect(op) -> float:
+    """Max-abs deviation of U^dag U from the identity."""
+    op = np.asarray(op)
+    return float(np.max(np.abs(op.conj().T @ op - np.eye(op.shape[0]))))
 
 
 def test_space_layout():
@@ -70,6 +80,12 @@ def test_ladder_matrix_elements():
         assert out[n - 1] == pytest.approx(np.sqrt(n))
     assert np.allclose(creation(5), a.conj().T)
     assert np.allclose(number_operator(5), np.diag(np.arange(5.0)))
+    # [a, a^dag] = 1 except on the top level, which lacks its upper neighbour
+    for n_levels in (2, 7, 12):
+        a, adag = annihilation(n_levels), creation(n_levels)
+        expected = np.eye(n_levels)
+        expected[-1, -1] = -(n_levels - 1)
+        assert np.max(np.abs(a @ adag - adag @ a - expected)) < 1e-12
 
 
 def kron_embedded_product(space, factor_ops):

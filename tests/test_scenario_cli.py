@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ghzforge import cli, constants
+from ghzforge import cli
 from ghzforge.cli import _write_trajectory_csv, main
 from ghzforge.dynamics import Trajectory, sweep_drive_strength
 from ghzforge.errors import ScenarioFormatError
@@ -26,7 +26,6 @@ from ghzforge.scenario import (
     load_scenario,
     validate_scenario,
 )
-from ghzforge.selftest import format_results, run_selftest
 
 
 def scenario_doc(**overrides):
@@ -562,6 +561,12 @@ def test_sweep_input_errors(tmp_path, capsys):
         base + ["--param", "omega_r_multiple", "--values", "5", "--window", "0:1e300"]
     ) == 2
     assert "stored amplitudes" in capsys.readouterr().err
+    # values whose point files share a name: 20.0000001 prints as '20'
+    sweep = base + ["--param", "omega_r_multiple", "--values"]
+    assert main(sweep + ["5,20,20.0000001"]) == 2
+    assert "--values 20.0, 20.0000001 share a point file name" in capsys.readouterr().err
+    assert main(sweep + ["20,20"]) == 2
+    assert "--values 20.0, 20.0 share" in capsys.readouterr().err
     # worker counts from the flag
     one_point = base + ["--param", "omega_r_multiple", "--values", "5"]
     for flag in ("0", "-2"):
@@ -641,11 +646,13 @@ def test_coupler_bad_grid_exits_2(tmp_path, capsys):
         ["--phie-grid=-1e308:1e308:5"],
         ["--mca-ph", "1e200", "--mcb-ph", "1e200"],
         ["--ia0-na", "inf"],
+        ["--l", "100000000000000000000"],
     ],
 )
 def test_coupler_non_finite_table_exits_2_without_writing(tmp_path, capsys, extra):
-    """No NaN/inf coupler table: non-finite inputs, and finite ones whose
-    M_eff or J overflows, exit 2 before any file is opened."""
+    """No NaN/inf coupler table: non-finite inputs, finite ones whose M_eff
+    or J overflows, and a branch parity past 2**53, which no float holds,
+    exit 2 before any file is opened."""
     out = tmp_path / "out"
     assert main(COUPLER_ARGS + extra + ["--out-dir", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
@@ -709,23 +716,3 @@ def test_solve_never_prints_a_non_finite_solution(tmp_path, capsys, mode, g_ghz)
 
 def test_solve_missing_xi_exits_2():
     assert main(["solve", "--mode", "coupled", "--g-ghz", "0.05"]) == 2
-
-
-# ---------------------------------------------------------------------------
-# selftest subcommand
-# ---------------------------------------------------------------------------
-
-
-def test_selftest_quick_passes(capsys):
-    assert main(["selftest", "--quick"]) == 0
-    out = capsys.readouterr().out
-    assert "9/9 checks passed" in out
-    assert "FAIL" not in out
-
-
-def test_selftest_catches_corrupted_constant(monkeypatch):
-    monkeypatch.setattr(constants, "FLUX_QUANTUM_WB", constants.FLUX_QUANTUM_WB * 1.001)
-    results = run_selftest(quick=True)
-    by_name = {r.name: r for r in results}
-    assert not by_name["flux-quantum-consistency"].passed
-    assert "FAIL" in format_results(results)

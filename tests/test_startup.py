@@ -1,24 +1,27 @@
 """Start-up cost: `run`, `sweep`, `coupler` and `solve` need numpy and
 scipy.sparse only.
 
-scipy.linalg, scipy.integrate (which pulls in scipy.optimize and
-scipy.special) and the selftest module are loaded on first use by the code
-that needs them: `selftest`, `operators.matrix_exponential` and the frame
-diagnostic.  Each check runs in a fresh interpreter against the package
-source in this checkout and reads which modules got loaded; no time is
-measured.
+scipy.linalg is loaded on first use by the code that needs it,
+`operators.matrix_exponential` and the frame diagnostic; no package code
+loads scipy.integrate or scipy.optimize.  Each check runs in a fresh
+interpreter against the package source in this checkout and reads which
+modules got loaded; no time is measured.  A last check reads the package's
+exports.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import ghzforge
 from ghzforge.scenario import bundled_scenario_path
 
 ROOT = Path(__file__).resolve().parent.parent
-DEFERRED = ("scipy.linalg", "scipy.integrate", "scipy.optimize", "ghzforge.selftest")
+DEFERRED = ("scipy.linalg", "scipy.integrate", "scipy.optimize")
 
 # Imports the CLI, records the public SciPy subpackages loaded by that import
 # alone, runs each argv list of argv[1] through cli.main, and prints one JSON
@@ -79,9 +82,16 @@ def test_commands_load_only_numpy_and_scipy_sparse(tmp_path):
     assert record["loaded"] == []
 
 
-def test_selftest_still_loads_its_quadrature(tmp_path):
-    stdout, record = _probe([["selftest", "--quick"]], tmp_path)
-    assert record["codes"] == [0]
-    assert "9/9 checks passed" in stdout
-    assert "scipy.integrate" in record["loaded"]
-    assert "ghzforge.selftest" in record["loaded"]
+def test_every_exported_name_resolves():
+    """Each name in `ghzforge.__all__` and in every submodule's `__all__`
+    exists, so deleting a function cannot leave a dangling export."""
+    modules = [ghzforge] + [
+        importlib.import_module(f"ghzforge.{info.name}")
+        for info in pkgutil.iter_modules(ghzforge.__path__)
+    ]
+    exporting = [m for m in modules if hasattr(m, "__all__")]
+    assert {m.__name__ for m in exporting} >= {"ghzforge", "ghzforge.operators", "ghzforge.model"}
+    missing = [
+        f"{m.__name__}.{name}" for m in exporting for name in m.__all__ if not hasattr(m, name)
+    ]
+    assert missing == []
