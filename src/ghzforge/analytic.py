@@ -219,7 +219,11 @@ class SquidCoupler:
     def __post_init__(self):
         if abs(self.branch_parity) > 2**53:  # past this, float(l) may lose l's parity
             raise ValueError(f"branch parity {self.branch_parity} must satisfy |l| <= 2**53")
-        if not np.isfinite([getattr(self, f.name) for f in fields(self)]).all():
+        try:  # float() first: np.isfinite refuses a Python int wider than 64 bits
+            values = [float(getattr(self, f.name)) for f in fields(self)]
+        except OverflowError:  # an int beyond the float range
+            values = [np.inf]
+        if not np.isfinite(values).all():
             raise ValueError("coupler parameters must be finite")
         if self.loop_inductance_ph <= 0 or self.critical_current_ua <= 0:
             raise ValueError("loop inductance and critical current must be positive")

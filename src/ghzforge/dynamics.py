@@ -72,7 +72,7 @@ from .model import (
     qubit_drive_from_resonator_drive,
     rotating_frame_hamiltonian,
 )
-from .operators import HilbertSpace, displacement, embed, number_operator
+from .operators import HilbertSpace, assemble, displacement, embed, number_operator, pauli
 
 __all__ = [
     "VARIANTS",
@@ -601,21 +601,17 @@ def frame_consistency_report(
     # lab-frame leg: displaced ground state, persistent-current basis
     ground_eigen = ground_vacuum_state(space)
     qubit_map = embed(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), 0, space)
-    psi_pc = qubit_map @ ground_eigen
     d_start = embed(displacement(beta0, fock_cutoff), 1, space)
-    psi_lab0 = d_start @ psi_pc
+    psi_lab0 = d_start @ (qubit_map @ ground_eigen)
     h_lab = lab_frame_hamiltonian(circuit, amplitude, space)
     psi_lab = evolve(h_lab, psi_lab0, t_final, dt)
 
     beta_t = beta0 * np.exp(-1j * circuit.omega_d * t_final)
     d_back = embed(displacement(-beta_t, fock_cutoff), 1, space)
     psi_disp = qubit_map @ (d_back @ psi_lab)  # back to the eigenbasis
-    # undo the omega_d rotation of mode and qubit
-    number_full = embed(number_operator(fock_cutoff), 1, space)
-    sz_full = embed(np.diag([1.0, -1.0]), 0, space)
-    generator = circuit.omega_d * (number_full + 0.5 * sz_full)
-    phases = np.exp(1j * generator.diagonal() * t_final)
-    psi_rot = phases * psi_disp
+    # undo the omega_d rotation of mode and qubit, generated by omega_d (n + sigma_z/2)
+    generator = assemble(space, [(1.0, {1: number_operator(fock_cutoff)}), (0.5, {0: pauli("z")})])
+    psi_rot = np.exp(1j * (circuit.omega_d * generator).diagonal() * t_final) * psi_disp
 
     # rotating-frame leg with counter-rotating terms kept
     circuit_driven, _mapping = qubit_drive_from_resonator_drive(circuit, amplitude)
@@ -624,10 +620,7 @@ def frame_consistency_report(
 
     overlap = float(abs(np.vdot(psi_full, psi_rot)) ** 2)
     phase = np.vdot(psi_rot, psi_full)
-    if abs(phase) > 0:
-        psi_aligned = psi_rot * (phase / abs(phase))
-    else:
-        psi_aligned = psi_rot
+    psi_aligned = psi_rot * (phase / abs(phase)) if abs(phase) > 0 else psi_rot
     norm_difference = float(np.linalg.norm(psi_full - psi_aligned))
     return FrameConsistencyReport(
         overlap=overlap,

@@ -23,13 +23,13 @@ The builders read just what the record exposes:
 * ``loop_rate``, |delta| for one TLR and max |J_rs| otherwise: the
   decoupling rate of both paper layouts and the drive-sweep unit.
 
-Builders sum CSR operators from :func:`~ghzforge.operators.embedded_product`
-into a :class:`TimeDependentHamiltonian`: a static part plus (matrix,
-frequency) terms, each contributing ``exp(i w t) M + exp(-i w t) M^dag``.
-Terms that share a frequency share one matrix, stored once.  The
-integrator consumes one sparse block matrix stacking the static part, every
-M and every M^dag, plus a phase table of the block weights; calling the
-handle at a time t densifies H(t), for tests and diagnostics only.
+A builder lists each block of a :class:`TimeDependentHamiltonian` as
+weighted tensor products and makes it one CSR matrix by one
+:func:`~ghzforge.operators.assemble` call: a static part plus (matrix,
+frequency) terms, each adding ``exp(i w t) M + exp(-i w t) M^dag``, one
+matrix per frequency.  The integrator consumes the block column [static;
+M; M^dag], built from the blocks' triplets, with a phase table of the
+block weights; calling the handle at a time t gives a dense H(t).
 Every builder also declares the fastest angular frequency present so the
 step-size precondition can be enforced mechanically.
 
@@ -62,9 +62,8 @@ from .errors import ApproximationWarning, PreconditionError
 from .operators import (
     HilbertSpace,
     annihilation,
+    assemble,
     creation,
-    embed,
-    embedded_product,
     number_operator,
     pauli,
     sigma_minus,
@@ -273,17 +272,19 @@ class TimeDependentHamiltonian:
     def __post_init__(self):
         dim = self.space.dim
         static = (dim, dim) if self.static is None else self.static
-        self.static = sparse.csr_matrix(static, dtype=complex)
-        if self.static.shape != (dim, dim):
-            raise ValueError("static part does not match the space dimension")
-        self.terms = tuple((sparse.csr_matrix(m, dtype=complex), float(w)) for m, w in self.terms)
-        if any(m.shape != (dim, dim) for m, _ in self.terms):
-            raise ValueError("a term matrix does not match the space dimension")
+        self.static = _complex_csr(static, dim, "static part")
+        self.terms = tuple((_complex_csr(m, dim, "a term matrix"), float(w)) for m, w in self.terms)
         if self.fastest_frequency <= 0:
             raise ValueError("fastest_frequency must be positive")
-        blocks = [self.static, *(m for m, _ in self.terms), *(m.conj().T for m, _ in self.terms)]
-        self.stacked = sparse.vstack(blocks, format="csr")
-        self.stacked.eliminate_zeros()  # a zero coupling or drive stores explicit zeros
+        # block b holds rows b*dim..; M_j^dag holds the triplets of M_j transposed, conjugated
+        n, blocks = len(self.terms), [self.static, *(m for m, _ in self.terms)]
+        coo = [(np.repeat(np.arange(dim), np.diff(m.indptr)), m.indices, m.data) for m in blocks]
+        triplets = [(r + b * dim, c, v) for b, (r, c, v) in enumerate(coo)]
+        triplets += [(c + (b + n) * dim, r, v.conj()) for b, (r, c, v) in enumerate(coo) if b]
+        rows, cols, values = map(np.concatenate, zip(*triplets))
+        keep = values != 0  # a zero coupling or drive stores explicit zeros
+        shape = ((1 + 2 * n) * dim, dim)
+        self.stacked = sparse.csr_matrix((values[keep], (rows[keep], cols[keep])), shape=shape)
         w = np.array([freq for _, freq in self.terms])
         self.frequencies = np.concatenate([[0.0], w, -w])
         if self.frame is None and not self.terms:
@@ -316,6 +317,15 @@ class TimeDependentHamiltonian:
         """Block weights -i exp(i frequencies t): one row per time in times."""
         t = np.asarray(times, dtype=float)[..., None]
         return -1j * np.exp(1j * (t * self.frequencies))
+
+
+def _complex_csr(m, dim: int, what: str) -> sparse.csr_matrix:
+    """m as a complex dim x dim CSR matrix, m itself when it already is one."""
+    if not (isinstance(m, sparse.csr_matrix) and m.dtype == complex):
+        m = sparse.csr_matrix(m, dtype=complex)
+    if m.shape != (dim, dim):
+        raise ValueError(f"{what} does not match the space dimension")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -351,19 +361,16 @@ def lab_frame_hamiltonian(
     _require_one_resonator(circuit)
     if space.n_modes != 1 or space.n_qubits != circuit.n_qubits:
         raise ValueError("space must carry the circuit's qubits and exactly one mode")
-    nm = space.mode_levels[0]
-    a = embed(annihilation(nm), space.mode_factor(0), space)
-    n_op = embed(number_operator(nm), space.mode_factor(0), space)
-    static = circuit.omega * n_op
+    nm, mode = space.mode_levels[0], space.mode_factor(0)
+    static = [(circuit.omega, {mode: number_operator(nm)})]
     for k, q in enumerate(circuit.qubits):
-        static = static + 0.5 * q.gap * embed(pauli("x"), k, space)
-        static = static + q.coupling * embedded_product(
-            space, {k: pauli("z"), space.mode_factor(0): annihilation(nm) + creation(nm)}
-        )
+        static.append((0.5 * q.gap, {k: pauli("x")}))
+        static.append((q.coupling, {k: pauli("z"), mode: annihilation(nm) + creation(nm)}))
     terms = []
     if amplitude != 0.0:
-        terms.append((amplitude * a.conj().T, -circuit.omega_d))
+        terms.append((assemble(space, [(amplitude, {mode: creation(nm)})]), -circuit.omega_d))
     fastest = circuit.omega * nm + circuit.omega_d
+    static = assemble(space, static)
     return TimeDependentHamiltonian(space, static, tuple(terms), fastest, "single:lab")
 
 
@@ -402,20 +409,13 @@ def qubit_drive_from_resonator_drive(
 
 def _check_rwa(circuit) -> None:
     worst_g = max(q.coupling for q in circuit.qubits)
-    if worst_g / circuit.omega > _RWA_RATIO:
-        warnings.warn(
-            f"g/omega_r = {worst_g / circuit.omega:.3f} strains the rotating-wave "
-            "approximation",
-            ApproximationWarning,
-            stacklevel=4,
-        )
-    if abs(circuit.rabi) / circuit.omega_d > _RWA_RATIO:
-        warnings.warn(
-            f"Omega_R/omega_d = {abs(circuit.rabi) / circuit.omega_d:.3f} strains "
-            "the rotating-wave approximation",
-            ApproximationWarning,
-            stacklevel=4,
-        )
+    for name, ratio in (
+        ("g/omega_r", worst_g / circuit.omega),
+        ("Omega_R/omega_d", abs(circuit.rabi) / circuit.omega_d),
+    ):
+        if ratio > _RWA_RATIO:
+            message = f"{name} = {ratio:.3f} strains the rotating-wave approximation"
+            warnings.warn(message, ApproximationWarning, stacklevel=4)
 
 
 def _check_frame(circuit, space: HilbertSpace) -> None:
@@ -447,17 +447,25 @@ def _warn_unless_strong_drive(circuit, consequence: str) -> None:
 
 
 def _coupling_sum(circuit, space: HilbertSpace, qubit_op, mode_op, scale=1.0, modes=None):
-    """sum_{k,m} scale G_km qubit_op^k mode_op(a_m), qubit-major, over the given modes."""
+    """Products of sum_{k,m} scale G_km qubit_op^k mode_op(a_m), qubit-major, over modes."""
     g = circuit.coupling_matrix
     modes = range(space.n_modes) if modes is None else modes
-    return sum(
-        scale * g[k, m]
-        * embedded_product(
-            space, {k: qubit_op, space.mode_factor(m): mode_op(space.mode_levels[m])}
-        )
+    return [
+        (scale * g[k, m], {k: qubit_op, space.mode_factor(m): mode_op(space.mode_levels[m])})
         for k in range(circuit.n_qubits)
         for m in modes
-    )
+    ]
+
+
+def _rotating_static(circuit, space: HilbertSpace):
+    """Products of the rotating-frame Hamiltonian."""
+    levels, factor, detunings = space.mode_levels, space.mode_factor, circuit.mode_detunings
+    return [
+        *((d, {factor(m): number_operator(levels[m])}) for m, d in enumerate(detunings)),
+        *_coupling_sum(circuit, space, sigma_minus(), creation),
+        *_coupling_sum(circuit, space, sigma_plus(), annihilation),
+        *((0.5 * circuit.rabi, {k: pauli("x")}) for k in range(circuit.n_qubits)),
+    ]
 
 
 def rotating_frame_hamiltonian(circuit, space: HilbertSpace) -> TimeDependentHamiltonian:
@@ -472,14 +480,7 @@ def rotating_frame_hamiltonian(circuit, space: HilbertSpace) -> TimeDependentHam
     bare-resonator Hamiltonian, with hopping sum_{r != s} J_rs a_r^dag a_s.
     """
     _check_frame(circuit, space)
-    static = sum(
-        d * embed(number_operator(levels), space.mode_factor(m), space)
-        for m, (d, levels) in enumerate(zip(circuit.mode_detunings, space.mode_levels))
-    )
-    static = static + _coupling_sum(circuit, space, sigma_minus(), creation)
-    static = static + _coupling_sum(circuit, space, sigma_plus(), annihilation)
-    for k in range(circuit.n_qubits):
-        static = static + 0.5 * circuit.rabi * embed(pauli("x"), k, space)
+    static = assemble(space, _rotating_static(circuit, space))
     fastest = abs(circuit.rabi) + _fastest_detuning(circuit)
     return TimeDependentHamiltonian(space, static, (), fastest, f"{circuit.kind}:rotating")
 
@@ -493,17 +494,16 @@ def full_simulation_hamiltonian(circuit, space: HilbertSpace) -> TimeDependentHa
     This is the benchmark Hamiltonian: no approximation beyond the Fock
     truncation and the frame itself.
     """
-    base = rotating_frame_hamiltonian(circuit, space)
-    drive_cr = sum(
-        0.5 * circuit.rabi * embed(sigma_plus(), k, space) for k in range(circuit.n_qubits)
-    )
+    _check_frame(circuit, space)
+    static = assemble(space, _rotating_static(circuit, space))
+    drive_cr = [(0.5 * circuit.rabi, {k: sigma_plus()}) for k in range(circuit.n_qubits)]
     coupling_cr = _coupling_sum(circuit, space, sigma_plus(), creation)
     terms = (
-        (drive_cr, 2.0 * circuit.omega_d),
-        (coupling_cr, circuit.omega + circuit.omega_d),
+        (assemble(space, drive_cr), 2.0 * circuit.omega_d),
+        (assemble(space, coupling_cr), circuit.omega + circuit.omega_d),
     )
     fastest = circuit.omega + circuit.omega_d
-    return TimeDependentHamiltonian(space, base.static, terms, fastest, f"{circuit.kind}:full")
+    return TimeDependentHamiltonian(space, static, terms, fastest, f"{circuit.kind}:full")
 
 
 def interaction_picture_hamiltonian(circuit, space: HilbertSpace) -> TimeDependentHamiltonian:
@@ -524,24 +524,17 @@ def interaction_picture_hamiltonian(circuit, space: HilbertSpace) -> TimeDepende
     _warn_unless_strong_drive(
         circuit, "the interaction-picture error terms will not average cleanly"
     )
-    rabi = circuit.rabi
-    y_minus_z = 1j * pauli("y") - pauli("z")
-    y_plus_z = 1j * pauli("y") + pauli("z")
-    terms = []
-    for m, delta in enumerate(circuit.mode_detunings):
-        # e^{-i Delta t} (G/2) a sigma_x + h.c., and the i cos / -i sin pieces
-        # regrouped by their net phase:
-        #   (G/4) a (i sigma_y - sigma_z) e^{i(Omega-Delta)t}
-        #   + (G/4) a (i sigma_y + sigma_z) e^{-i(Omega+Delta)t}
-        terms += [
-            (_coupling_sum(circuit, space, pauli("x"), annihilation, 0.5, [m]), -delta),
-            (_coupling_sum(circuit, space, y_minus_z, annihilation, 0.25, [m]), rabi - delta),
-            (_coupling_sum(circuit, space, y_plus_z, annihilation, 0.25, [m]), -(rabi + delta)),
-        ]
+    rabi, y = circuit.rabi, 1j * pauli("y")
+    # per mode e^{-i Delta t} (G/2) a sigma_x + h.c. and the i cos / -i sin pieces
+    # regrouped by net phase: (G/4) a (i sigma_y -+ sigma_z) e^{i(+-Omega - Delta)t}
+    pieces = ((pauli("x"), 0.5, 0.0), (y - pauli("z"), 0.25, rabi), (y + pauli("z"), 0.25, -rabi))
+    terms = [
+        (assemble(space, _coupling_sum(circuit, space, op, annihilation, scale, [m])), w - delta)
+        for m, delta in enumerate(circuit.mode_detunings)
+        for op, scale, w in pieces
+    ]
     fastest = abs(rabi) + _fastest_detuning(circuit)
-    return TimeDependentHamiltonian(
-        space, None, tuple(terms), fastest, f"{circuit.kind}:intermediate"
-    )
+    return TimeDependentHamiltonian(space, None, terms, fastest, f"{circuit.kind}:intermediate")
 
 
 def effective_hamiltonian(circuit, space: HilbertSpace) -> TimeDependentHamiltonian:
@@ -560,14 +553,11 @@ def effective_hamiltonian(circuit, space: HilbertSpace) -> TimeDependentHamilton
         circuit, "the effective Hamiltonian is outside its strong-driving regime"
     )
     terms = tuple(
-        (_coupling_sum(circuit, space, pauli("x"), annihilation, 0.5, [m]), -delta)
-        for m, delta in enumerate(circuit.mode_detunings)
+        (assemble(space, _coupling_sum(circuit, space, pauli("x"), annihilation, 0.5, [m])), -d)
+        for m, d in enumerate(circuit.mode_detunings)
     )
     # a_m lowers n_m by one, so K = sum_m Delta_m n_m turns at -Delta_m across it
-    frame = sum(
-        delta * embed(number_operator(levels), space.mode_factor(m), space).diagonal().real
-        for m, (delta, levels) in enumerate(zip(circuit.mode_detunings, space.mode_levels))
-    )
-    return TimeDependentHamiltonian(
-        space, None, terms, _fastest_detuning(circuit), f"{circuit.kind}:effective", frame
-    )
+    counts = np.indices(space.dims).reshape(len(space.dims), -1)
+    frame = sum(d * counts[space.mode_factor(m)] for m, d in enumerate(circuit.mode_detunings))
+    fastest, label = _fastest_detuning(circuit), f"{circuit.kind}:effective"
+    return TimeDependentHamiltonian(space, None, terms, fastest, label, frame)

@@ -1,7 +1,7 @@
 """Operator toolbox for few-qubit, few-mode Hilbert spaces.
 
 States are 1-D complex ndarrays, single-factor operators small 2-D ones,
-and full-space operators CSR matrices from :func:`embedded_product`.  A
+and full-space operators CSR matrices from :func:`assemble`.  A
 :class:`HilbertSpace` records how the flat index factors into qubits and
 bosonic modes.  Tensor factors are ordered qubits first (qubit 0 is the
 slowest-varying index), then modes in declaration order.
@@ -14,6 +14,7 @@ on the excited state and ``sigma_plus()`` raises ground to excited.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ __all__ = [
     "annihilation",
     "creation",
     "number_operator",
+    "assemble",
     "embed",
     "embedded_product",
     "partial_trace_modes",
@@ -60,13 +62,16 @@ class HilbertSpace:
     mode_levels: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.n_qubits < 0:
+        try:  # operator.index refuses a fractional count that int() would truncate
+            n_qubits, *levels = map(operator.index, (self.n_qubits, *self.mode_levels))
+        except TypeError:
+            raise ValueError("n_qubits and every Fock cutoff must be integers") from None
+        object.__setattr__(self, "mode_levels", tuple(levels))
+        if n_qubits < 0:
             raise ValueError("n_qubits must be non-negative")
-        levels = tuple(int(n) for n in self.mode_levels)
-        object.__setattr__(self, "mode_levels", levels)
         if any(n < 2 for n in levels):
             raise ValueError("every mode needs at least 2 Fock levels")
-        if self.n_qubits == 0 and not levels:
+        if n_qubits == 0 and not levels:
             raise ValueError("space must contain at least one factor")
 
     @property
@@ -128,33 +133,41 @@ def embed(op: np.ndarray, factor: int, space: HilbertSpace) -> sparse.csr_matrix
 
 
 def embedded_product(space: HilbertSpace, factor_ops: dict[int, np.ndarray]) -> sparse.csr_matrix:
-    """Tensor product with the given operators on selected factors, identity elsewhere.
+    """Tensor product with the given operators on selected factors, identity elsewhere."""
+    return assemble(space, [(1.0, factor_ops)])
 
-    Built in one pass by index arithmetic: each factor contributes its
-    nonzero (row, col, value) triplets, an identity its diagonal, and the
-    full indices are their mixed-radix combinations.  No dense intermediate
-    is formed.
+
+def assemble(space: HilbertSpace, products) -> sparse.csr_matrix:
+    """sum_p w_p (x)_i op_{p,i} from (w_p, {i: op_{p,i}}) pairs, identity elsewhere.
+
+    A product's factors contribute their nonzero (row, col, value) triplets,
+    an identity its diagonal, and the full indices are their mixed-radix
+    combinations; all weighted triplets then make one CSR matrix, duplicates
+    summed once, with no dense or per-product sparse intermediate.
     """
-    unknown = set(factor_ops) - set(range(len(space.dims)))
-    if unknown:
-        raise ValueError(f"factor index out of range: {sorted(unknown)}")
-    rows = cols = np.zeros(1, dtype=np.int64)
-    values = np.ones(1, dtype=complex)
-    for i, d in enumerate(space.dims):
-        if i not in factor_ops:
-            r = c = np.arange(d)
-            values = np.repeat(values, d)
-        else:
-            op = np.asarray(factor_ops[i], dtype=complex)
-            if op.shape != (d, d):
-                raise ValueError(
-                    f"operator for factor {i} has shape {op.shape}, expected {(d, d)}"
-                )
-            r, c = np.nonzero(op)
-            values = np.outer(values, op[r, c]).ravel()
-        rows = (rows[:, None] * d + r).ravel()
-        cols = (cols[:, None] * d + c).ravel()
-    return sparse.csr_matrix((values, (rows, cols)), shape=(space.dim, space.dim))
+    triplets = [(np.zeros((2, 0), dtype=np.int64), np.zeros(0, dtype=complex))]
+    for weight, factor_ops in products:
+        unknown = set(factor_ops) - set(range(len(space.dims)))
+        if unknown:
+            raise ValueError(f"factor index out of range: {sorted(unknown)}")
+        index, values = np.zeros((2, 1), dtype=np.int64), np.ones(1, dtype=complex)
+        for i, d in enumerate(space.dims):
+            if i not in factor_ops:
+                rc, values = np.arange(d), np.repeat(values, d)
+            else:
+                op = np.asarray(factor_ops[i], dtype=complex)
+                if op.shape != (d, d):
+                    raise ValueError(
+                        f"operator for factor {i} has shape {op.shape}, expected {(d, d)}"
+                    )
+                rc = np.array(np.nonzero(op))
+                values = np.outer(values, op[rc[0], rc[1]]).ravel()
+            index = (index[:, :, None] * d + rc[..., None, :]).reshape(2, -1)  # rows, cols
+        triplets.append((index, values * weight))
+    index, values = (np.concatenate(x, axis=-1) for x in zip(*triplets))
+    matrix = sparse.csr_matrix((values, (index[0], index[1])), shape=(space.dim, space.dim))
+    matrix.data += 0  # +0 clears negative zeros, as a sum of sparse matrices does
+    return matrix
 
 
 def partial_trace_modes(state: np.ndarray, space: HilbertSpace) -> np.ndarray:

@@ -420,6 +420,17 @@ def test_hysteretic_coupler_rejected():
         reference_coupler(mutual_a_ph=0.0)
 
 
+def test_coupler_rejects_python_ints_beyond_64_bits_with_value_error():
+    """np.isfinite refuses a Python int wider than 64 bits with TypeError;
+    the coupler converts every field with float() first."""
+    with pytest.raises(ValueError, match="nonhysteretic"):
+        SquidCoupler(10**20, 1.5e-12, 60, 60)
+    with pytest.raises(ValueError, match="finite"):
+        reference_coupler(mutual_b_ph=10**400)
+    with pytest.raises(ValueError, match="finite"):
+        reference_coupler(zero_point_current_a_na=float("inf"))
+
+
 def test_effective_mutual_inductance_curve():
     coupler = reference_coupler()
     beta = coupler.screening_parameter

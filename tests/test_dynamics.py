@@ -567,6 +567,12 @@ def test_run_rejects_unknown_variant():
         run(circuit, "exact", 1.0, 0.5, (10,))
 
 
+def test_run_rejects_a_fractional_fock_cutoff():
+    """A cutoff of 10.7 is refused, not truncated to 10 levels."""
+    with pytest.raises(ValueError, match="integers"):
+        run(reference_single(), "effective", 1.0, 0.5, (10.7,))
+
+
 def test_coupled_intermediate_converges_to_rotating():
     """Every variant runs on every layout.  At the coupled gate time the
     drive rotation is whole, so the interaction picture and the rotating

@@ -13,6 +13,7 @@ from scipy import sparse
 from test_operators import hermiticity_defect, kron_embed
 
 from ghzforge.errors import ApproximationWarning, PreconditionError
+from ghzforge.scenario import bundled_scenario_path, load_scenario
 from ghzforge.dynamics import VARIANTS, frame_consistency_report
 from ghzforge.model import (
     CoupledTlrCircuit,
@@ -349,6 +350,140 @@ def test_stacked_stage_equals_dense_rhs(case, t_start, span, n_steps, seed):
         expected = -1j * (h(times[row]) @ y)
         assert np.allclose(table[row], h.coefficients(times[row]), rtol=1e-15, atol=0.0)
         assert np.linalg.norm(stage - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+# ---------------------------------------------------------------------------
+# reference: every builder as a sum of one-product CSR matrices
+# ---------------------------------------------------------------------------
+
+
+def _reference_coupling(circuit, space, qubit_op, mode_op, scale=1.0, modes=None):
+    g = circuit.coupling_matrix
+    modes = range(space.n_modes) if modes is None else modes
+    return sum(
+        scale * g[k, m]
+        * embedded_product(
+            space, {k: qubit_op, space.mode_factor(m): mode_op(space.mode_levels[m])}
+        )
+        for k in range(circuit.n_qubits)
+        for m in modes
+    )
+
+
+def _reference_rotating_static(circuit, space):
+    static = sum(
+        d * embed(number_operator(levels), space.mode_factor(m), space)
+        for m, (d, levels) in enumerate(zip(circuit.mode_detunings, space.mode_levels))
+    )
+    static = static + _reference_coupling(circuit, space, sigma_minus(), creation)
+    static = static + _reference_coupling(circuit, space, sigma_plus(), annihilation)
+    for k in range(circuit.n_qubits):
+        static = static + 0.5 * circuit.rabi * embed(pauli("x"), k, space)
+    return static
+
+
+def reference_blocks(variant, circuit, space, amplitude=0.0):
+    """(static, terms, frame) of a builder, each block summed one CSR matrix
+    at a time, the way the builders formed them before one-pass assembly."""
+    if variant == "lab":
+        nm = space.mode_levels[0]
+        a = embed(annihilation(nm), space.mode_factor(0), space)
+        static = circuit.omega * embed(number_operator(nm), space.mode_factor(0), space)
+        for k, q in enumerate(circuit.qubits):
+            static = static + 0.5 * q.gap * embed(pauli("x"), k, space)
+            static = static + q.coupling * embedded_product(
+                space, {k: pauli("z"), space.mode_factor(0): annihilation(nm) + creation(nm)}
+            )
+        return static, [(amplitude * a.conj().T, -circuit.omega_d)], None
+    if variant == "rotating":
+        return _reference_rotating_static(circuit, space), [], None
+    if variant == "full":
+        drive_cr = sum(
+            0.5 * circuit.rabi * embed(sigma_plus(), k, space) for k in range(circuit.n_qubits)
+        )
+        coupling_cr = _reference_coupling(circuit, space, sigma_plus(), creation)
+        terms = [(drive_cr, 2.0 * circuit.omega_d), (coupling_cr, circuit.omega + circuit.omega_d)]
+        return _reference_rotating_static(circuit, space), terms, None
+    rabi, y = circuit.rabi, 1j * pauli("y")
+    y_minus_z, y_plus_z = y - pauli("z"), y + pauli("z")
+    terms = []
+    for m, delta in enumerate(circuit.mode_detunings):
+        force = functools.partial(
+            _reference_coupling, circuit, space, mode_op=annihilation, modes=[m]
+        )
+        terms.append((force(pauli("x"), scale=0.5), -delta))
+        if variant == "intermediate":
+            terms.append((force(y_minus_z, scale=0.25), rabi - delta))
+            terms.append((force(y_plus_z, scale=0.25), -(rabi + delta)))
+    if variant == "intermediate":
+        return None, terms, None
+    frame = sum(
+        delta * embed(number_operator(levels), space.mode_factor(m), space).diagonal().real
+        for m, (delta, levels) in enumerate(zip(circuit.mode_detunings, space.mode_levels))
+    )
+    return None, terms, frame
+
+
+def reference_stacked(space, static, terms):
+    """[static; M_j; M_j^dag] stacked block by block, explicit zeros pruned."""
+    static = sparse.csr_matrix((space.dim,) * 2 if static is None else static, dtype=complex)
+    terms = [sparse.csr_matrix(m, dtype=complex) for m, _ in terms]
+    stacked = sparse.vstack([static, *terms, *(m.conj().T for m in terms)], format="csr")
+    stacked.eliminate_zeros()
+    return stacked
+
+
+def _bundled_circuit(name):
+    scenario = load_scenario(bundled_scenario_path(name))
+    return scenario.circuit, scenario.fock
+
+
+REFERENCE_LAYOUTS = {
+    "single_tlr_ghz": lambda: _bundled_circuit("single_tlr_ghz"),
+    "coupled_tlr_ghz": lambda: _bundled_circuit("coupled_tlr_ghz"),
+    "chain-2-3-2": lambda: (three_mode_record(), (2, 3, 2)),
+    "chain-6-8-9": lambda: (three_mode_record(), (6, 8, 9)),
+}
+REFERENCE_BUILDERS = {
+    "full": full_simulation_hamiltonian,
+    "rotating": rotating_frame_hamiltonian,
+    "intermediate": interaction_picture_hamiltonian,
+    "effective": effective_hamiltonian,
+    "lab": functools.partial(lab_frame_hamiltonian, amplitude=TWO_PI * 0.05),
+}
+
+
+@pytest.mark.parametrize(
+    "layout, variant",
+    [
+        *((layout, v) for layout in REFERENCE_LAYOUTS for v in VARIANTS),
+        ("single_tlr_ghz", "lab"),
+    ],
+)
+def test_one_pass_assembly_matches_the_sum_of_csr_reference(layout, variant):
+    """stacked equals the one-product-at-a-time reference: the same
+    structure, and the same data bit for bit up to two modes.  With three
+    modes three number terms meet on the diagonal, where the summation
+    order may move a sum by one ulp."""
+    circuit, levels = REFERENCE_LAYOUTS[layout]()
+    space = HilbertSpace(n_qubits=circuit.n_qubits, mode_levels=levels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ApproximationWarning)
+        h = REFERENCE_BUILDERS[variant](circuit, space=space)
+        static, terms, frame = reference_blocks(variant, circuit, space, TWO_PI * 0.05)
+    expected = reference_stacked(space, static, terms)
+    assert h.stacked.shape == expected.shape
+    assert np.array_equal(h.stacked.indptr, expected.indptr)
+    assert np.array_equal(h.stacked.indices, expected.indices)
+    assert [w for _, w in h.terms] == [w for _, w in terms]
+    if space.n_modes <= 2:
+        assert h.stacked.data.tobytes() == expected.data.tobytes()
+    else:
+        for part in ("real", "imag"):
+            got, want = getattr(h.stacked.data, part), getattr(expected.data, part)
+            assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+    if frame is not None:
+        assert h.frame.tobytes() == frame.tobytes()
 
 
 # ---------------------------------------------------------------------------

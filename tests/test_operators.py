@@ -13,6 +13,7 @@ from scipy import sparse
 from ghzforge.operators import (
     HilbertSpace,
     annihilation,
+    assemble,
     creation,
     displacement,
     embed,
@@ -47,6 +48,17 @@ def test_space_layout():
     assert space.mode_factor(1) == 3
     with pytest.raises(ValueError):
         space.mode_factor(2)
+
+
+def test_space_takes_integral_counts_only():
+    """A fractional qubit count or Fock cutoff is refused, not truncated;
+    NumPy integers are accepted, the cutoffs stored as Python ints."""
+    for n_qubits, levels in ((1, (2.9,)), (1, (10.0,)), (1.5, ()), (1, (3, "4"))):
+        with pytest.raises(ValueError, match="integers"):
+            HilbertSpace(n_qubits, levels)
+    space = HilbertSpace(np.int64(2), (np.int32(3), np.uint8(4)))
+    assert space.dims == (2, 2, 3, 4)
+    assert all(type(n) is int for n in space.mode_levels)
 
 
 def test_pauli_algebra():
@@ -150,6 +162,39 @@ def test_embedded_product_equals_the_kronecker_reference(case):
     assert isinstance(product, sparse.csr_matrix)
     assert product.shape == (space.dim, space.dim)
     assert np.array_equal(product.toarray(), kron_embedded_product(space, ops))
+
+
+@st.composite
+def spaces_with_products(draw):
+    """A space and 0-4 weighted products on it, weights zero included."""
+    space, _ = draw(spaces_with_factor_ops())
+    weights = st.one_of(st.just(0.0), st.floats(-10.0, 10.0, allow_subnormal=False))
+    products = []
+    for _ in range(draw(st.integers(0, 4))):
+        factors = draw(st.lists(st.sampled_from(range(len(space.dims))), unique=True))
+        ops = {
+            i: draw(hnp.arrays(complex, (space.dims[i],) * 2, elements=_ENTRIES)) for i in factors
+        }
+        products.append((draw(weights), ops))
+    return space, products
+
+
+@settings(max_examples=200, deadline=None)
+@given(spaces_with_products())
+def test_assemble_equals_the_sum_of_one_product_embeddings(case):
+    """One-pass assembly of several products is the sum of each product
+    embedded on its own, to the rounding of summing them in another order."""
+    space, products = case
+    assembled = assemble(space, products)
+    assert isinstance(assembled, sparse.csr_matrix)
+    assert assembled.shape == (space.dim, space.dim)
+    expected = np.zeros((space.dim, space.dim), dtype=complex)
+    scale = np.zeros((space.dim, space.dim))
+    for weight, ops in products:
+        term = (weight * embedded_product(space, ops)).toarray()
+        expected += term
+        scale += np.abs(term)
+    assert np.all(np.abs(assembled.toarray() - expected) <= 8 * np.finfo(float).eps * scale)
 
 
 def test_embedded_product_rejects_bad_factors():
