@@ -40,9 +40,7 @@ from .analytic import (
     solve_single_phase_condition,
 )
 from .dynamics import (
-    FrameConsistencyReport,
     Trajectory,
-    frame_consistency_report,
     ground_vacuum_state,
     run,
     sweep_drive_strength,
@@ -64,7 +62,6 @@ from .model import (
     effective_hamiltonian,
     full_simulation_hamiltonian,
     interaction_picture_hamiltonian,
-    lab_frame_hamiltonian,
     qubit_drive_from_resonator_drive,
     rotating_frame_hamiltonian,
 )
@@ -94,7 +91,6 @@ __all__ = [
     "CoupledTlrCircuit",
     "DriveMappingReport",
     "TimeDependentHamiltonian",
-    "lab_frame_hamiltonian",
     "rotating_frame_hamiltonian",
     "interaction_picture_hamiltonian",
     "effective_hamiltonian",
@@ -119,8 +115,6 @@ __all__ = [
     "ground_vacuum_state",
     "run",
     "sweep_drive_strength",
-    "FrameConsistencyReport",
-    "frame_consistency_report",
     "LoadedScenario",
     "validate_scenario",
     "load_scenario",

@@ -62,31 +62,24 @@ from scipy.sparse._sparsetools import csr_matvec  # the kernel behind csr @ vect
 from .analytic import GHZ_CONVENTIONS, ghz_target
 from .errors import PreconditionError
 from .model import (
-    ResonatorArray,
     TimeDependentHamiltonian,
-    _require_one_resonator,
     effective_hamiltonian,
     full_simulation_hamiltonian,
     interaction_picture_hamiltonian,
-    lab_frame_hamiltonian,
-    qubit_drive_from_resonator_drive,
     rotating_frame_hamiltonian,
 )
-from .operators import HilbertSpace, assemble, displacement, embed, number_operator, pauli
+from .operators import HilbertSpace
 
 __all__ = [
     "VARIANTS",
     "Trajectory",
-    "FrameConsistencyReport",
     "ground_vacuum_state",
     "ghz_fidelity",
     "resolve_step",
-    "evolve",
     "evolve_sampled",
     "propagate_exactly",
     "run",
     "sweep_drive_strength",
-    "frame_consistency_report",
 ]
 
 DEFAULT_STEP_DIVISOR = 64
@@ -364,16 +357,6 @@ def propagate_exactly(
     return states
 
 
-def evolve(
-    hamiltonian: TimeDependentHamiltonian,
-    psi0: np.ndarray,
-    t_final: float,
-    dt: float | None = None,
-) -> np.ndarray:
-    """State at t_final, integrating from t = 0."""
-    return evolve_sampled(hamiltonian, psi0, [t_final], dt)[0]
-
-
 def _observe(
     states: np.ndarray,
     times: np.ndarray,
@@ -542,91 +525,3 @@ def sweep_drive_strength(
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(_sweep_point, tasks))
 
-
-# ---------------------------------------------------------------------------
-# laboratory-frame consistency diagnostic
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FrameConsistencyReport:
-    """Quantified agreement between the lab-frame and rotating-frame pictures.
-
-    A lab-frame run with the resonator tone is displaced by D(-beta(t)),
-    mapped to the qubit energy eigenbasis, and rotated at the drive
-    frequency; the result is compared with a direct run of the
-    counter-rotating-terms Hamiltonian from the same initial state.  The
-    two agree up to (i) Fock truncation of the displaced coherent state and
-    (ii) the counter-rotating coupling phase, so the overlap quantifies the
-    frame bookkeeping rather than asserting exactness.
-    """
-
-    overlap: float
-    norm_difference: float
-    displacement_magnitude: float
-    final_time: float
-    rabi: float
-    fock_cutoff: int
-
-
-def frame_consistency_report(
-    circuit: ResonatorArray,
-    amplitude: float,
-    fock_cutoff: int = 24,
-    t_final: float | None = None,
-    dt: float | None = None,
-) -> FrameConsistencyReport:
-    """Run the lab-frame/rotating-frame comparison for a one-qubit circuit.
-
-    amplitude is the resonator tone nu (rad/ns) at the circuit's omega_d.
-    The circuit should carry modest parameters: the lab mode sits in a
-    coherent state of amplitude |nu/delta|, so the Fock cutoff must cover
-    |nu/delta|^2 photons with room to spare, and the lab integration must
-    resolve phases up to omega x n_max.  One resonator only.
-    """
-    _require_one_resonator(circuit)
-    if circuit.n_qubits != 1:
-        raise ValueError("the frame-consistency diagnostic is defined for one qubit")
-    delta = circuit.detuning
-    beta0 = -amplitude / delta
-    if abs(beta0) ** 2 > fock_cutoff / 4:
-        raise ValueError(
-            f"displacement |beta|^2 = {abs(beta0)**2:.2f} too large for "
-            f"fock_cutoff = {fock_cutoff}"
-        )
-    if t_final is None:
-        t_final = 2.0 * np.pi / abs(delta)
-    space = HilbertSpace(n_qubits=1, mode_levels=(fock_cutoff,))
-
-    # lab-frame leg: displaced ground state, persistent-current basis
-    ground_eigen = ground_vacuum_state(space)
-    qubit_map = embed(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), 0, space)
-    d_start = embed(displacement(beta0, fock_cutoff), 1, space)
-    psi_lab0 = d_start @ (qubit_map @ ground_eigen)
-    h_lab = lab_frame_hamiltonian(circuit, amplitude, space)
-    psi_lab = evolve(h_lab, psi_lab0, t_final, dt)
-
-    beta_t = beta0 * np.exp(-1j * circuit.omega_d * t_final)
-    d_back = embed(displacement(-beta_t, fock_cutoff), 1, space)
-    psi_disp = qubit_map @ (d_back @ psi_lab)  # back to the eigenbasis
-    # undo the omega_d rotation of mode and qubit, generated by omega_d (n + sigma_z/2)
-    generator = assemble(space, [(1.0, {1: number_operator(fock_cutoff)}), (0.5, {0: pauli("z")})])
-    psi_rot = np.exp(1j * (circuit.omega_d * generator).diagonal() * t_final) * psi_disp
-
-    # rotating-frame leg with counter-rotating terms kept
-    circuit_driven, _mapping = qubit_drive_from_resonator_drive(circuit, amplitude)
-    h_full = full_simulation_hamiltonian(circuit_driven, space)
-    psi_full = evolve(h_full, ground_eigen, t_final, dt)
-
-    overlap = float(abs(np.vdot(psi_full, psi_rot)) ** 2)
-    phase = np.vdot(psi_rot, psi_full)
-    psi_aligned = psi_rot * (phase / abs(phase)) if abs(phase) > 0 else psi_rot
-    norm_difference = float(np.linalg.norm(psi_full - psi_aligned))
-    return FrameConsistencyReport(
-        overlap=overlap,
-        norm_difference=norm_difference,
-        displacement_magnitude=float(abs(beta0)),
-        final_time=float(t_final),
-        rabi=float(circuit_driven.rabi),
-        fock_cutoff=fock_cutoff,
-    )

@@ -33,11 +33,8 @@ block weights; calling the handle at a time t gives a dense H(t).
 Every builder also declares the fastest angular frequency present so the
 step-size precondition can be enforced mechanically.
 
-Frames, from the laboratory down:
+Frames, outermost first:
 
-* lab frame, persistent-current basis, one mode -- qubit term
-  (Delta/2) sigma-bar_x, coupling g (a + a^dag) sigma-bar_z, resonator
-  drive nu (a frame-consistency diagnostic only);
 * rotating frame at omega_d in the qubit energy eigenbasis, rotating-wave
   coupling only -- sum_m Delta_m a_m^dag a_m
   + sum_km G_km (a_m^dag sigma_-^k + h.c.) + sum_k (Omega_R/2) sigma_x^k;
@@ -52,6 +49,7 @@ Frames, from the laboratory down:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -77,7 +75,6 @@ __all__ = [
     "CoupledTlrCircuit",
     "DriveMappingReport",
     "TimeDependentHamiltonian",
-    "lab_frame_hamiltonian",
     "qubit_drive_from_resonator_drive",
     "rotating_frame_hamiltonian",
     "full_simulation_hamiltonian",
@@ -88,6 +85,17 @@ __all__ = [
 _RWA_RATIO = 0.2          # warn when g/omega or Omega_R/omega_d exceeds this
 _STRONG_DRIVE_FACTOR = 5  # warn unless Omega_R >= factor * max(|Delta_m|, g)
 _RESONANCE_RTOL = 1e-12
+
+
+def _require_finite_fields(record: str, **values) -> None:
+    """Raise ValueError naming the first of values that is not a finite number."""
+    for name, value in values.items():
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"{record} {name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -105,9 +113,10 @@ class QubitSpec:
     resonator: int = 0
 
     def __post_init__(self):
-        if self.gap <= 0:
+        _require_finite_fields("qubit", gap=self.gap, coupling=self.coupling)
+        if not self.gap > 0:
             raise ValueError("qubit gap must be positive")
-        if self.coupling < 0:
+        if not self.coupling >= 0:
             raise ValueError("qubit-resonator coupling must be non-negative")
         if not isinstance(self.resonator, int) or self.resonator < 0:
             raise ValueError("resonator must be a non-negative resonator index")
@@ -156,7 +165,8 @@ class ResonatorArray:
     def __post_init__(self):
         hopping = np.array(self.hopping, dtype=float)
         object.__setattr__(self, "qubits", tuple(self.qubits))
-        if self.omega <= 0 or self.omega_d <= 0:
+        _require_finite_fields("circuit", omega=self.omega, omega_d=self.omega_d, rabi=self.rabi)
+        if not (self.omega > 0 and self.omega_d > 0):
             raise ValueError("frequencies must be positive")
         if not self.qubits:
             raise ValueError("circuit needs at least one qubit")
@@ -329,49 +339,17 @@ def _complex_csr(m, dim: int, what: str) -> sparse.csr_matrix:
 
 
 # ---------------------------------------------------------------------------
-# laboratory frame and the resonator drive
+# the resonator drive
 # ---------------------------------------------------------------------------
 
 
 def _require_one_resonator(circuit) -> None:
-    """The resonator tone and the lab frame are modelled for one TLR only."""
+    """The resonator tone is modelled for one TLR only."""
     if circuit.n_resonators != 1:
         raise ValueError(
-            "the resonator drive and the lab frame are modelled for one "
-            f"resonator (M = 1), got M = {circuit.n_resonators}"
+            "the resonator drive is modelled for one resonator (M = 1), "
+            f"got M = {circuit.n_resonators}"
         )
-
-
-def lab_frame_hamiltonian(
-    circuit: ResonatorArray, amplitude: float, space: HilbertSpace
-) -> TimeDependentHamiltonian:
-    """Laboratory-frame Hamiltonian in the persistent-current basis.
-
-    H(t) = omega_r a^dag a + sum_k (Delta_k/2) sigma-bar_x^k
-         + sum_k g_k (a^dag + a) sigma-bar_z^k
-         + nu (a^dag e^{-i omega_d t} + a e^{i omega_d t})
-
-    with nu = amplitude (rad/ns) at the circuit's omega_d.  Here sigma-bar
-    are Paulis over the persistent-current states; the energy eigenbasis
-    used by every rotating-frame builder is a Hadamard rotation away.
-    Used for the frame-consistency diagnostic, not for production
-    runs (the lab mode sits in a coherent state of amplitude ~ nu/delta, so
-    the commensurate Fock truncation can be large).  One resonator only.
-    """
-    _require_one_resonator(circuit)
-    if space.n_modes != 1 or space.n_qubits != circuit.n_qubits:
-        raise ValueError("space must carry the circuit's qubits and exactly one mode")
-    nm, mode = space.mode_levels[0], space.mode_factor(0)
-    static = [(circuit.omega, {mode: number_operator(nm)})]
-    for k, q in enumerate(circuit.qubits):
-        static.append((0.5 * q.gap, {k: pauli("x")}))
-        static.append((q.coupling, {k: pauli("z"), mode: annihilation(nm) + creation(nm)}))
-    terms = []
-    if amplitude != 0.0:
-        terms.append((assemble(space, [(amplitude, {mode: creation(nm)})]), -circuit.omega_d))
-    fastest = circuit.omega * nm + circuit.omega_d
-    static = assemble(space, static)
-    return TimeDependentHamiltonian(space, static, tuple(terms), fastest, "single:lab")
 
 
 def qubit_drive_from_resonator_drive(
@@ -421,7 +399,7 @@ def _check_rwa(circuit) -> None:
 def _check_frame(circuit, space: HilbertSpace) -> None:
     """Preconditions shared by every rotating-frame builder."""
     for i, q in enumerate(circuit.qubits):
-        if abs(q.gap - circuit.omega_d) > _RESONANCE_RTOL * circuit.omega_d:
+        if not abs(q.gap - circuit.omega_d) <= _RESONANCE_RTOL * circuit.omega_d:  # NaN fails
             raise PreconditionError(
                 f"qubit {i} gap {q.gap:g} rad/ns is not resonant with the drive "
                 f"{circuit.omega_d:g} rad/ns; the rotating-frame builders assume "

@@ -15,13 +15,10 @@ on the excited state and ``sigma_plus()`` raises ground to excited.
 from __future__ import annotations
 
 import operator
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-
-from .errors import ApproximationWarning
 
 __all__ = [
     "HilbertSpace",
@@ -35,8 +32,6 @@ __all__ = [
     "embed",
     "embedded_product",
     "partial_trace_modes",
-    "matrix_exponential",
-    "displacement",
 ]
 
 _PAULI = {
@@ -187,25 +182,3 @@ def partial_trace_modes(state: np.ndarray, space: HilbertSpace) -> np.ndarray:
         raise ValueError("density matrix does not match the space dimension")
     return np.einsum("imjm->ij", state.reshape(q, m, q, m))
 
-
-def matrix_exponential(op: np.ndarray, scale: complex = 1.0) -> np.ndarray:
-    """expm(scale * op) via scaling-and-squaring."""
-    from scipy.linalg import expm  # off the start-up path: frame diagnostic and tests only
-    return expm(np.asarray(op, dtype=complex) * scale)
-
-
-def displacement(beta: complex, n_levels: int) -> np.ndarray:
-    """Truncated displacement operator exp(beta a^dag - beta* a).
-
-    Warns when the displaced state would press against the truncation,
-    |beta|^2 > n_levels / 4.
-    """
-    if abs(beta) ** 2 > n_levels / 4.0:
-        warnings.warn(
-            f"displacement |beta|^2 = {abs(beta) ** 2:.3g} is large for "
-            f"{n_levels} Fock levels; expect truncation error",
-            ApproximationWarning,
-            stacklevel=2,
-        )
-    a = annihilation(n_levels)
-    return matrix_exponential(beta * a.conj().T - np.conj(beta) * a)

@@ -36,7 +36,6 @@ from ghzforge.analytic import (
 from ghzforge.cli import main
 from ghzforge.constants import ghz_from_rad_per_ns
 from ghzforge.dynamics import (
-    evolve,
     evolve_sampled,
     ghz_fidelity,
     ground_vacuum_state,
@@ -214,9 +213,9 @@ def test_criterion_5_closure_unitary_and_three_qubits():
     circuit = reference_circuit()
     t_gate = decoupling_time(circuit.detuning, 1)
     space = HilbertSpace(n_qubits=2, mode_levels=(10,))
-    psi = evolve(
-        effective_hamiltonian(circuit, space), ground_vacuum_state(space), t_gate
-    )
+    psi = evolve_sampled(
+        effective_hamiltonian(circuit, space), ground_vacuum_state(space), [t_gate]
+    )[-1]
     u = decoupling_unitary(
         pair_phase_matrix(circuit.coupling_matrix, circuit.mode_detunings, t_gate)
     )
@@ -229,11 +228,11 @@ def test_criterion_5_closure_unitary_and_three_qubits():
     solution = solve_single_phase_condition(G_REF, n=1, m=0)
     circuit3 = reference_circuit(n_qubits=3)
     space3 = HilbertSpace(n_qubits=3, mode_levels=(10,))
-    psi3 = evolve(
+    psi3 = evolve_sampled(
         effective_hamiltonian(circuit3, space3),
         ground_vacuum_state(space3),
-        solution.gate_time,
-    )
+        [solution.gate_time],
+    )[-1]
     # for an odd register the closure output is one collective quarter-period
     # sigma_x rotation away from the GHZ state; fold it into the target
     target = residual_drive_rotation(-np.pi / 2.0, 1.0, 3) @ ghz_target(3, "plus_i")

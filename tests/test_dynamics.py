@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
-from test_model import reference_coupled, three_mode_record
+from scipy.linalg import expm
+from test_model import lab_frame_hamiltonian, reference_coupled, three_mode_record
 
 from ghzforge.analytic import (
     GHZ_CONVENTIONS,
@@ -28,9 +29,7 @@ from ghzforge.dynamics import (
     Trajectory,
     _observe,
     _stage,
-    evolve,
     evolve_sampled,
-    frame_consistency_report,
     ghz_fidelity,
     ground_vacuum_state,
     propagate_exactly,
@@ -46,10 +45,12 @@ from ghzforge.model import (
     TimeDependentHamiltonian,
     effective_hamiltonian,
     full_simulation_hamiltonian,
+    qubit_drive_from_resonator_drive,
     rotating_frame_hamiltonian,
 )
 from ghzforge.operators import (
     HilbertSpace,
+    assemble,
     embed,
     number_operator,
     partial_trace_modes,
@@ -87,7 +88,7 @@ def test_static_diagonal_phases_exact():
     )
     psi0 = np.ones(5, dtype=complex) / np.sqrt(5.0)
     t = 3.3
-    psi = evolve(h, psi0, t, 5e-4)
+    psi = evolve_sampled(h, psi0, [t], 5e-4)[-1]
     expected = np.exp(-1j * 0.7 * np.arange(5) * t) * psi0
     assert np.max(np.abs(psi - expected)) < 1e-11
 
@@ -285,7 +286,7 @@ def test_rabi_flop_oracle():
     h = rotating_frame_hamiltonian(circuit, space)
     psi0 = ground_vacuum_state(space)
     for t in (0.4, 1.0, 2.7):
-        psi = evolve(h, psi0, t, 5e-4)
+        psi = evolve_sampled(h, psi0, [t], 5e-4)[-1]
         theta = 0.5 * circuit.rabi * t
         # ground component (qubit index 1, vacuum) and excited (index 0)
         assert psi[2] == pytest.approx(np.cos(theta), abs=1e-10)
@@ -299,7 +300,7 @@ def test_fixed_step_matches_adaptive_dop853():
     h = full_simulation_hamiltonian(circuit, space)
     psi0 = ground_vacuum_state(space)
     t_final = 2.0
-    psi_rk4 = evolve(h, psi0, t_final, 1e-4)
+    psi_rk4 = evolve_sampled(h, psi0, [t_final], 1e-4)[-1]
 
     def rhs(t, y):
         z = y[: space.dim] + 1j * y[space.dim :]
@@ -337,9 +338,9 @@ def test_effective_run_matches_closure_unitary():
     circuit = reference_single()
     space = HilbertSpace(n_qubits=2, mode_levels=(10,))
     t_gate = decoupling_time(circuit.detuning, 1)
-    psi = evolve(
-        effective_hamiltonian(circuit, space), ground_vacuum_state(space), t_gate
-    )
+    psi = evolve_sampled(
+        effective_hamiltonian(circuit, space), ground_vacuum_state(space), [t_gate]
+    )[-1]
     u = decoupling_unitary(
         pair_phase_matrix(circuit.coupling_matrix, circuit.mode_detunings, t_gate)
     )
@@ -755,6 +756,16 @@ def test_sweep_validates_input():
         sweep_drive_strength("circuit", "effective", [5.0], (9.0, 10.0), 0.1)
 
 
+@pytest.mark.parametrize("multiplier", [np.nan, np.inf])
+def test_sweep_rejects_a_non_finite_multiplier(multiplier):
+    """A NaN or infinite multiplier makes a non-finite Omega_R, which the
+    layout record refuses before any run."""
+    with pytest.raises(ValueError, match="rabi must be finite"):
+        sweep_drive_strength(
+            reference_single(), "effective", [multiplier], (9.0, 10.0), 0.1, workers=1
+        )
+
+
 @pytest.mark.parametrize("window", [(0.0, np.inf), (0.0, 1e300)], ids=["infinite", "huge"])
 def test_sweep_rejects_an_unbounded_window(window):
     with pytest.raises(ValueError, match="window"):
@@ -776,31 +787,73 @@ def test_worker_count_rules():
 
 
 # ---------------------------------------------------------------------------
-# laboratory-frame consistency diagnostic
+# the rotating frame against the laboratory frame
 # ---------------------------------------------------------------------------
 
 
+def lab_frame_overlap(circuit, amplitude, fock_cutoff, t_final, full=full_simulation_hamiltonian):
+    """Overlap and aligned norm difference of two runs of one qubit on one
+    TLR, from ground and vacuum, at t_final.
+
+    The lab-frame run under the resonator tone starts displaced by D(beta0),
+    beta0 = -amplitude/delta; its end state is displaced back by
+    D(-beta(t)), beta(t) = beta0 e^{-i omega_d t}, taken to the energy
+    eigenbasis and un-rotated at omega_d.  The other run is ``full`` with
+    the equivalent qubit drive.
+    """
+    space = HilbertSpace(n_qubits=1, mode_levels=(fock_cutoff,))
+    a = annihilation(fock_cutoff)
+
+    def displace(beta):
+        return embed(expm(beta * a.conj().T - np.conj(beta) * a), 1, space)
+
+    qubit_map = embed(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), 0, space)
+    ground = ground_vacuum_state(space)
+    beta0 = -amplitude / circuit.detuning
+    h_lab = lab_frame_hamiltonian(circuit, amplitude, space)
+    psi_lab = evolve_sampled(h_lab, displace(beta0) @ (qubit_map @ ground), [t_final])[-1]
+    beta_t = beta0 * np.exp(-1j * circuit.omega_d * t_final)
+    psi_disp = qubit_map @ (displace(-beta_t) @ psi_lab)
+    # undo the omega_d rotation of mode and qubit, generated by omega_d (n + sigma_z/2)
+    generator = assemble(space, [(1.0, {1: number_operator(fock_cutoff)}), (0.5, {0: pauli("z")})])
+    psi_rot = np.exp(1j * (circuit.omega_d * generator).diagonal() * t_final) * psi_disp
+
+    driven, _ = qubit_drive_from_resonator_drive(circuit, amplitude)
+    psi_full = evolve_sampled(full(driven, space), ground, [t_final])[-1]
+    phase = np.vdot(psi_rot, psi_full)
+    return abs(phase) ** 2, float(np.linalg.norm(psi_full - psi_rot * phase / abs(phase)))
+
+
+def one_qubit_lab_circuit():
+    """One qubit, delta = -2pi*0.1, g = 2pi*0.05, no qubit drive yet."""
+    return SingleTlrCircuit(
+        omega_r=TWO_PI * 10.0,
+        qubits=(QubitSpec(gap=TWO_PI * 10.1, coupling=TWO_PI * 0.05),),
+        omega_d=TWO_PI * 10.1,
+    )
+
+
 def test_frame_consistency_single_qubit():
-    circuit = SingleTlrCircuit(
-        omega_r=TWO_PI * 10.0,
-        qubits=(QubitSpec(gap=TWO_PI * 10.1, coupling=TWO_PI * 0.05),),
-        omega_d=TWO_PI * 10.1,
-    )
-    report = frame_consistency_report(circuit, TWO_PI * 0.05, fock_cutoff=12, t_final=2.0)
-    assert report.displacement_magnitude == pytest.approx(0.5, rel=1e-12)
-    assert report.rabi == pytest.approx(TWO_PI * 0.05, rel=1e-12)
-    assert report.overlap > 0.9999
-    assert report.norm_difference < 0.01
+    circuit = one_qubit_lab_circuit()
+    driven, mapping = qubit_drive_from_resonator_drive(circuit, TWO_PI * 0.05)
+    assert mapping.displacement_magnitude == pytest.approx(0.5, rel=1e-12)
+    assert driven.rabi == pytest.approx(TWO_PI * 0.05, rel=1e-12)
+    overlap, norm_difference = lab_frame_overlap(circuit, TWO_PI * 0.05, 12, 2.0)
+    assert overlap > 0.9999
+    assert norm_difference < 0.01
 
 
-def test_frame_consistency_preconditions():
-    two_qubit = reference_single()
-    with pytest.raises(ValueError, match="one qubit"):
-        frame_consistency_report(two_qubit, 1.0)
-    one = SingleTlrCircuit(
-        omega_r=TWO_PI * 10.0,
-        qubits=(QubitSpec(gap=TWO_PI * 10.1, coupling=TWO_PI * 0.05),),
-        omega_d=TWO_PI * 10.1,
+def test_lab_frame_turns_the_counter_rotating_coupling_at_twice_the_drive():
+    """With the counter-rotating coupling of ``full`` re-tagged from
+    omega + omega_d to 2 omega_d the lab frame agrees to truncation and step
+    error: the qubit and the displaced mode both rotate at omega_d."""
+
+    def full_at_twice_the_drive(circuit, space):
+        h = full_simulation_hamiltonian(circuit, space)
+        terms = tuple((m, 2.0 * circuit.omega_d) for m, _ in h.terms)
+        return TimeDependentHamiltonian(space, h.static, terms, 2.0 * circuit.omega_d, h.label)
+
+    overlap, _ = lab_frame_overlap(
+        one_qubit_lab_circuit(), TWO_PI * 0.05, 12, 2.0, full=full_at_twice_the_drive
     )
-    with pytest.raises(ValueError, match="too large"):
-        frame_consistency_report(one, TWO_PI * 2.0, fock_cutoff=8)
+    assert abs(1.0 - overlap) < 1e-9

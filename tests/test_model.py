@@ -4,17 +4,19 @@ import functools
 import tracemalloc
 import warnings
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.linalg import expm
 from test_operators import hermiticity_defect, kron_embed
 
 from ghzforge.errors import ApproximationWarning, PreconditionError
 from ghzforge.scenario import bundled_scenario_path, load_scenario
-from ghzforge.dynamics import VARIANTS, frame_consistency_report
+from ghzforge.dynamics import VARIANTS
 from ghzforge.model import (
     CoupledTlrCircuit,
     QubitSpec,
@@ -24,17 +26,16 @@ from ghzforge.model import (
     effective_hamiltonian,
     full_simulation_hamiltonian,
     interaction_picture_hamiltonian,
-    lab_frame_hamiltonian,
     qubit_drive_from_resonator_drive,
     rotating_frame_hamiltonian,
 )
 from ghzforge.operators import (
     HilbertSpace,
     annihilation,
+    assemble,
     creation,
     embed,
     embedded_product,
-    matrix_exponential,
     number_operator,
     pauli,
     sigma_minus,
@@ -135,6 +136,28 @@ def bare_mode_hamiltonian(circuit, space):
     return TimeDependentHamiltonian(space, static, (), fastest, f"{circuit.kind}:bare")
 
 
+def lab_frame_hamiltonian(circuit, amplitude, space):
+    """Laboratory-frame Hamiltonian of qubits on one TLR, in the
+    persistent-current basis:
+
+    H(t) = omega_r a^dag a + sum_k (Delta_k/2) sigma-bar_x^k
+         + sum_k g_k (a^dag + a) sigma-bar_z^k
+         + nu (a^dag e^{-i omega_d t} + a e^{i omega_d t})
+
+    with nu = amplitude (rad/ns).  The sigma-bar are Paulis over the
+    persistent-current states, a Hadamard rotation away from the energy
+    eigenbasis.  The oracle for the frame of the rotating-frame builders.
+    """
+    nm, mode = space.mode_levels[0], space.mode_factor(0)
+    static = [(circuit.omega, {mode: number_operator(nm)})]
+    for k, q in enumerate(circuit.qubits):
+        static.append((0.5 * q.gap, {k: pauli("x")}))
+        static.append((q.coupling, {k: pauli("z"), mode: annihilation(nm) + creation(nm)}))
+    terms = [(assemble(space, [(amplitude, {mode: creation(nm)})]), -circuit.omega_d)]
+    fastest = circuit.omega * nm + circuit.omega_d
+    return TimeDependentHamiltonian(space, assemble(space, static), terms, fastest, "single:lab")
+
+
 # ---------------------------------------------------------------------------
 # parameter validation
 # ---------------------------------------------------------------------------
@@ -149,6 +172,35 @@ def test_qubit_spec_validation():
         QubitSpec(gap=1.0, coupling=0.1, resonator="C")
     with pytest.raises(ValueError):
         QubitSpec(gap=1.0, coupling=0.1, resonator=-1)
+
+
+@pytest.mark.parametrize(
+    "value", [np.nan, np.inf, -np.inf, 10**400], ids=["nan", "inf", "-inf", "huge"]
+)
+def test_circuit_records_reject_non_finite_fields(value):
+    """Every frequency, coupling and drive field is a finite number.  NaN
+    passes every plain comparison, so a NaN gap used to pass the builders'
+    resonance test and a NaN coupling or drive to reach the integrator."""
+    q = QubitSpec(gap=1.0, coupling=0.1)
+    makers = {
+        "gap": lambda: QubitSpec(gap=value, coupling=0.1),
+        "coupling": lambda: QubitSpec(gap=1.0, coupling=value),
+        "omega": lambda: ResonatorArray(value, [[0.0]], (q,), 1.0),
+        "omega_d": lambda: ResonatorArray(1.1, [[0.0]], (q,), value),
+        "rabi": lambda: ResonatorArray(1.1, [[0.0]], (q,), 1.0, value),
+    }
+    for name, make in makers.items():
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            make()
+
+
+def test_nan_gap_is_not_resonant():
+    """The builders' resonance test fails for a gap that is NaN, on a
+    layout record that skips QubitSpec's own checks."""
+    qubit = SimpleNamespace(gap=np.nan, coupling=0.05)
+    circuit = replace(three_mode_record(), qubits=(qubit, qubit))
+    with pytest.raises(PreconditionError, match="not resonant"):
+        rotating_frame_hamiltonian(circuit, HilbertSpace(n_qubits=2, mode_levels=(2, 3, 2)))
 
 
 def test_single_circuit_validation():
@@ -620,7 +672,7 @@ def test_interaction_picture_matches_frame_conjugation(record, levels):
         generator = generator + 0.5 * circuit.rabi * kron_embed(pauli("x"), k, space)
 
     for t in (0.0, 0.27, 1.44):
-        u0 = matrix_exponential(generator, scale=-1j * t)
+        u0 = expm(-1j * t * generator)
         expected = u0.conj().T @ (h_rot - generator) @ u0
         assert np.allclose(h_int(t), expected, atol=1e-10)
 
@@ -752,18 +804,10 @@ def test_array_validation():
 
 
 def test_single_resonator_entry_points_reject_arrays():
-    """The resonator tone and the lab frame exist for one TLR only."""
+    """The resonator tone exists for one TLR only."""
     circuit = reference_coupled(rabi_mult=0.0)
-    nu = TWO_PI * 0.05
-    space = HilbertSpace(n_qubits=2, mode_levels=(3, 3))
-    one_qubit = replace(circuit, qubits=circuit.qubits[:1])
-    for call in (
-        lambda: qubit_drive_from_resonator_drive(circuit, nu),
-        lambda: lab_frame_hamiltonian(circuit, nu, space),
-        lambda: frame_consistency_report(one_qubit, nu),
-    ):
-        with pytest.raises(ValueError, match="one resonator \\(M = 1\\), got M = 2"):
-            call()
+    with pytest.raises(ValueError, match="one resonator \\(M = 1\\), got M = 2"):
+        qubit_drive_from_resonator_drive(circuit, TWO_PI * 0.05)
 
 
 def test_normal_mode_splitting_without_qubits():

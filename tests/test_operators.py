@@ -1,6 +1,5 @@
 """Unit tests for the truncated-space operator toolbox."""
 
-import math
 from functools import reduce
 
 import numpy as np
@@ -15,10 +14,8 @@ from ghzforge.operators import (
     annihilation,
     assemble,
     creation,
-    displacement,
     embed,
     embedded_product,
-    matrix_exponential,
     number_operator,
     partial_trace_modes,
     pauli,
@@ -230,39 +227,3 @@ def test_partial_trace_random_state_properties():
     # density-matrix input gives the same answer
     rho2 = partial_trace_modes(np.outer(psi, psi.conj()), space)
     assert np.allclose(rho, rho2)
-
-
-def test_displacement_builds_coherent_state():
-    beta = 0.4 - 0.3j
-    n_levels = 18
-    d = displacement(beta, n_levels)
-    assert unitarity_defect(d) < 1e-10
-    vac = np.zeros(n_levels)
-    vac[0] = 1.0
-    coh = d @ vac
-    amps = np.array(
-        [
-            np.exp(-abs(beta) ** 2 / 2) * beta**n / np.sqrt(math.factorial(n))
-            for n in range(8)
-        ]
-    )
-    assert np.allclose(coh[:8], amps, atol=1e-10)
-    # inverse displacement undoes it
-    assert np.allclose(displacement(-beta, n_levels) @ coh, vac, atol=1e-10)
-
-
-def test_displacement_truncation_warning():
-    with pytest.warns(UserWarning):
-        displacement(2.0, 8)
-
-
-def test_matrix_exponential_against_series():
-    rng = np.random.default_rng(3)
-    h = rng.normal(size=(6, 6))
-    h = h + h.T
-    u = matrix_exponential(h, scale=-1j * 0.37)
-    # exponential of a Hermitian generator is unitary
-    assert unitarity_defect(u) < 1e-12
-    evals, vecs = np.linalg.eigh(h)
-    direct = vecs @ np.diag(np.exp(-1j * 0.37 * evals)) @ vecs.conj().T
-    assert np.allclose(u, direct, atol=1e-12)

@@ -1,12 +1,10 @@
 """Start-up cost: `run`, `sweep`, `coupler` and `solve` need numpy and
 scipy.sparse only.
 
-scipy.linalg is loaded on first use by the code that needs it,
-`operators.matrix_exponential` and the frame diagnostic; no package code
-loads scipy.integrate or scipy.optimize.  Each check runs in a fresh
-interpreter against the package source in this checkout and reads which
-modules got loaded; no time is measured.  A last check reads the package's
-exports.
+No package module loads scipy.linalg, scipy.integrate or scipy.optimize.
+Each check runs in a fresh interpreter against the package source in this
+checkout and reads which modules got loaded; no time is measured.  A last
+check reads the package's exports.
 """
 
 import importlib
@@ -44,11 +42,26 @@ loaded = [name for name in json.loads(sys.argv[2]) if name in sys.modules]
 print(json.dumps({"on_import": on_import, "codes": codes, "loaded": loaded}))
 """
 
+# Imports every ghzforge submodule and prints one JSON line with their names
+# and which DEFERRED modules are loaded by then.
+_IMPORT_ALL = """
+import importlib, json, pkgutil, sys
+import ghzforge
 
-def _probe(commands, cwd):
+names = [f"ghzforge.{info.name}" for info in pkgutil.iter_modules(ghzforge.__path__)]
+for name in names:
+    importlib.import_module(name)
+loaded = [name for name in json.loads(sys.argv[1]) if name in sys.modules]
+print(json.dumps({"imported": names, "loaded": loaded}))
+"""
+
+
+def _probe(script, args, cwd):
+    """Run script in a fresh interpreter with args and DEFERRED as JSON
+    arguments; return the JSON record it prints last."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(commands), json.dumps(DEFERRED)],
+        [sys.executable, "-c", script, *map(json.dumps, args), json.dumps(DEFERRED)],
         cwd=cwd,
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
@@ -56,7 +69,7 @@ def _probe(commands, cwd):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr[-2000:]
-    return result.stdout, json.loads(result.stdout.splitlines()[-1])
+    return json.loads(result.stdout.splitlines()[-1])
 
 
 def test_commands_load_only_numpy_and_scipy_sparse(tmp_path):
@@ -76,9 +89,15 @@ def test_commands_load_only_numpy_and_scipy_sparse(tmp_path):
          "--out-dir", out],
         ["solve", "--mode", "single", "--g-ghz", "0.05"],
     ]
-    _, record = _probe(commands, tmp_path)
+    record = _probe(_PROBE, [commands], tmp_path)
     assert record["on_import"] == ["scipy.sparse"]
     assert record["codes"] == [0] * len(commands)
+    assert record["loaded"] == []
+
+
+def test_no_module_loads_a_deferred_scipy_package(tmp_path):
+    record = _probe(_IMPORT_ALL, [], tmp_path)
+    assert {"ghzforge.cli", "ghzforge.dynamics", "ghzforge.operators"} <= set(record["imported"])
     assert record["loaded"] == []
 
 
