@@ -39,6 +39,7 @@ EXIT_PRECONDITION = 3
 EXIT_UNSOLVABLE = 4
 
 MAX_GRID_POINTS = 10**6  # coupler flux grid, checked before it is allocated
+_ROWS_PER_WRITE = 4096  # trajectory CSV rows formatted per write
 
 
 def _fmt(value: float) -> str:
@@ -59,7 +60,8 @@ def _write_trajectory_csv(path: Path, trajectory: Trajectory) -> None:
 
     Every row comes from one template over the whole table; the template's
     tail, the label cell and the CRLF row end, is written by csv.writer, so
-    the bytes are those of writing each row with csv.writer.
+    the bytes are those of writing each row with csv.writer.  One % on the
+    template repeated _ROWS_PER_WRITE times formats each chunk of rows.
     """
     columns = np.column_stack(
         [trajectory.times, trajectory.fidelity, trajectory.norm, trajectory.mode_occupation]
@@ -70,7 +72,9 @@ def _write_trajectory_csv(path: Path, trajectory: Trajectory) -> None:
     row = ",".join(["%.11e"] * columns.shape[1]) + tail.getvalue().replace("%", "%%")
     with open(path, "w", newline="") as handle:
         csv.writer(handle).writerow(header)
-        handle.write("".join(row % tuple(values) for values in columns.tolist()))
+        for first in range(0, len(columns), _ROWS_PER_WRITE):
+            chunk = columns[first : first + _ROWS_PER_WRITE]
+            handle.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _summary_dict(scenario: LoadedScenario, trajectory: Trajectory, wall_s: float) -> dict:
@@ -83,6 +87,7 @@ def _summary_dict(scenario: LoadedScenario, trajectory: Trajectory, wall_s: floa
         "ghz_phase_convention_selected": trajectory.convention,
         "propagator": trajectory.propagator,
         "steps": trajectory.steps,
+        "dim": trajectory.dim,
         "wall_time_s": wall_s,
         "parameters": scenario.raw,
     }
@@ -109,9 +114,12 @@ def cmd_run(args) -> int:
     trajectory = run_scenario(scenario)
     wall = time.perf_counter() - start
     csv_path = out_dir / f"{scenario.name}.csv"
+    written = time.perf_counter()
     _write_trajectory_csv(csv_path, trajectory)
+    write_ms = 1e3 * (time.perf_counter() - written)
     summary = _summary_dict(scenario, trajectory, wall)
     summary["csv"] = csv_path.name
+    summary["timings_ms"] = {**trajectory.timings_ms, "write": write_ms}
     json_path = out_dir / f"{scenario.name}_summary.json"
     json_path.write_text(json.dumps(summary, indent=2) + "\n")
     print(

@@ -23,6 +23,7 @@ from ghzforge.analytic import (
 )
 from ghzforge.dynamics import (
     _BUILDERS,
+    _SAMPLES_PER_PRODUCT,
     _STEPS_PER_TABLE,
     EXACT_DIMENSION_LIMIT,
     VARIANTS,
@@ -386,6 +387,47 @@ def test_exact_states_match_rk4_at_a_256th_of_the_step(case, variant):
     exact = propagate_exactly(h, psi0, times)
     fine = evolve_sampled(h, psi0, times, resolve_step(h, None) / 256)
     assert np.max(np.linalg.norm(exact - fine, axis=1)) <= 1e-10
+
+
+def reference_propagate_exactly(hamiltonian, psi0, sample_times):
+    """Reference for propagate_exactly: the phases by np.exp of imaginary
+    angles, e^{iKt} on every diagonal entry of K, and one product for all
+    samples.  The argument checks are left to propagate_exactly."""
+    t = np.asarray(sample_times, dtype=float)[:, None]
+    h = hamiltonian(0.0)
+    h[np.diag_indices_from(h)] += hamiltonian.frame
+    energies, vectors = np.linalg.eigh(h if h.imag.any() else h.real)
+    amplitudes = vectors.conj().T @ psi0
+    states = (np.exp(-1j * t * energies) * amplitudes) @ vectors.T
+    return states * np.exp(1j * t * hamiltonian.frame)
+
+
+EXACT_GRIDS = {  # sample times as fractions of the case's span
+    "600-samples": np.linspace(0.0, 1.0, 600),  # more than two products' worth
+    "duplicates": np.array([0.0, 0.0, 1e-16, 0.013, 0.013, 0.2, 0.7501, 0.7501, 1.0]),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(EXACT_GRIDS))
+@pytest.mark.parametrize("variant", ["rotating", "effective"])
+@pytest.mark.parametrize("case", sorted(EXACT_CASES))
+def test_exact_states_match_the_complex_exponential_reference(case, variant, grid, monkeypatch):
+    """The phase tables come from cos and sin of real angles, e^{iKt} from
+    K's distinct levels only; that moves no state by more than 1e-13, and
+    the number of samples per product moves no bit."""
+    make, fock, span = EXACT_CASES[case]
+    circuit = make()
+    space = HilbertSpace(n_qubits=circuit.n_qubits, mode_levels=fock)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ApproximationWarning)
+        h = _BUILDERS[variant](circuit, space)
+    times = span * EXACT_GRIDS[grid]
+    assert EXACT_GRIDS["600-samples"].size > 2 * _SAMPLES_PER_PRODUCT
+    psi0 = random_state(space.dim, seed=5)
+    states = propagate_exactly(h, psi0, times)
+    assert np.max(np.abs(states - reference_propagate_exactly(h, psi0, times))) <= 1e-13
+    monkeypatch.setattr("ghzforge.dynamics._SAMPLES_PER_PRODUCT", 7)
+    assert_same_bits(propagate_exactly(h, psi0, times), states)
 
 
 def test_repeat_exact_runs_are_bit_identical():

@@ -303,6 +303,22 @@ def test_summaries_record_the_propagator(tmp_path):
     assert [(p["propagator"], p["steps"]) for p in points] == [("exact", 0)] * 2
 
 
+@pytest.mark.parametrize(
+    "overrides", [{}, {"variant": "full", "t_final_ns": 0.1}], ids=["exact", "rk4"]
+)
+def test_run_summary_records_dim_and_per_phase_timings(overrides, tmp_path):
+    path = write_scenario(tmp_path, "timed", scenario_doc(**overrides))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "timed_summary.json").read_text())
+    assert summary["dim"] == 2**2 * 6  # two qubits, Fock cutoff 6
+    timings = summary["timings_ms"]
+    assert set(timings) == {"build", "propagate", "observe", "write"}
+    assert all(math.isfinite(ms) and ms >= 0 for ms in timings.values())
+    run_ms = timings["build"] + timings["propagate"] + timings["observe"]
+    assert run_ms <= summary["wall_time_s"] * 1e3
+
+
 def test_run_outputs_are_deterministic(tmp_path):
     path = write_scenario(tmp_path, "det", scenario_doc())
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -344,16 +360,22 @@ def _reference_trajectory_csv(path, trajectory):
 
 
 @pytest.mark.parametrize(
-    "n_modes, label",
+    "n_modes, label, rows_per_write",
     [
-        (1, "single:full"),
-        (2, "coupled:effective"),
-        (3, "array:rotating"),
-        (1, "single:full:rabi=3.14159265"),
+        (1, "single:full", None),
+        (2, "coupled:effective", None),
+        (3, "array:rotating", None),
+        (1, "single:full:rabi=3.14159265", None),
+        (2, "coupled:effective", 7),  # 36 whole chunks and one of 5 rows
+        (1, 'a "100%", quoted label', None),  # csv quoting, and %% in the template
     ],
-    ids=["one-mode", "two-mode", "three-mode", "sweep-label"],
+    ids=["one-mode", "two-mode", "three-mode", "sweep-label", "multi-chunk", "quoted-label"],
 )
-def test_trajectory_csv_is_byte_identical_to_csv_writer(n_modes, label, tmp_path):
+def test_trajectory_csv_is_byte_identical_to_csv_writer(
+    n_modes, label, rows_per_write, tmp_path, monkeypatch
+):
+    if rows_per_write is not None:
+        monkeypatch.setattr(cli, "_ROWS_PER_WRITE", rows_per_write)
     rng = np.random.default_rng(n_modes)
     samples = 257
     values = rng.normal(size=(samples, 3 + n_modes)) * 10.0 ** rng.integers(-300, 300, (samples, 1))
@@ -373,6 +395,7 @@ def test_trajectory_csv_is_byte_identical_to_csv_writer(n_modes, label, tmp_path
         rows = list(csv.reader(handle))
     assert len(rows) == samples + 1
     assert {len(row) for row in rows} == {4 + n_modes}
+    assert {row[-1] for row in rows[1:]} == {label}
 
 
 def test_run_malformed_json_exits_2(tmp_path, capsys):
