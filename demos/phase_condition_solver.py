@@ -17,6 +17,7 @@ from ghzforge import (
     solve_coupled_phase_condition,
     solve_single_phase_condition,
 )
+from ghzforge.scenario import scenario_document
 
 TWO_PI = 2.0 * np.pi
 
@@ -46,20 +47,17 @@ for xi, m, l in ((3, 0, 0), (5, 3, 0), (7, 8, 1), (5, 0, 0)):
 
 print()
 sol = solve_single_phase_condition(g, n=1, m=0)
-fragment = {
-    "schema_version": 1,
-    "kind": "single",
-    "resonator": {"omega_ghz": 10.0},
-    "drive_frequency_ghz": 10.0 - sol.deltas[1] / TWO_PI,
-    "qubits": [
-        {"gap_ghz": 10.0 - sol.deltas[1] / TWO_PI, "coupling_ghz": g / TWO_PI},
-        {"gap_ghz": 10.0 - sol.deltas[1] / TWO_PI, "coupling_ghz": g / TWO_PI},
-    ],
-    "drive": {"rabi_ghz": 20.0 * abs(sol.deltas[1]) / TWO_PI},
-    "variant": "full",
-    "fock_cutoff": 10,
-    "t_final_ns": sol.gate_time,
-    "sample_every_ns": sol.gate_time / 200.0,
-}
+drive_ghz = 10.0 - sol.deltas[1] / TWO_PI  # qubits at the drive, 10 GHz resonator
+fragment = scenario_document(
+    "single",
+    resonator=(10.0,),
+    qubits=[(drive_ghz, g / TWO_PI, 0)] * 2,
+    fock=(10,),
+    rabi_ghz=20.0 * abs(sol.deltas[1]) / TWO_PI,
+    drive_frequency_ghz=drive_ghz,
+    variant="full",
+    t_final_ns=sol.gate_time,
+    sample_every_ns=sol.gate_time / 200.0,
+)
 print("scenario for the n=1 solution (pipe into `ghzforge run`):")
 print(json.dumps(fragment, indent=2))

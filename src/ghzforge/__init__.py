@@ -19,7 +19,7 @@ Layers: `operators` (truncated-space linear algebra), `model` (circuit
 records and Hamiltonian builders), `analytic` (closed forms: displacement
 loops, pair phases, phase-condition solvers, SQUID coupler), `dynamics`
 (exact and fixed-step propagation, trajectories, sweeps), `scenario` (JSON run
-descriptions), `cli` (command line).
+descriptions: read and written), `cli` (command line).
 """
 
 from .analytic import (

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -31,7 +32,7 @@ from .analytic import (
 from .constants import ghz_from_rad_per_ns
 from .dynamics import Trajectory, sweep_drive_strength, worker_count
 from .errors import PreconditionError, ScenarioFormatError, UnsolvableConditionError
-from .scenario import LoadedScenario, check_run_size, load_scenario, run_scenario
+from .scenario import LoadedScenario, check_run_size, load_scenario, run_scenario, scenario_document
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -201,7 +202,9 @@ def cmd_sweep(args) -> int:
     rows = []
     for value, token, trajectory in zip(values, tokens, trajectories):
         point_path = out_dir / f"{scenario.name}_{args.param}={token}.csv"
+        written = time.perf_counter()
         _write_trajectory_csv(point_path, trajectory)
+        write_ms = 1e3 * (time.perf_counter() - written)
         rows.append(
             {
                 "omega_r_multiple": value,
@@ -210,7 +213,9 @@ def cmd_sweep(args) -> int:
                 "convention": trajectory.convention,
                 "propagator": trajectory.propagator,
                 "steps": trajectory.steps,
+                "dim": trajectory.dim,
                 "csv": point_path.name,
+                "timings_ms": {**trajectory.timings_ms, "write": write_ms},
             }
         )
         print(
@@ -327,56 +332,13 @@ def cmd_coupler(args) -> int:
     return EXIT_OK
 
 
-def _scenario_fragment_single(solution, coupling_ghz: float) -> dict:
-    delta_ghz = ghz_from_rad_per_ns(solution.deltas[1])  # negative-detuning branch
-    omega_ghz = 10.0
-    drive_ghz = omega_ghz - delta_ghz
-    return {
-        "schema_version": 1,
-        "kind": "single",
-        "resonator": {"omega_ghz": omega_ghz},
-        "drive_frequency_ghz": drive_ghz,
-        "qubits": [
-            {"gap_ghz": drive_ghz, "coupling_ghz": coupling_ghz},
-            {"gap_ghz": drive_ghz, "coupling_ghz": coupling_ghz},
-        ],
-        "drive": {"rabi_ghz": 20.0 * abs(delta_ghz)},
-        "variant": "full",
-        "fock_cutoff": 10,
-        "t_final_ns": solution.gate_time,
-        "sample_every_ns": solution.gate_time / 200.0,
-    }
-
-
-def _scenario_fragment_coupled(solution, coupling_ghz: float) -> dict:
-    j_ghz = ghz_from_rad_per_ns(solution.coupler_rate)
-    delta_ghz = ghz_from_rad_per_ns(solution.delta_prime)
-    omega_ghz = 10.0
-    drive_ghz = omega_ghz - delta_ghz
-    return {
-        "schema_version": 1,
-        "kind": "coupled",
-        "resonator": {
-            "omega_a_ghz": omega_ghz,
-            "omega_b_ghz": omega_ghz,
-            "coupler_rate_ghz": j_ghz,
-        },
-        "drive_frequency_ghz": drive_ghz,
-        "qubits": [
-            {"gap_ghz": drive_ghz, "coupling_ghz": coupling_ghz, "resonator": "A"},
-            {"gap_ghz": drive_ghz, "coupling_ghz": coupling_ghz, "resonator": "B"},
-        ],
-        "drive": {"rabi_ghz": 42.0 * j_ghz},
-        "variant": "full",
-        "fock_cutoffs": [8, 8],
-        "t_final_ns": solution.gate_time,
-        "sample_every_ns": solution.gate_time / 200.0,
-    }
-
-
 def _solution(args, coupling: float) -> dict:
+    """The solved phase condition and a `full` scenario on 10 GHz resonators
+    that runs it, sampled 200 times over the gate."""
     if args.mode == "single":
         solution = solve_single_phase_condition(coupling, n=args.n, m=args.m)
+        detuning_ghz = ghz_from_rad_per_ns(solution.deltas[1])  # negative-detuning branch
+        resonator, rabi_ghz, fock, hosts = (10.0,), 20.0 * abs(detuning_ghz), (10,), (0, 0)
         result = {
             "mode": "single",
             "inputs": {"n": args.n, "m": args.m, "g_ghz": args.g_ghz},
@@ -384,30 +346,35 @@ def _solution(args, coupling: float) -> dict:
             "detunings_ghz": [ghz_from_rad_per_ns(d) for d in solution.deltas],
             "gate_time_ns": solution.gate_time,
             "pair_phase_rad": solution.pair_phase,
-            "scenario_fragment": _scenario_fragment_single(solution, args.g_ghz),
         }
     else:
         if args.xi is None:
             raise ScenarioFormatError("--xi is required for --mode coupled")
-        solution = solve_coupled_phase_condition(
-            coupling, args.xi, n=args.n, m=args.m, l=args.l
-        )
+        solution = solve_coupled_phase_condition(coupling, args.xi, n=args.n, m=args.m, l=args.l)
+        j_ghz = ghz_from_rad_per_ns(solution.coupler_rate)
+        detuning_ghz = ghz_from_rad_per_ns(solution.delta_prime)
+        resonator, rabi_ghz, fock, hosts = (10.0, 10.0, j_ghz), 42.0 * j_ghz, (8, 8), (0, 1)
         result = {
             "mode": "coupled",
-            "inputs": {
-                "n": args.n,
-                "m": args.m,
-                "l": args.l,
-                "xi": args.xi,
-                "g_ghz": args.g_ghz,
-            },
-            "coupler_rate_ghz": ghz_from_rad_per_ns(solution.coupler_rate),
-            "delta_prime_ghz": ghz_from_rad_per_ns(solution.delta_prime),
+            "inputs": {"n": args.n, "m": args.m, "l": args.l, "xi": args.xi, "g_ghz": args.g_ghz},
+            "coupler_rate_ghz": j_ghz,
+            "delta_prime_ghz": detuning_ghz,
             "gate_time_ns": solution.gate_time,
             "same_pair_phase_rad": solution.same_pair_phase,
             "cross_pair_phase_rad": solution.cross_pair_phase,
-            "scenario_fragment": _scenario_fragment_coupled(solution, args.g_ghz),
         }
+    drive_ghz = 10.0 - detuning_ghz  # the qubits sit at the drive frequency
+    result["scenario_fragment"] = scenario_document(
+        args.mode,
+        resonator=resonator,
+        qubits=[(drive_ghz, args.g_ghz, host) for host in hosts],  # host: the qubit's resonator
+        fock=fock,
+        rabi_ghz=rabi_ghz,
+        drive_frequency_ghz=drive_ghz,
+        variant="full",
+        t_final_ns=solution.gate_time,
+        sample_every_ns=solution.gate_time / 200.0,
+    )
     return result
 
 
@@ -503,13 +470,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built once per process: each build leaves about 250
+# objects in reference cycles for the garbage collector.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ScenarioFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:  # inputs are read in scenario, so this is an output path
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)

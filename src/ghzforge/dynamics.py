@@ -402,7 +402,7 @@ def _observe(
     return Trajectory(
         times=times,
         fidelity=fidelity,
-        norm=np.linalg.norm(states, axis=1),
+        norm=np.sqrt(populations.reshape(len(states), -1).sum(axis=1)),
         mode_occupation=occupations,
         label=label,
         convention=winner,

@@ -469,8 +469,11 @@ def full_simulation_hamiltonian(circuit, space: HilbertSpace) -> TimeDependentHa
     Adds to the static rotating-frame part the drive term
     sum_k (Omega_R/2) sigma_+^k e^{2 i omega_d t} + h.c. and the coupling
     term sum_{k,m} G_km a_m^dag sigma_+^k e^{i (omega + omega_d) t} + h.c.
-    This is the benchmark Hamiltonian: no approximation beyond the Fock
-    truncation and the frame itself.
+    That coupling tag is the coded one, not the frame's: in this frame
+    a^dag sigma_+ turns at 2 omega_d, so the declared fastest frequency,
+    omega + omega_d, lies below the drive term's 2 omega_d.  Retagging moves
+    F by 6.8e-5 (single gate) and 4.6e-5 (coupled) and waits on re-recorded
+    benchmark references (ROADMAP.md, item 2).
     """
     _check_frame(circuit, space)
     static = assemble(space, _rotating_static(circuit, space))

@@ -4,15 +4,17 @@ A scenario is the unit the command line works with.  All frequencies in
 the file are ordinary frequencies in GHz and are multiplied by 2*pi on
 load; times are in ns.  The schema is strict: unknown keys anywhere in
 the document are rejected so that a typo cannot silently fall back to a
-default.
+default.  What the schema knows about each layout lives in one table,
+LAYOUTS, read by validate_scenario and by scenario_document, which writes
+documents (`ghzforge solve` prints one).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Collection
 from dataclasses import dataclass
-from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -39,21 +41,40 @@ GHZ_PHASE_CHOICES = ("auto", "i_power", "plus_i")
 MAX_DIMENSION = 2048
 MAX_STORED_AMPLITUDES = 2**24
 
-_TOP_KEYS = {
-    "schema_version",
-    "description",
-    "kind",
-    "resonator",
-    "drive_frequency_ghz",
-    "qubits",
-    "drive",
-    "variant",
-    "fock_cutoff",
-    "fock_cutoffs",
-    "t_final_ns",
-    "sample_every_ns",
-    "ghz_phase_convention",
-    "integrator",
+# Every top-level key, in the order scenario_document writes them.
+_TOP_KEYS = (
+    "schema_version", "description", "kind", "resonator", "drive_frequency_ghz", "qubits",
+    "drive", "variant", "fock_cutoff", "fock_cutoffs", "t_final_ns", "sample_every_ns",
+    "ghz_phase_convention", "integrator",
+)
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """What the schema knows about one value of `kind`."""
+
+    record: type  # the layout's constructor in model
+    resonator: dict[str, tuple[str, bool]]  # file key -> (record field, must be > 0)
+    fock_key: str  # holds one cutoff per mode; a bare integer when there is one mode
+    labels: tuple[str, ...]  # a qubit's `resonator` value per resonator; none with one
+
+    @property
+    def modes(self) -> int:
+        return len(self.labels) or 1
+
+
+LAYOUTS = {
+    "single": _Layout(SingleTlrCircuit, {"omega_ghz": ("omega_r", True)}, "fock_cutoff", ()),
+    "coupled": _Layout(
+        CoupledTlrCircuit,
+        {
+            "omega_a_ghz": ("omega_a", True),
+            "omega_b_ghz": ("omega_b", True),
+            "coupler_rate_ghz": ("coupler_rate", False),
+        },
+        "fock_cutoffs",
+        ("A", "B"),
+    ),
 }
 
 
@@ -83,8 +104,8 @@ def _require_mapping(value, where: str) -> dict:
     return value
 
 
-def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
+def _reject_unknown(obj: dict, allowed: Collection[str], where: str) -> None:
+    unknown = sorted(set(obj).difference(allowed))
     if unknown:
         raise _fail(where, f"unknown key(s) {unknown}; allowed keys are {sorted(allowed)}")
 
@@ -124,11 +145,11 @@ def _is_cutoff(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, int) and value >= 2
 
 
-def _qubit_from_entry(entry, index: int, kind: str) -> QubitSpec:
+def _qubit_from_entry(entry, index: int, labels: tuple[str, ...]) -> QubitSpec:
     where = f"qubits[{index}]"
     obj = _require_mapping(entry, where)
     allowed = {"gap_ghz", "coupling_ghz", "bias_ghz"}
-    if kind == "coupled":
+    if labels:
         allowed = allowed | {"resonator"}
     _reject_unknown(obj, allowed, where)
     gap = _frequency(_get(obj, "gap_ghz", where), f"{where}.gap_ghz", positive=True)
@@ -140,13 +161,12 @@ def _qubit_from_entry(entry, index: int, kind: str) -> QubitSpec:
         # The scheme needs the qubits parked at their degeneracy points;
         # a biased qubit changes the coupling operator, not just numbers.
         raise _fail(f"{where}.bias_ghz", "must be 0 (qubits sit at the degeneracy point)")
-    resonator = 0
-    if kind == "coupled":
-        label = _get(obj, "resonator", where)
-        if label not in ("A", "B"):
-            raise _fail(f"{where}.resonator", f"must be 'A' or 'B', got {label!r}")
-        resonator = "AB".index(label)
-    return QubitSpec(gap=gap, coupling=coupling, resonator=resonator)
+    if not labels:
+        return QubitSpec(gap=gap, coupling=coupling)
+    label = _get(obj, "resonator", where)
+    if label not in labels:
+        raise _fail(f"{where}.resonator", f"must be one of {labels}, got {label!r}")
+    return QubitSpec(gap=gap, coupling=coupling, resonator=labels.index(label))
 
 
 def _step_from_entry(entry, where: str) -> float | None:
@@ -179,8 +199,9 @@ def validate_scenario(data, name: str = "<scenario>") -> LoadedScenario:
         raise _fail(f"{name}.description", "expected a string")
 
     kind = _get(top, "kind", name)
-    if kind not in ("single", "coupled"):
-        raise _fail(f"{name}.kind", f"must be 'single' or 'coupled', got {kind!r}")
+    layout = LAYOUTS.get(kind) if isinstance(kind, str) else None
+    if layout is None:
+        raise _fail(f"{name}.kind", f"must be one of {tuple(LAYOUTS)}, got {kind!r}")
 
     omega_d = _frequency(
         _get(top, "drive_frequency_ghz", name), f"{name}.drive_frequency_ghz", positive=True
@@ -192,7 +213,7 @@ def validate_scenario(data, name: str = "<scenario>") -> LoadedScenario:
     if len(qubit_entries) < 2:
         raise _fail(f"{name}.qubits", "a GHZ state needs at least two qubits")
     qubits = tuple(
-        _qubit_from_entry(entry, i, kind) for i, entry in enumerate(qubit_entries)
+        _qubit_from_entry(entry, i, layout.labels) for i, entry in enumerate(qubit_entries)
     )
 
     drive = _require_mapping(_get(top, "drive", name), f"{name}.drive")
@@ -220,64 +241,39 @@ def validate_scenario(data, name: str = "<scenario>") -> LoadedScenario:
 
     where = f"{name}.resonator"
     resonator = _require_mapping(_get(top, "resonator", name), where)
-    if kind == "single":
-        _reject_unknown(resonator, {"omega_ghz"}, where)
-        layout = partial(
-            SingleTlrCircuit,
-            omega_r=_frequency(
-                _get(resonator, "omega_ghz", where), f"{where}.omega_ghz", positive=True
-            ),
-        )
-        if "fock_cutoffs" in top:
-            raise _fail(name, "'fock_cutoffs' is for coupled scenarios; use 'fock_cutoff'")
-        fock_entry = top.get("fock_cutoff", 8)
-        if not _is_cutoff(fock_entry):
-            raise _fail(f"{name}.fock_cutoff", f"expected an integer >= 2, got {fock_entry!r}")
-        fock = (fock_entry,)
-    else:
-        _reject_unknown(resonator, {"omega_a_ghz", "omega_b_ghz", "coupler_rate_ghz"}, where)
-        layout = partial(
-            CoupledTlrCircuit,
-            omega_a=_frequency(
-                _get(resonator, "omega_a_ghz", where), f"{where}.omega_a_ghz", positive=True
-            ),
-            omega_b=_frequency(
-                _get(resonator, "omega_b_ghz", where), f"{where}.omega_b_ghz", positive=True
-            ),
-            coupler_rate=_frequency(
-                _get(resonator, "coupler_rate_ghz", where), f"{where}.coupler_rate_ghz"
-            ),
-        )
-        if "fock_cutoff" in top:
-            raise _fail(name, "'fock_cutoff' is for single scenarios; use 'fock_cutoffs'")
-        fock_entry = top.get("fock_cutoffs", [8, 8])
-        if not (
-            isinstance(fock_entry, list)
-            and len(fock_entry) == 2
-            and all(_is_cutoff(n) for n in fock_entry)
-        ):
-            raise _fail(
-                f"{name}.fock_cutoffs", f"expected two integers >= 2, got {fock_entry!r}"
-            )
-        fock = tuple(fock_entry)
-        if "resonator_amplitude_ghz" in drive:
-            raise _fail(
-                f"{name}.drive",
-                "driving through the resonator is only defined for the "
-                "single-resonator layout; use 'rabi_ghz' here",
-            )
+    _reject_unknown(resonator, layout.resonator, where)
+    fields = {
+        field: _frequency(_get(resonator, key, where), f"{where}.{key}", positive=positive)
+        for key, (field, positive) in layout.resonator.items()
+    }
+    for other_kind, other in LAYOUTS.items():
+        if other is not layout and other.fock_key in top:
+            hint = f"{other.fock_key!r} is for {other_kind} scenarios; use {layout.fock_key!r}"
+            raise _fail(name, hint)
+    fock_entry = top.get(layout.fock_key, 8 if layout.modes == 1 else [8] * layout.modes)
+    cutoffs = [fock_entry] if layout.modes == 1 else fock_entry
+    if not (
+        isinstance(cutoffs, list)
+        and len(cutoffs) == layout.modes
+        and all(_is_cutoff(n) for n in cutoffs)
+    ):
+        shape = "an integer" if layout.modes == 1 else f"{layout.modes} integers"
+        raise _fail(f"{name}.{layout.fock_key}", f"expected {shape} >= 2, got {fock_entry!r}")
+    fock = tuple(cutoffs)
+    if "resonator_amplitude_ghz" in drive and layout.modes > 1:
+        raise _fail(f"{name}.drive", "a resonator tone needs one resonator; use 'rabi_ghz' here")
 
     mapping = None
     try:
         if "rabi_ghz" in drive:
             rabi = _frequency(drive["rabi_ghz"], f"{name}.drive.rabi_ghz")
-            circuit = layout(qubits=qubits, omega_d=omega_d, rabi=rabi)
+            circuit = layout.record(**fields, qubits=qubits, omega_d=omega_d, rabi=rabi)
         else:
             amplitude = _frequency(
                 drive["resonator_amplitude_ghz"], f"{name}.drive.resonator_amplitude_ghz"
             )
             circuit, mapping = qubit_drive_from_resonator_drive(
-                layout(qubits=qubits, omega_d=omega_d), amplitude
+                layout.record(**fields, qubits=qubits, omega_d=omega_d), amplitude
             )
     except ValueError as exc:
         raise _fail(name, str(exc)) from exc
@@ -298,6 +294,31 @@ def validate_scenario(data, name: str = "<scenario>") -> LoadedScenario:
     )
     check_run_size(loaded, t_final, name)
     return loaded
+
+
+def scenario_document(kind: str, resonator, qubits, fock, rabi_ghz: float, **settings) -> dict:
+    """A scenario document for validate_scenario, its keys in the schema's order.
+
+    resonator holds the layout's resonator values in GHz, in LAYOUTS order;
+    qubits holds (gap_ghz, coupling_ghz, resonator index) per qubit; fock
+    one cutoff per mode; settings the other top-level keys (variant, ...).
+    """
+    layout = LAYOUTS[kind]
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": kind,
+        "resonator": dict(zip(layout.resonator, resonator, strict=True)),
+        "qubits": [
+            {"gap_ghz": gap, "coupling_ghz": coupling}
+            | ({"resonator": layout.labels[host]} if layout.labels else {})
+            for gap, coupling, host in qubits
+        ],
+        "drive": {"rabi_ghz": rabi_ghz},
+        layout.fock_key: list(fock) if layout.modes > 1 else fock[0],
+    }
+    _reject_unknown(settings, set(_TOP_KEYS).difference(doc), "settings")
+    doc.update(settings)
+    return {key: doc[key] for key in _TOP_KEYS if key in doc}
 
 
 def check_run_size(scenario: LoadedScenario, span_ns: float, where: str) -> None:

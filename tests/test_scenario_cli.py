@@ -7,6 +7,8 @@ without process-spawn overhead.
 
 import copy
 import csv
+import gc
+import hashlib
 import json
 import math
 
@@ -24,6 +26,7 @@ from ghzforge.scenario import (
     bundled_scenario_names,
     bundled_scenario_path,
     load_scenario,
+    scenario_document,
     validate_scenario,
 )
 
@@ -123,6 +126,7 @@ def test_unknown_keys_rejected_everywhere(mutate):
         ({"drive": {}}, "exactly one"),
         ({"drive": {"rabi_ghz": 2.0, "resonator_amplitude_ghz": 0.1}}, "exactly one"),
         ({"qubits": []}, "non-empty"),
+        ({"kind": ["single"]}, "kind"),  # unhashable: still a format error
     ],
 )
 def test_structural_errors(overrides, fragment):
@@ -202,6 +206,17 @@ def test_coupled_structural_errors():
     del doc["qubits"][0]["resonator"]
     with pytest.raises(ScenarioFormatError, match="resonator"):
         validate_scenario(doc)
+
+
+def test_scenario_document_writes_only_keys_its_layout_leaves_open():
+    qubits = [(10.1, 0.05, 0)] * 2
+    doc = scenario_document("single", (10.0,), qubits, (6,), 2.0, drive_frequency_ghz=10.1,
+                            variant="effective", t_final_ns=10.0, sample_every_ns=0.5)
+    assert list(doc) == list(scenario_doc(drive={"rabi_ghz": 2.0}))
+    assert validate_scenario(doc).circuit.kind == "single"
+    for key in ("fock_cutoff", "schema_version", "typo_ghz"):
+        with pytest.raises(ScenarioFormatError, match="unknown key"):
+            scenario_document("single", (10.0,), qubits, (6,), 2.0, **{key: 8})
 
 
 def _field_paths(node, prefix=()):
@@ -301,6 +316,11 @@ def test_summaries_record_the_propagator(tmp_path):
     ]) == 0
     points = json.loads((out / "eff_sweep_summary.json").read_text())["points"]
     assert [(p["propagator"], p["steps"]) for p in points] == [("exact", 0)] * 2
+    assert [p["dim"] for p in points] == [2**2 * 6] * 2  # two qubits, Fock cutoff 6
+    for point in points:
+        timings = point["timings_ms"]
+        assert set(timings) == {"build", "propagate", "observe", "write"}
+        assert all(math.isfinite(ms) and ms >= 0 for ms in timings.values())
 
 
 @pytest.mark.parametrize(
@@ -317,6 +337,52 @@ def test_run_summary_records_dim_and_per_phase_timings(overrides, tmp_path):
     assert all(math.isfinite(ms) and ms >= 0 for ms in timings.values())
     run_ms = timings["build"] + timings["propagate"] + timings["observe"]
     assert run_ms <= summary["wall_time_s"] * 1e3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "{scenario}", "--out-dir", "{file}"],
+        [
+            "sweep", "{scenario}", "--param", "omega_r_multiple", "--values", "20",
+            "--window", "9.5:10.0", "--workers", "1", "--out-dir", "{file}",
+        ],
+        [
+            "coupler", "--lc-ph", "200", "--ic-ua", "1.5", "--mca-ph", "60", "--mcb-ph", "60",
+            "--out-dir", "{file}",
+        ],
+        ["solve", "--mode", "single", "--g-ghz", "0.05", "--out", "{missing}/x.json"],
+    ],
+    ids=["run", "sweep", "coupler", "solve"],
+)
+def test_an_output_path_that_cannot_be_written_exits_2(argv, tmp_path, capsys):
+    """--out-dir names an existing file, or --out a file in a directory that
+    does not exist: an error line and exit 2, not a traceback."""
+    paths = {
+        "scenario": write_scenario(tmp_path, "eff", scenario_doc()),
+        "file": tmp_path / "taken",
+        "missing": tmp_path / "missing",
+    }
+    paths["file"].write_text("not a directory\n")
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_repeated_main_calls_leave_little_cyclic_garbage(tmp_path, capsys):
+    """The argparse parser is built once per process: a fresh parser per
+    call left about 250 objects in reference cycles each time."""
+    argv = ["run", str(bundled_scenario_path("single_tlr_ghz_effective")),
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        codes = [main(argv) for _ in range(5)]
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert codes == [0] * 5
+    assert garbage < 700
 
 
 def test_run_outputs_are_deterministic(tmp_path):
@@ -715,6 +781,27 @@ def test_solve_coupled(tmp_path):
     assert result["cross_pair_phase_rad"] == pytest.approx(-np.pi / 8, rel=1e-12)
     scenario = validate_scenario(result["scenario_fragment"], name="solved")
     assert scenario.circuit.kind == "coupled"
+
+
+# sha256 of `ghzforge solve <argv>` stdout, pinned so that any change to a
+# byte of the printed solution or scenario fragment shows.
+SOLVE_STDOUT_SHA256 = {
+    "--mode single --g-ghz 0.05":
+        "316425daa98f787958018c0f8b9c2ea9c4c68bd552998cd2e8819e5ccda3ab6e",
+    "--mode single --n 2 --m 1 --g-ghz 0.05":
+        "2c48b021c11ec4245e7a867b43810adbf4315c197ce6896a497dd111b639210e",
+    "--mode coupled --xi 3 --g-ghz 0.0565685424949238":
+        "30c4a58a5734be0fd589e0e5a12a8ab3830e8236f1b9f05877f9748349635daf",
+    "--mode coupled --xi 7 --m 8 --l 1 --g-ghz 0.0565685424949238":
+        "934fa94a00a7e8299676eb8ba9129e57977f19b41b58b5753b93e453d3407efc",
+}
+
+
+@pytest.mark.parametrize("argv", list(SOLVE_STDOUT_SHA256))
+def test_solve_stdout_is_pinned_byte_for_byte(argv, capsys):
+    assert main(["solve", *argv.split()]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == SOLVE_STDOUT_SHA256[argv], stdout
 
 
 def test_solve_unsolvable_exits_4(capsys):
