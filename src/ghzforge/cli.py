@@ -89,6 +89,7 @@ def _summary_dict(scenario: LoadedScenario, trajectory: Trajectory, wall_s: floa
         "propagator": trajectory.propagator,
         "steps": trajectory.steps,
         "dim": trajectory.dim,
+        "diagnostics": trajectory.diagnostics,
         "wall_time_s": wall_s,
         "parameters": scenario.raw,
     }
@@ -127,7 +128,7 @@ def cmd_run(args) -> int:
         f"{scenario.name}: F(t={scenario.t_final_ns:g} ns) = "
         f"{trajectory.final_fidelity:.6f}, peak {trajectory.peak_fidelity:.6f} "
         f"at {trajectory.peak_time:g} ns ({trajectory.convention}), "
-        f"{wall:.1f} s"
+        f"{wall:.3g} s"
     )
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
@@ -214,6 +215,7 @@ def cmd_sweep(args) -> int:
                 "propagator": trajectory.propagator,
                 "steps": trajectory.steps,
                 "dim": trajectory.dim,
+                "diagnostics": trajectory.diagnostics,
                 "csv": point_path.name,
                 "timings_ms": {**trajectory.timings_ms, "write": write_ms},
             }

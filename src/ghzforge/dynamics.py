@@ -30,11 +30,12 @@ tabulated at the steps' half-step times once per chunk of
 _STEPS_PER_TABLE steps, across segment boundaries (k2 and k3 share a
 row).  Each RK4 stage is one sparse product with the Hamiltonian's stacked
 block matrix, by the CSR kernel that ``stacked @ v`` calls, into a
-preallocated buffer; the stages and the update run in place on
-preallocated vectors, in the operation order of the plain
-``y + (h/2) k1`` form, so the states match it bit for bit.  Whether the
-state is still finite is checked once per chunk, over the samples the
-chunk stored.
+preallocated buffer.  That matrix, and scipy.sparse with it, is built
+inside the run's build timing, by RK4 runs only: an exact run needs numpy
+alone.  The stages and the update run in place on preallocated vectors,
+in the operation order of the plain ``y + (h/2) k1`` form, so the states
+match it bit for bit.  Whether the state is still finite is checked once
+per chunk, over the samples the chunk stored.
 
 Fidelity against the GHZ target is evaluated for both phase conventions at
 every sample; the trajectory keeps the pointwise maximum and records which
@@ -45,11 +46,14 @@ would report ~0 fidelity for a perfectly good GHZ state half the time.
 Observation is one array pass over the (samples, dim) states: a fidelity
 is sum_m |<GHZ|psi[:, m]>|^2 over the (qubit, mode) split of each state, a
 mode occupation is the photon-number marginal of |psi|^2, and neither a
-density matrix nor a dense number operator is formed.
+density matrix nor a dense number operator is formed.  The same pass
+yields the run's diagnostics: the largest |norm - 1| and, per mode, the
+largest population of its top Fock level, which flags truncation.
 
 Drive-strength sweeps fan out across a process pool (size from the
-``workers`` argument, else the CPU count); results are ordered by
-multiplier index regardless of completion order.
+``workers`` argument, else the CPU count; multiprocessing is imported only
+for more than one worker); results are ordered by multiplier index
+regardless of completion order.
 """
 
 from __future__ import annotations
@@ -57,12 +61,10 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
-from scipy.sparse._sparsetools import csr_matvec  # the kernel behind csr @ vector
 
 from .analytic import GHZ_CONVENTIONS, ghz_target
 from .errors import PreconditionError
@@ -119,6 +121,9 @@ class Trajectory:
     steps: int = 0  # RK4 steps taken; 0 for an exact run
     dim: int = 0  # of the Hilbert space
     timings_ms: dict[str, float] = field(default_factory=dict)  # build, propagate, observe
+    # max_norm_drift, max |norm - 1|; top_fock_population, per mode the
+    # largest population of its top Fock level at any sample (truncation)
+    diagnostics: dict = field(default_factory=dict)
 
     @property
     def peak_fidelity(self) -> float:
@@ -219,6 +224,8 @@ def _stage(stacked, dim: int):
     public operator's checks and result allocation.  Returns the stage
     function stage(c, v, k) and that product buffer.
     """
+    from scipy.sparse._sparsetools import csr_matvec  # the kernel behind csr @ vector
+
     product = np.empty(stacked.shape[0], dtype=complex)
     blocks = product.reshape(-1, dim)
     kernel = partial(csr_matvec, *stacked.shape, stacked.indptr, stacked.indices, stacked.data)
@@ -385,10 +392,14 @@ def _observe(
     }
     populations = (np.abs(states) ** 2).reshape(len(states), *space.dims)
     occupations = np.empty((len(states), space.n_modes))
+    top = np.empty(space.n_modes)
     for m, levels in enumerate(space.mode_levels):
         axis = 1 + space.mode_factor(m)
         others = tuple(a for a in range(1, populations.ndim) if a != axis)
-        occupations[:, m] = populations.sum(axis=others) @ np.arange(levels)
+        marginal = populations.sum(axis=others)
+        occupations[:, m] = marginal @ np.arange(levels)
+        top[m] = marginal[:, -1].max()
+    norm = np.sqrt(populations.reshape(len(states), -1).sum(axis=1))
     if convention == "auto":
         stacked = np.vstack([fids[c] for c in GHZ_CONVENTIONS])
         fidelity = stacked.max(axis=0)
@@ -402,11 +413,15 @@ def _observe(
     return Trajectory(
         times=times,
         fidelity=fidelity,
-        norm=np.sqrt(populations.reshape(len(states), -1).sum(axis=1)),
+        norm=norm,
         mode_occupation=occupations,
         label=label,
         convention=winner,
         fidelity_by_convention=fids,
+        diagnostics={
+            "max_norm_drift": float(np.max(np.abs(norm - 1.0))),
+            "top_fock_population": top.tolist(),
+        },
     )
 
 
@@ -435,9 +450,12 @@ def _trajectory(circuit, variant, times, fock_cutoffs, dt, convention) -> Trajec
     ticks = [time.perf_counter()]
     space = HilbertSpace(n_qubits=circuit.n_qubits, mode_levels=tuple(fock_cutoffs))
     hamiltonian = _BUILDERS[variant](circuit, space)
+    exact = hamiltonian.frame is not None and space.dim <= EXACT_DIMENSION_LIMIT
+    if not exact:
+        hamiltonian.stacked  # RK4's CSR block column (and scipy.sparse) count as build
     psi0 = ground_vacuum_state(space)
     ticks.append(time.perf_counter())
-    if hamiltonian.frame is not None and space.dim <= EXACT_DIMENSION_LIMIT:
+    if exact:
         states = propagate_exactly(hamiltonian, psi0, times, dt)
         propagator, steps = "exact", 0
     else:
@@ -543,6 +561,8 @@ def sweep_drive_strength(
     n_workers = worker_count(workers, len(tasks))
     if n_workers == 1:
         return [_sweep_point(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(_sweep_point, tasks))
 

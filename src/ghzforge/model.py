@@ -24,12 +24,14 @@ The builders read just what the record exposes:
   decoupling rate of both paper layouts and the drive-sweep unit.
 
 A builder lists each block of a :class:`TimeDependentHamiltonian` as
-weighted tensor products and makes it one CSR matrix by one
+weighted tensor products and makes it one
+:class:`~ghzforge.operators.SparseOperator` of canonical triplets by one
 :func:`~ghzforge.operators.assemble` call: a static part plus (matrix,
 frequency) terms, each adding ``exp(i w t) M + exp(-i w t) M^dag``, one
-matrix per frequency.  The integrator consumes the block column [static;
-M; M^dag], built from the blocks' triplets, with a phase table of the
-block weights; calling the handle at a time t gives a dense H(t).
+matrix per frequency.  RK4 consumes the CSR block column [static; M;
+M^dag], built from the blocks' triplets on first use (the only step that
+loads scipy.sparse), with a phase table of the block weights; calling the
+handle at a time t gives a dense H(t).
 Every builder also declares the fastest angular frequency present so the
 step-size precondition can be enforced mechanically.
 
@@ -49,19 +51,21 @@ Frames, outermost first:
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ApproximationWarning, PreconditionError
 from .operators import (
     HilbertSpace,
+    SparseOperator,
     annihilation,
     assemble,
     creation,
+    csr_from_row_counts,
     number_operator,
     pauli,
     sigma_minus,
@@ -253,9 +257,10 @@ class DriveMappingReport:
 class TimeDependentHamiltonian:
     """H(t) = static + sum_j [exp(i w_j t) M_j + exp(-i w_j t) M_j^dag].
 
-    static (None for none) and every M_j are stored once, as CSR matrices.
-    fastest_frequency (rad/ns) is the largest angular frequency relevant to
-    resolving the dynamics and feeds the integrator step-size rule.
+    static (None for none) and every M_j, given as SparseOperators or dense
+    arrays, are stored once, as SparseOperators.  fastest_frequency (rad/ns)
+    is the largest angular frequency relevant to resolving the dynamics and
+    feeds the integrator step-size rule.
 
     ``frame`` is the diagonal of a real diagonal operator K with
     K[r] - K[c] = w_j on every nonzero entry (r, c) of every M_j and
@@ -268,39 +273,44 @@ class TimeDependentHamiltonian:
     ``stacked`` is the CSR block column [static; M_1..M_J; M_1^dag..M_J^dag],
     whose blocks oscillate at ``frequencies`` (0, w_j, -w_j):
     -i H(t) y = coefficients(t) @ (stacked @ y).reshape(n_blocks, dim).
+    It is built on first use, which loads scipy.sparse; only RK4 uses it.
     """
 
     space: HilbertSpace
-    static: sparse.csr_matrix | None
-    terms: tuple[tuple[sparse.csr_matrix, float], ...]
+    static: SparseOperator | None
+    terms: tuple[tuple[SparseOperator, float], ...]
     fastest_frequency: float
     label: str
     frame: np.ndarray | None = field(default=None, repr=False)
-    stacked: sparse.csr_matrix = field(init=False, repr=False)
     frequencies: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        dim = self.space.dim
-        static = (dim, dim) if self.static is None else self.static
-        self.static = _complex_csr(static, dim, "static part")
-        self.terms = tuple((_complex_csr(m, dim, "a term matrix"), float(w)) for m, w in self.terms)
+        self.static = _operator(self.static, self.space, "static part")
+        self.terms = tuple(
+            (_operator(m, self.space, "a term matrix"), float(w)) for m, w in self.terms
+        )
         if self.fastest_frequency <= 0:
             raise ValueError("fastest_frequency must be positive")
-        # block b holds rows b*dim..; M_j^dag holds the triplets of M_j transposed, conjugated
-        n, blocks = len(self.terms), [self.static, *(m for m, _ in self.terms)]
-        coo = [(np.repeat(np.arange(dim), np.diff(m.indptr)), m.indices, m.data) for m in blocks]
-        triplets = [(r + b * dim, c, v) for b, (r, c, v) in enumerate(coo)]
-        triplets += [(c + (b + n) * dim, r, v.conj()) for b, (r, c, v) in enumerate(coo) if b]
-        rows, cols, values = map(np.concatenate, zip(*triplets))
-        keep = values != 0  # a zero coupling or drive stores explicit zeros
-        shape = ((1 + 2 * n) * dim, dim)
-        self.stacked = sparse.csr_matrix((values[keep], (rows[keep], cols[keep])), shape=shape)
         w = np.array([freq for _, freq in self.terms])
         self.frequencies = np.concatenate([[0.0], w, -w])
         if self.frame is None and not self.terms:
-            self.frame = np.zeros(dim)  # no terms: static as it stands
+            self.frame = np.zeros(self.space.dim)  # no terms: static as it stands
         elif self.frame is not None:
             self._check_frame()
+
+    @functools.cached_property
+    def stacked(self):
+        dim, blocks = self.space.dim, [self.static, *(m for m, _ in self.terms)]
+        parts = []  # (rows, cols, values) of each block, row-major
+        for m in blocks:
+            keep = m.values != 0  # a zero coupling or drive stores explicit zeros
+            parts.append((m.rows[keep], m.cols[keep], m.values[keep]))
+        for rows, cols, values in parts[1:]:  # M_j^dag: a stable sort on M_j's columns
+            order = np.argsort(cols, kind="stable")
+            parts.append((cols[order], rows[order], values[order].conj()))
+        counts = np.concatenate([np.bincount(rows, minlength=dim) for rows, _, _ in parts])
+        cols, values = (np.concatenate(x) for x in list(zip(*parts))[1:])
+        return csr_from_row_counts(counts, cols, values, dim)
 
     def _check_frame(self) -> None:
         k = self.frame = np.asarray(self.frame, dtype=float)
@@ -308,7 +318,8 @@ class TimeDependentHamiltonian:
             raise ValueError("frame must be a finite real diagonal of the space dimension")
         scale = max(1.0, float(np.max(np.abs(k))), *(abs(w) for _, w in self.terms))
         for m, w in ((self.static, 0.0), *self.terms):
-            rows, cols = m.nonzero()
+            nonzero = m.values != 0
+            rows, cols = m.rows[nonzero], m.cols[nonzero]
             if not np.all(np.abs(k[rows] - k[cols] - w) <= 1e-12 * scale):
                 raise ValueError(
                     f"frame does not carry the block oscillating at {w:g} rad/ns: "
@@ -316,7 +327,7 @@ class TimeDependentHamiltonian:
                 )
 
     def __call__(self, t: float) -> np.ndarray:
-        """Dense H(t), for tests and diagnostics; the integrator reads ``stacked``."""
+        """Dense H(t), for the exact path, tests and diagnostics; RK4 reads ``stacked``."""
         h = self.static.toarray()
         for m, w in self.terms:
             term = np.exp(1j * w * t) * m.toarray()
@@ -329,10 +340,14 @@ class TimeDependentHamiltonian:
         return -1j * np.exp(1j * (t * self.frequencies))
 
 
-def _complex_csr(m, dim: int, what: str) -> sparse.csr_matrix:
-    """m as a complex dim x dim CSR matrix, m itself when it already is one."""
-    if not (isinstance(m, sparse.csr_matrix) and m.dtype == complex):
-        m = sparse.csr_matrix(m, dtype=complex)
+def _operator(m, space: HilbertSpace, what: str) -> SparseOperator:
+    """m (None, a SparseOperator or a dense matrix) as a SparseOperator on the space."""
+    dim = space.dim
+    if m is None:
+        return assemble(space, [])
+    if not isinstance(m, SparseOperator):
+        m = np.asarray(m, dtype=complex)
+        m = SparseOperator.from_dense(m) if m.shape == (dim, dim) else m
     if m.shape != (dim, dim):
         raise ValueError(f"{what} does not match the space dimension")
     return m

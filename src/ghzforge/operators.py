@@ -1,10 +1,12 @@
 """Operator toolbox for few-qubit, few-mode Hilbert spaces.
 
 States are 1-D complex ndarrays, single-factor operators small 2-D ones,
-and full-space operators CSR matrices from :func:`assemble`.  A
-:class:`HilbertSpace` records how the flat index factors into qubits and
-bosonic modes.  Tensor factors are ordered qubits first (qubit 0 is the
-slowest-varying index), then modes in declaration order.
+and full-space operators :class:`SparseOperator` triplets from
+:func:`assemble`.  A :class:`HilbertSpace` records how the flat index
+factors into qubits and bosonic modes.  Tensor factors are ordered qubits
+first (qubit 0 is the slowest-varying index), then modes in declaration
+order.  The module needs numpy alone: scipy.sparse is imported only when a
+CSR matrix is asked for (:func:`csr_from_row_counts`), which only RK4 does.
 
 Qubit basis convention used throughout the package: basis index 0 is the
 *excited* energy eigenstate and index 1 the *ground* eigenstate, so the
@@ -18,7 +20,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 __all__ = [
     "HilbertSpace",
@@ -28,6 +29,8 @@ __all__ = [
     "annihilation",
     "creation",
     "number_operator",
+    "SparseOperator",
+    "csr_from_row_counts",
     "assemble",
     "embed",
     "embedded_product",
@@ -122,47 +125,106 @@ def number_operator(n_levels: int) -> np.ndarray:
     return np.diag(np.arange(n_levels, dtype=float)).astype(complex)
 
 
-def embed(op: np.ndarray, factor: int, space: HilbertSpace) -> sparse.csr_matrix:
+@dataclass(frozen=True, eq=False)
+class SparseOperator:
+    """A dim x dim operator as canonical triplets: values[i] at (rows[i], cols[i]).
+
+    The entries are row-major and each (row, col) pair occurs once; a zero
+    value may be stored.  Dense and CSR forms are made on request.
+    """
+
+    dim: int
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def from_dense(cls, matrix: np.ndarray) -> SparseOperator:
+        """The nonzero entries of a square matrix."""
+        rows, cols = np.nonzero(matrix)
+        return cls(len(matrix), rows, cols, np.asarray(matrix[rows, cols], dtype=complex))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.dim, self.dim)
+
+    @property
+    def nnz(self) -> int:
+        return self.values.size
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape, dtype=complex)
+        dense[self.rows, self.cols] += self.values  # 0 + v, as a sparse toarray: no -0 is kept
+        return dense
+
+    def tocsr(self):
+        counts = np.bincount(self.rows, minlength=self.dim)
+        return csr_from_row_counts(counts, self.cols, self.values.copy(), self.dim)
+
+
+def csr_from_row_counts(counts, cols, values, n_cols: int):
+    """CSR matrix of row-major entries, counts[r] of them in row r, each
+    (row, col) once; values are shared, not copied.
+
+    The one place the package imports scipy.sparse.
+    """
+    from scipy import sparse
+
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return sparse.csr_matrix((values, cols, indptr), shape=(len(counts), n_cols))
+
+
+def embed(op: np.ndarray, factor: int, space: HilbertSpace) -> SparseOperator:
     """Lift a single-factor operator to the full space by tensoring identities."""
     return embedded_product(space, {factor: op})
 
 
-def embedded_product(space: HilbertSpace, factor_ops: dict[int, np.ndarray]) -> sparse.csr_matrix:
+def embedded_product(space: HilbertSpace, factor_ops: dict[int, np.ndarray]) -> SparseOperator:
     """Tensor product with the given operators on selected factors, identity elsewhere."""
     return assemble(space, [(1.0, factor_ops)])
 
 
-def assemble(space: HilbertSpace, products) -> sparse.csr_matrix:
+def assemble(space: HilbertSpace, products) -> SparseOperator:
     """sum_p w_p (x)_i op_{p,i} from (w_p, {i: op_{p,i}}) pairs, identity elsewhere.
 
     A product's factors contribute their nonzero (row, col, value) triplets,
-    an identity its diagonal, and the full indices are their mixed-radix
-    combinations; all weighted triplets then make one CSR matrix, duplicates
-    summed once, with no dense or per-product sparse intermediate.
+    an identity its diagonal, and the flat index row * dim + col of a full
+    entry is the mixed-radix combination of the factors' row * dim + col.
+    All weighted triplets are then sorted stably by that index once and
+    duplicates summed in their input order by np.add.at, with no dense or
+    per-product sparse intermediate.
     """
-    triplets = [(np.zeros((2, 0), dtype=np.int64), np.zeros(0, dtype=complex))]
+    dim = space.dim
+    flats, values_list = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=complex)]
     for weight, factor_ops in products:
         unknown = set(factor_ops) - set(range(len(space.dims)))
         if unknown:
             raise ValueError(f"factor index out of range: {sorted(unknown)}")
-        index, values = np.zeros((2, 1), dtype=np.int64), np.ones(1, dtype=complex)
+        flat, values = np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex)
         for i, d in enumerate(space.dims):
             if i not in factor_ops:
-                rc, values = np.arange(d), np.repeat(values, d)
+                digits, values = np.arange(d) * (dim + 1), np.repeat(values, d)
             else:
                 op = np.asarray(factor_ops[i], dtype=complex)
                 if op.shape != (d, d):
                     raise ValueError(
                         f"operator for factor {i} has shape {op.shape}, expected {(d, d)}"
                     )
-                rc = np.array(np.nonzero(op))
-                values = np.outer(values, op[rc[0], rc[1]]).ravel()
-            index = (index[:, :, None] * d + rc[..., None, :]).reshape(2, -1)  # rows, cols
-        triplets.append((index, values * weight))
-    index, values = (np.concatenate(x, axis=-1) for x in zip(*triplets))
-    matrix = sparse.csr_matrix((values, (index[0], index[1])), shape=(space.dim, space.dim))
-    matrix.data += 0  # +0 clears negative zeros, as a sum of sparse matrices does
-    return matrix
+                r, c = np.nonzero(op)
+                digits, values = r * dim + c, np.outer(values, op[r, c]).ravel()
+            flat = (flat[:, None] * d + digits).ravel()
+        flats.append(flat)
+        values_list.append(values * weight)
+    flat, values = np.concatenate(flats), np.concatenate(values_list)
+    order = np.argsort(flat, kind="stable")
+    flat, values = flat[order], values[order]
+    first = np.diff(flat, prepend=-1) != 0  # opens a (row, col) run
+    summed = np.zeros(np.count_nonzero(first), dtype=complex)
+    # left to right from +0, which clears negative zeros as a sum of sparse
+    # matrices does; reduceat would add a0 + (a1 + a2) on three duplicates
+    np.add.at(summed, np.cumsum(first) - 1, values)
+    rows, cols = np.divmod(flat[first], dim)
+    return SparseOperator(dim, rows, cols, summed)
 
 
 def partial_trace_modes(state: np.ndarray, space: HilbertSpace) -> np.ndarray:

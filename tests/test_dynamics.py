@@ -497,6 +497,28 @@ def test_run_takes_rk4_above_the_dimension_limit_and_for_time_dependent_h(monkey
     assert full.steps == 2 * math.ceil(0.1 / dt - 1e-12)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_only_rk4_runs_build_the_csr_column(variant, monkeypatch):
+    """An exact run never builds the Hamiltonian's CSR column `stacked`, so
+    it needs no scipy.sparse; an RK4 run builds it before its build timing
+    closes."""
+    hamiltonians = []
+    builder = _BUILDERS[variant]
+
+    def recording(circuit, space):
+        hamiltonians.append(builder(circuit, space))
+        return hamiltonians[-1]
+
+    monkeypatch.setitem(_BUILDERS, variant, recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ApproximationWarning)
+        trajectory = run(reference_single(), variant, 0.2, 0.1, (4,))
+    (h,) = hamiltonians
+    rk4 = variant in ("full", "intermediate")
+    assert trajectory.propagator == ("rk4" if rk4 else "exact")
+    assert ("stacked" in vars(h)) is rk4
+
+
 # ---------------------------------------------------------------------------
 # sampling and step-size rules
 # ---------------------------------------------------------------------------
@@ -694,7 +716,7 @@ def observe_by_sample(states, space):
     partial trace per state; returns fidelities, occupations, norms, winner."""
     targets = {c: ghz_target(space.n_qubits, c) for c in GHZ_CONVENTIONS}
     number_ops = [
-        embed(number_operator(space.mode_levels[m]), space.mode_factor(m), space)
+        embed(number_operator(space.mode_levels[m]), space.mode_factor(m), space).tocsr()
         for m in range(space.n_modes)
     ]
     occupations = np.empty((len(states), space.n_modes))
@@ -753,6 +775,25 @@ def test_observe_matches_the_per_sample_reference(case):
     np.testing.assert_allclose(traj.mode_occupation, occupations, **tol)
     np.testing.assert_allclose(traj.norm, norms, **tol)
     assert traj.convention == winner
+
+
+@pytest.mark.parametrize("case", sorted(OBSERVE_CASES))
+def test_observe_diagnostics_match_the_per_sample_reference(case):
+    """max_norm_drift is the largest |norm - 1| and top_fock_population the
+    largest <P_top> per mode over the samples, P_top the projector on the
+    mode's top Fock level."""
+    states, space = OBSERVE_CASES[case]()
+    _, _, norms, _ = observe_by_sample(states, space)
+    times = np.arange(len(states), dtype=float)
+    diagnostics = _observe(states, times, space, "case", "auto").diagnostics
+    assert diagnostics["max_norm_drift"] == pytest.approx(np.max(np.abs(norms - 1.0)), abs=1e-14)
+    top = []
+    for m, levels in enumerate(space.mode_levels):
+        projector = np.zeros((levels, levels))
+        projector[-1, -1] = 1.0
+        p_top = embed(projector, space.mode_factor(m), space).tocsr()
+        top.append(max(np.real(np.vdot(psi, p_top @ psi)) for psi in states))
+    np.testing.assert_allclose(diagnostics["top_fock_population"], top, rtol=1e-12, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -847,9 +888,9 @@ def lab_frame_overlap(circuit, amplitude, fock_cutoff, t_final, full=full_simula
     a = annihilation(fock_cutoff)
 
     def displace(beta):
-        return embed(expm(beta * a.conj().T - np.conj(beta) * a), 1, space)
+        return embed(expm(beta * a.conj().T - np.conj(beta) * a), 1, space).tocsr()
 
-    qubit_map = embed(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), 0, space)
+    qubit_map = embed(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), 0, space).tocsr()
     ground = ground_vacuum_state(space)
     beta0 = -amplitude / circuit.detuning
     h_lab = lab_frame_hamiltonian(circuit, amplitude, space)
@@ -857,7 +898,9 @@ def lab_frame_overlap(circuit, amplitude, fock_cutoff, t_final, full=full_simula
     beta_t = beta0 * np.exp(-1j * circuit.omega_d * t_final)
     psi_disp = qubit_map @ (displace(-beta_t) @ psi_lab)
     # undo the omega_d rotation of mode and qubit, generated by omega_d (n + sigma_z/2)
-    generator = assemble(space, [(1.0, {1: number_operator(fock_cutoff)}), (0.5, {0: pauli("z")})])
+    generator = assemble(
+        space, [(1.0, {1: number_operator(fock_cutoff)}), (0.5, {0: pauli("z")})]
+    ).tocsr()
     psi_rot = np.exp(1j * (circuit.omega_d * generator).diagonal() * t_final) * psi_disp
 
     driven, _ = qubit_drive_from_resonator_drive(circuit, amplitude)

@@ -16,7 +16,7 @@ from test_operators import hermiticity_defect, kron_embed
 
 from ghzforge.errors import ApproximationWarning, PreconditionError
 from ghzforge.scenario import bundled_scenario_path, load_scenario
-from ghzforge.dynamics import VARIANTS
+from ghzforge.dynamics import EXACT_DIMENSION_LIMIT, VARIANTS
 from ghzforge.model import (
     CoupledTlrCircuit,
     QubitSpec,
@@ -31,6 +31,7 @@ from ghzforge.model import (
 )
 from ghzforge.operators import (
     HilbertSpace,
+    SparseOperator,
     annihilation,
     assemble,
     creation,
@@ -116,7 +117,7 @@ def bare_mode_hamiltonian(circuit, space):
     """
     levels, factor = space.mode_levels, space.mode_factor
     static = sum(
-        circuit.detuning * embed(number_operator(levels[r]), factor(r), space)
+        circuit.detuning * embed(number_operator(levels[r]), factor(r), space).tocsr()
         for r in range(circuit.n_resonators)
     )
     for r, row in enumerate(circuit.hopping):
@@ -124,16 +125,16 @@ def bare_mode_hamiltonian(circuit, space):
             if j != 0.0:
                 static = static + j * embedded_product(
                     space, {factor(r): creation(levels[r]), factor(s): annihilation(levels[s])}
-                )
+                ).tocsr()
     for k, q in enumerate(circuit.qubits):
         r = q.resonator
         for qubit_op, mode_op in ((sigma_minus(), creation), (sigma_plus(), annihilation)):
             static = static + q.coupling * embedded_product(
                 space, {k: qubit_op, factor(r): mode_op(levels[r])}
-            )
-        static = static + 0.5 * circuit.rabi * embed(pauli("x"), k, space)
+            ).tocsr()
+        static = static + 0.5 * circuit.rabi * embed(pauli("x"), k, space).tocsr()
     fastest = abs(circuit.rabi) + max(abs(d) for d in circuit.mode_detunings)
-    return TimeDependentHamiltonian(space, static, (), fastest, f"{circuit.kind}:bare")
+    return TimeDependentHamiltonian(space, static.toarray(), (), fastest, f"{circuit.kind}:bare")
 
 
 def lab_frame_hamiltonian(circuit, amplitude, space):
@@ -291,9 +292,10 @@ def test_time_dependent_hamiltonian_call():
     assert np.array_equal(h_static.frame, np.zeros(2))
 
 
-def test_hamiltonian_stores_each_operator_once_as_csr():
-    """static and every term are CSR; a missing static part is an empty
-    block, and the stacked column is made of exactly those matrices."""
+def test_hamiltonian_stores_each_operator_once_as_triplets():
+    """static and every term are SparseOperators; a missing static part is
+    an empty block, and the stacked column is made of exactly those
+    matrices."""
     circuit = reference_single()
     space = HilbertSpace(n_qubits=2, mode_levels=(4,))
     dim = space.dim
@@ -301,9 +303,9 @@ def test_hamiltonian_stores_each_operator_once_as_csr():
         full_simulation_hamiltonian(circuit, space),
         effective_hamiltonian(circuit, space),
     ):
-        assert isinstance(h.static, sparse.csr_matrix)
-        assert all(isinstance(m, sparse.csr_matrix) for m, _ in h.terms)
-        blocks = [h.static, *(m for m, _ in h.terms), *(m.conj().T for m, _ in h.terms)]
+        assert isinstance(h.static, SparseOperator)
+        assert all(isinstance(m, SparseOperator) for m, _ in h.terms)
+        blocks = [h.static, *(m for m, _ in h.terms), *(m.tocsr().conj().T for m, _ in h.terms)]
         for b, block in enumerate(blocks):
             assert np.array_equal(h.stacked[b * dim:(b + 1) * dim].toarray(), block.toarray())
     assert effective_hamiltonian(circuit, space).static.nnz == 0
@@ -416,7 +418,7 @@ def _reference_coupling(circuit, space, qubit_op, mode_op, scale=1.0, modes=None
         scale * g[k, m]
         * embedded_product(
             space, {k: qubit_op, space.mode_factor(m): mode_op(space.mode_levels[m])}
-        )
+        ).tocsr()
         for k in range(circuit.n_qubits)
         for m in modes
     )
@@ -424,13 +426,13 @@ def _reference_coupling(circuit, space, qubit_op, mode_op, scale=1.0, modes=None
 
 def _reference_rotating_static(circuit, space):
     static = sum(
-        d * embed(number_operator(levels), space.mode_factor(m), space)
+        d * embed(number_operator(levels), space.mode_factor(m), space).tocsr()
         for m, (d, levels) in enumerate(zip(circuit.mode_detunings, space.mode_levels))
     )
     static = static + _reference_coupling(circuit, space, sigma_minus(), creation)
     static = static + _reference_coupling(circuit, space, sigma_plus(), annihilation)
     for k in range(circuit.n_qubits):
-        static = static + 0.5 * circuit.rabi * embed(pauli("x"), k, space)
+        static = static + 0.5 * circuit.rabi * embed(pauli("x"), k, space).tocsr()
     return static
 
 
@@ -439,19 +441,20 @@ def reference_blocks(variant, circuit, space, amplitude=0.0):
     at a time, the way the builders formed them before one-pass assembly."""
     if variant == "lab":
         nm = space.mode_levels[0]
-        a = embed(annihilation(nm), space.mode_factor(0), space)
-        static = circuit.omega * embed(number_operator(nm), space.mode_factor(0), space)
+        a = embed(annihilation(nm), space.mode_factor(0), space).tocsr()
+        static = circuit.omega * embed(number_operator(nm), space.mode_factor(0), space).tocsr()
         for k, q in enumerate(circuit.qubits):
-            static = static + 0.5 * q.gap * embed(pauli("x"), k, space)
+            static = static + 0.5 * q.gap * embed(pauli("x"), k, space).tocsr()
             static = static + q.coupling * embedded_product(
                 space, {k: pauli("z"), space.mode_factor(0): annihilation(nm) + creation(nm)}
-            )
+            ).tocsr()
         return static, [(amplitude * a.conj().T, -circuit.omega_d)], None
     if variant == "rotating":
         return _reference_rotating_static(circuit, space), [], None
     if variant == "full":
         drive_cr = sum(
-            0.5 * circuit.rabi * embed(sigma_plus(), k, space) for k in range(circuit.n_qubits)
+            0.5 * circuit.rabi * embed(sigma_plus(), k, space).tocsr()
+            for k in range(circuit.n_qubits)
         )
         coupling_cr = _reference_coupling(circuit, space, sigma_plus(), creation)
         terms = [(drive_cr, 2.0 * circuit.omega_d), (coupling_cr, circuit.omega + circuit.omega_d)]
@@ -470,7 +473,7 @@ def reference_blocks(variant, circuit, space, amplitude=0.0):
     if variant == "intermediate":
         return None, terms, None
     frame = sum(
-        delta * embed(number_operator(levels), space.mode_factor(m), space).diagonal().real
+        delta * embed(number_operator(levels), space.mode_factor(m), space).tocsr().diagonal().real
         for m, (delta, levels) in enumerate(zip(circuit.mode_detunings, space.mode_levels))
     )
     return None, terms, frame
@@ -536,6 +539,43 @@ def test_one_pass_assembly_matches_the_sum_of_csr_reference(layout, variant):
             assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
     if frame is not None:
         assert h.frame.tobytes() == frame.tobytes()
+
+
+@pytest.mark.parametrize(
+    "layout, variant",
+    [
+        *((layout, v) for layout in REFERENCE_LAYOUTS for v in VARIANTS),
+        ("single_tlr_ghz", "lab"),
+    ],
+)
+def test_triplet_blocks_give_the_csr_column_and_the_dense_h(layout, variant):
+    """stacked is, bit for bit, the sparse.vstack reference of the blocks'
+    own CSR forms, and H(t) is, bit for bit, the dense formula
+    static + sum_j (e^{iwt} M_j + h.c.) on the blocks summed one CSR
+    matrix at a time; with three modes, as for stacked above, to one ulp.
+    The dense check stops at the exact path's dimension limit."""
+    circuit, levels = REFERENCE_LAYOUTS[layout]()
+    space = HilbertSpace(n_qubits=circuit.n_qubits, mode_levels=levels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ApproximationWarning)
+        h = REFERENCE_BUILDERS[variant](circuit, space=space)
+        static, terms, _ = reference_blocks(variant, circuit, space, TWO_PI * 0.05)
+    own = reference_stacked(space, h.static.tocsr(), [(m.tocsr(), w) for m, w in h.terms])
+    for part in ("indptr", "indices", "data"):
+        assert getattr(h.stacked, part).tobytes() == getattr(own, part).tobytes()
+    static = sparse.csr_matrix((space.dim,) * 2 if static is None else static, dtype=complex)
+    for t in SAMPLE_TIMES if space.dim <= EXACT_DIMENSION_LIMIT else ():
+        expected = static.toarray()
+        for m, w in terms:
+            term = np.exp(1j * w * t) * sparse.csr_matrix(m, dtype=complex).toarray()
+            expected += term + term.conj().T
+        got = h(t)
+        if space.n_modes <= 2:
+            assert got.tobytes() == expected.tobytes()
+        else:
+            for part in ("real", "imag"):
+                want = getattr(expected, part)
+                assert np.all(np.abs(getattr(got, part) - want) <= np.spacing(np.abs(want)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from scipy import sparse
 
 from ghzforge.operators import (
     HilbertSpace,
+    SparseOperator,
     annihilation,
     assemble,
     creation,
@@ -117,7 +118,7 @@ def test_embed_matches_explicit_kron():
     sx = pauli("x")
     a = annihilation(3)
     eye2, eye3 = np.eye(2), np.eye(3)
-    assert isinstance(embed(sx, 0, space), sparse.csr_matrix)
+    assert isinstance(embed(sx, 0, space), SparseOperator)
     assert np.allclose(embed(sx, 0, space).toarray(), np.kron(np.kron(sx, eye2), eye3))
     assert np.allclose(embed(sx, 1, space).toarray(), np.kron(np.kron(eye2, sx), eye3))
     assert np.allclose(embed(a, 2, space).toarray(), np.kron(np.kron(eye2, eye2), a))
@@ -129,7 +130,7 @@ def test_embedded_product_equals_product_of_embeds():
     op_q = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     op_m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     combined = embedded_product(space, {0: op_q, 2: op_m})
-    product = embed(op_q, 0, space) @ embed(op_m, 2, space)
+    product = embed(op_q, 0, space).tocsr() @ embed(op_m, 2, space).tocsr()
     assert np.allclose(combined.toarray(), product.toarray())
 
 
@@ -156,7 +157,7 @@ def spaces_with_factor_ops(draw):
 def test_embedded_product_equals_the_kronecker_reference(case):
     space, ops = case
     product = embedded_product(space, ops)
-    assert isinstance(product, sparse.csr_matrix)
+    assert isinstance(product, SparseOperator)
     assert product.shape == (space.dim, space.dim)
     assert np.array_equal(product.toarray(), kron_embedded_product(space, ops))
 
@@ -183,15 +184,53 @@ def test_assemble_equals_the_sum_of_one_product_embeddings(case):
     embedded on its own, to the rounding of summing them in another order."""
     space, products = case
     assembled = assemble(space, products)
-    assert isinstance(assembled, sparse.csr_matrix)
+    assert isinstance(assembled, SparseOperator)
     assert assembled.shape == (space.dim, space.dim)
     expected = np.zeros((space.dim, space.dim), dtype=complex)
     scale = np.zeros((space.dim, space.dim))
     for weight, ops in products:
-        term = (weight * embedded_product(space, ops)).toarray()
+        term = (weight * embedded_product(space, ops).tocsr()).toarray()
         expected += term
         scale += np.abs(term)
     assert np.all(np.abs(assembled.toarray() - expected) <= 8 * np.finfo(float).eps * scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spaces_with_products())
+def test_assemble_gives_canonical_triplets_and_their_csr(case):
+    """assemble's entries are row-major with each (row, col) once, and its
+    CSR and dense forms are those of the raw triplets through SciPy's
+    COO-to-CSR construction (which sums duplicates), bit for bit wherever
+    at most two products meet on an entry: a sum of two is the same in any
+    order."""
+    space, products = case
+    assembled = assemble(space, products)
+    flat = assembled.rows * space.dim + assembled.cols
+    assert np.all(np.diff(flat) > 0)
+    raw = [embedded_product(space, ops) for _, ops in products]
+    rows = np.concatenate([[], *(m.rows for m in raw)]).astype(np.int64)
+    cols = np.concatenate([[], *(m.cols for m in raw)]).astype(np.int64)
+    weighted = (weight * m.values for (weight, _), m in zip(products, raw))
+    values = np.concatenate([np.zeros(0, complex), *weighted])
+    reference = sparse.csr_matrix((values, (rows, cols)), shape=assembled.shape)
+    reference.data += 0
+    csr = assembled.tocsr()
+    assert isinstance(csr, sparse.csr_matrix) and csr.has_canonical_format
+    assert np.array_equal(csr.indptr, reference.indptr)
+    assert np.array_equal(csr.indices, reference.indices)
+    if np.bincount(rows * space.dim + cols, minlength=1).max(initial=0) <= 2:
+        assert csr.data.tobytes() == reference.data.tobytes()
+        assert assembled.toarray().tobytes() == reference.toarray().tobytes()
+    assert assembled.toarray().tobytes() == csr.toarray().tobytes()
+
+
+def test_sparse_operator_from_dense_keeps_the_nonzero_entries():
+    matrix = np.array([[0.0, 2.0 - 1j], [0.5, 0.0]])
+    op = SparseOperator.from_dense(matrix)
+    assert (op.dim, op.nnz, op.shape) == (2, 2, (2, 2))
+    assert op.rows.tolist() == [0, 1] and op.cols.tolist() == [1, 0]
+    assert np.array_equal(op.toarray(), matrix)
+    assert np.array_equal(op.tocsr().toarray(), matrix)
 
 
 def test_embedded_product_rejects_bad_factors():

@@ -11,6 +11,7 @@ import gc
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -337,6 +338,46 @@ def test_run_summary_records_dim_and_per_phase_timings(overrides, tmp_path):
     assert all(math.isfinite(ms) and ms >= 0 for ms in timings.values())
     run_ms = timings["build"] + timings["propagate"] + timings["observe"]
     assert run_ms <= summary["wall_time_s"] * 1e3
+
+
+def test_summaries_carry_norm_and_truncation_diagnostics(tmp_path):
+    """The bundled effective gate keeps its norm to 1e-12 and leaves its top
+    Fock level nearly empty; cut at Fock 3, the gate puts over 5 % of the
+    population there.  Sweep points carry the same record."""
+    out = tmp_path / "out"
+    bundled = str(bundled_scenario_path("single_tlr_ghz_effective"))
+    assert main(["run", bundled, "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "single_tlr_ghz_effective_summary.json").read_text())
+    diagnostics = summary["diagnostics"]
+    assert set(diagnostics) == {"max_norm_drift", "top_fock_population"}
+    assert 0 <= diagnostics["max_norm_drift"] < 1e-12
+    assert len(diagnostics["top_fock_population"]) == 1
+    assert 0 < diagnostics["top_fock_population"][0] < 1e-6
+    truncated = write_scenario(tmp_path, "fock3", scenario_doc(fock_cutoff=3, sample_every_ns=0.05))
+    assert main(["run", str(truncated), "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "fock3_summary.json").read_text())
+    assert summary["diagnostics"]["top_fock_population"][0] > 0.05
+    assert main([
+        "sweep", str(truncated), "--param", "omega_r_multiple", "--values", "5,20",
+        "--window", "9.5:10.0", "--workers", "1", "--out-dir", str(out),
+    ]) == 0
+    points = json.loads((out / "fock3_sweep_summary.json").read_text())["points"]
+    for point in points:
+        assert point["diagnostics"]["max_norm_drift"] < 1e-12
+        assert len(point["diagnostics"]["top_fock_population"]) == 1
+
+
+def test_run_prints_the_wall_time_of_its_summary(tmp_path, capsys):
+    """The stdout line shows wall_time_s to 3 significant figures, so a
+    run of a few milliseconds does not read 0.0 s."""
+    path = write_scenario(tmp_path, "timed", scenario_doc())
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    printed = re.fullmatch(r"timed: .*, (\S+) s", line).group(1)
+    wall = json.loads((out / "timed_summary.json").read_text())["wall_time_s"]
+    assert printed == f"{wall:.3g}"
+    assert float(printed) > 0
 
 
 @pytest.mark.parametrize(
