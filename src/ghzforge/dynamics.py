@@ -37,6 +37,16 @@ in the operation order of the plain ``y + (h/2) k1`` form, so the states
 match it bit for bit.  Whether the state is still finite is checked once
 per chunk, over the samples the chunk stored.
 
+An RK4 run whose Hamiltonian is unchanged by exchanging two qubits (with
+the mode signs of model.exchange_sector) is integrated in the
+exchange-even sector, which holds the ground-vacuum start state: the
+sector Hamiltonian V^dag H(t) V is what evolve_sampled sees, and the
+sampled states are lifted back by V before they are observed.  The
+paper's coupled-pair gate runs at dimension 128 with 829 stored nonzeros
+instead of 256 with 3,068.  Exact runs stay in the full space: on the
+effective gate the sector shortens the eigh path by about 0.8 ms, less
+than its build and lift cost.
+
 Fidelity against the GHZ target is evaluated for both phase conventions at
 every sample; the trajectory keeps the pointwise maximum and records which
 convention won at the peak.  The produced phase depends on the sign of the
@@ -71,6 +81,7 @@ from .errors import PreconditionError
 from .model import (
     TimeDependentHamiltonian,
     effective_hamiltonian,
+    exchange_sector,
     full_simulation_hamiltonian,
     interaction_picture_hamiltonian,
     rotating_frame_hamiltonian,
@@ -122,7 +133,9 @@ class Trajectory:
     dim: int = 0  # of the Hilbert space
     timings_ms: dict[str, float] = field(default_factory=dict)  # build, propagate, observe
     # max_norm_drift, max |norm - 1|; top_fock_population, per mode the
-    # largest population of its top Fock level at any sample (truncation)
+    # largest population of its top Fock level at any sample (truncation);
+    # propagated_dim (the exchange sector's or dim), dt and the propagated
+    # block column's nnz
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -451,22 +464,37 @@ def _trajectory(circuit, variant, times, fock_cutoffs, dt, convention) -> Trajec
     space = HilbertSpace(n_qubits=circuit.n_qubits, mode_levels=tuple(fock_cutoffs))
     hamiltonian = _BUILDERS[variant](circuit, space)
     exact = hamiltonian.frame is not None and space.dim <= EXACT_DIMENSION_LIMIT
+    sector = None if exact else exchange_sector(hamiltonian, circuit.coupling_matrix)
+    propagated = hamiltonian if sector is None else sector.hamiltonian
     if not exact:
-        hamiltonian.stacked  # RK4's CSR block column (and scipy.sparse) count as build
+        propagated.stacked  # RK4's CSR block column (and scipy.sparse) count as build
     psi0 = ground_vacuum_state(space)
+    step = resolve_step(hamiltonian, dt)
     ticks.append(time.perf_counter())
     if exact:
         states = propagate_exactly(hamiltonian, psi0, times, dt)
-        propagator, steps = "exact", 0
-    else:
+    elif sector is None:
         states = evolve_sampled(hamiltonian, psi0, times, dt)
-        propagator, steps = "rk4", int(_segments(times, resolve_step(hamiltonian, dt))[1].sum())
+    else:  # the ground-vacuum state lies in every exchange sector
+        states = sector.lift(evolve_sampled(propagated, sector.reduce(psi0), times, dt))
     ticks.append(time.perf_counter())
     trajectory = _observe(states, times, space, hamiltonian.label, convention)
     ticks.append(time.perf_counter())
+    propagator, steps = ("exact", 0) if exact else ("rk4", int(_segments(times, step)[1].sum()))
     timings = dict(zip(("build", "propagate", "observe"), (1e3 * np.diff(ticks)).tolist()))
+    diagnostics = {
+        **trajectory.diagnostics,
+        "propagated_dim": propagated.space.dim,
+        "dt": step,
+        "nnz": propagated.nnz,
+    }
     return replace(
-        trajectory, propagator=propagator, steps=steps, dim=space.dim, timings_ms=timings
+        trajectory,
+        propagator=propagator,
+        steps=steps,
+        dim=space.dim,
+        timings_ms=timings,
+        diagnostics=diagnostics,
     )
 
 
@@ -490,7 +518,7 @@ def run(
     'rotating' and 'effective' runs up to dimension EXACT_DIMENSION_LIMIT
     are propagated exactly (propagate_exactly), so there dt is validated
     but takes no steps; the trajectory's ``propagator`` and ``steps`` say
-    which path ran.
+    which path ran, and its ``diagnostics`` the dimension it ran in.
     """
     times = _sample_grid(t_final, sample_every)
     return _trajectory(circuit, variant, times, fock_cutoffs, dt, convention)

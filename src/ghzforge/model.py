@@ -35,6 +35,14 @@ handle at a time t gives a dense H(t).
 Every builder also declares the fastest angular frequency present so the
 step-size precondition can be enforced mechanically.
 
+Identical qubits make a Hamiltonian symmetric under exchanging two of
+them while flipping the sign of every mode their couplings give opposite
+signs.  :func:`exchange_sector` finds such a pair from the coupling
+matrix, checks every block's triplets against their exchanged copy, and
+returns the Hamiltonian restricted to the exchange-even sector (about
+half the dimension; the paper's coupled pair 256 -> 128) as an ordinary
+TimeDependentHamiltonian, with the map back to the full space.
+
 Frames, outermost first:
 
 * rotating frame at omega_d in the qubit energy eigenbasis, rotating-wave
@@ -64,6 +72,7 @@ from .operators import (
     SparseOperator,
     annihilation,
     assemble,
+    canonical,
     creation,
     csr_from_row_counts,
     number_operator,
@@ -79,6 +88,8 @@ __all__ = [
     "CoupledTlrCircuit",
     "DriveMappingReport",
     "TimeDependentHamiltonian",
+    "ExchangeSector",
+    "exchange_sector",
     "qubit_drive_from_resonator_drive",
     "rotating_frame_hamiltonian",
     "full_simulation_hamiltonian",
@@ -300,9 +311,8 @@ class TimeDependentHamiltonian:
 
     @functools.cached_property
     def stacked(self):
-        dim, blocks = self.space.dim, [self.static, *(m for m, _ in self.terms)]
-        parts = []  # (rows, cols, values) of each block, row-major
-        for m in blocks:
+        dim, parts = self.space.dim, []  # (rows, cols, values) of each block, row-major
+        for m in self.blocks:
             keep = m.values != 0  # a zero coupling or drive stores explicit zeros
             parts.append((m.rows[keep], m.cols[keep], m.values[keep]))
         for rows, cols, values in parts[1:]:  # M_j^dag: a stable sort on M_j's columns
@@ -311,6 +321,17 @@ class TimeDependentHamiltonian:
         counts = np.concatenate([np.bincount(rows, minlength=dim) for rows, _, _ in parts])
         cols, values = (np.concatenate(x) for x in list(zip(*parts))[1:])
         return csr_from_row_counts(counts, cols, values, dim)
+
+    @property
+    def blocks(self) -> tuple[SparseOperator, ...]:
+        """static, M_1..M_J."""
+        return (self.static, *(m for m, _ in self.terms))
+
+    @property
+    def nnz(self) -> int:
+        """Nonzero entries of the block column, counted from the triplets: stacked.nnz."""
+        static, *terms = (np.count_nonzero(m.values) for m in self.blocks)
+        return int(static + 2 * sum(terms))
 
     def _check_frame(self) -> None:
         k = self.frame = np.asarray(self.frame, dtype=float)
@@ -338,6 +359,91 @@ class TimeDependentHamiltonian:
         """Block weights -i exp(i frequencies t): one row per time in times."""
         t = np.asarray(times, dtype=float)[..., None]
         return -1j * np.exp(1j * (t * self.frequencies))
+
+
+@dataclass(frozen=True, eq=False)
+class ExchangeSector:
+    """A Hamiltonian restricted to the +1 sector of a qubit exchange P.
+
+    P swaps two qubits and multiplies a basis state by prod_m s_m^{n_m}
+    for mode signs s_m = +-1; it is an involution, so its +1 eigenspace
+    has an orthonormal basis V of one column per basis state it fixes
+    with sign +1 (entry 1) and per pair {x, Px} (entries 1/sqrt2 at x < Px
+    and +-1/sqrt2 at Px).  ``column[x]`` is the column basis state x
+    belongs to and ``weight[x]`` its entry (0 for a state P fixes with
+    sign -1); ``rows`` is each column's first basis state.
+    ``hamiltonian`` is V^dag H(t) V, an ordinary TimeDependentHamiltonian
+    on a space of the sector's dimension.
+    """
+
+    hamiltonian: TimeDependentHamiltonian
+    column: np.ndarray
+    weight: np.ndarray
+    rows: np.ndarray
+
+    def reduce(self, psi: np.ndarray) -> np.ndarray:
+        """V^dag psi for a state psi inside the sector."""
+        return psi[self.rows] / self.weight[self.rows]
+
+    def lift(self, states: np.ndarray) -> np.ndarray:
+        """V phi for each row phi of a (samples, sector dim) array."""
+        full = np.take(states, self.column, axis=1)  # a third of states[:, column]'s time
+        full *= self.weight
+        full += 0.0  # a negative weight on a zero amplitude leaves -0
+        return full
+
+
+def exchange_sector(
+    hamiltonian: TimeDependentHamiltonian, coupling_matrix
+) -> ExchangeSector | None:
+    """The exchange sector of the first qubit pair (a, b) with |G_a| = |G_b|, if H keeps it.
+
+    P swaps qubits a and b and flips the sign of every mode m with
+    G_am G_bm < 0, which maps each coupling sum onto itself.  Returns None
+    when no such pair exists or when some block of the Hamiltonian, its
+    triplets permuted by P and made canonical, differs from itself in any
+    entry.  The blocks are then projected by the same canonicalisation, with
+    exact +-1 factors between pairs: (V^dag M V)_ij = M[x, y] +- M[x, Py]
+    for the first states x, y of columns i, j.
+    """
+    space, g = hamiltonian.space, np.abs(coupling_matrix)
+    pairs = ((a, b) for a in range(len(g)) for b in range(a + 1, len(g)))
+    a, b = next(((a, b) for a, b in pairs if (g[a] == g[b]).all()), (None, None))
+    if a is None:
+        return None
+    dim = space.dim
+    flipped = np.flatnonzero(coupling_matrix[a] * coupling_matrix[b] < 0)
+    index = np.indices(space.dims).reshape(len(space.dims), -1)
+    sign = 1 - 2 * (index[space.n_qubits + flipped].sum(axis=0) % 2)  # P|x> = sign|Px>
+    index[[a, b]] = index[[b, a]]
+    partner = np.ravel_multi_index(tuple(index), space.dims)
+    for m in hamiltonian.blocks:
+        flat = partner[m.rows] * dim + partner[m.cols]
+        p = canonical(dim, flat, sign[m.rows] * sign[m.cols] * m.values)
+        if not all(map(np.array_equal, (p.rows, p.cols, p.values), (m.rows, m.cols, m.values))):
+            return None
+    states = np.arange(dim)
+    fixed = partner == states
+    first = np.where(fixed, sign > 0, states < partner)
+    rows = np.flatnonzero(first)
+    column = (np.cumsum(first) - 1)[np.minimum(states, partner)]
+    weight = np.where(fixed, (sign > 0) * 1.0, np.where(first, 1, sign) / math.sqrt(2.0))
+    n = rows.size
+
+    def project(m: SparseOperator) -> SparseOperator:
+        # (V^dag M V)_ij = sum_c M[r, c] V[c, j] / V[r, i] over i's first state r
+        keep = first[m.rows] & (weight[m.cols] != 0)
+        r, c = m.rows[keep], m.cols[keep]
+        return canonical(n, column[r] * n + column[c], m.values[keep] * (weight[c] / weight[r]))
+
+    reduced = TimeDependentHamiltonian(
+        HilbertSpace(0, (n,)),  # the sector as one flat factor
+        project(hamiltonian.static),
+        tuple((project(m), w) for m, w in hamiltonian.terms),
+        hamiltonian.fastest_frequency,
+        hamiltonian.label,
+    )
+    return ExchangeSector(reduced, column, weight, rows)
 
 
 def _operator(m, space: HilbertSpace, what: str) -> SparseOperator:

@@ -32,6 +32,7 @@ __all__ = [
     "SparseOperator",
     "csr_from_row_counts",
     "assemble",
+    "canonical",
     "embed",
     "embedded_product",
     "partial_trace_modes",
@@ -190,9 +191,8 @@ def assemble(space: HilbertSpace, products) -> SparseOperator:
     A product's factors contribute their nonzero (row, col, value) triplets,
     an identity its diagonal, and the flat index row * dim + col of a full
     entry is the mixed-radix combination of the factors' row * dim + col.
-    All weighted triplets are then sorted stably by that index once and
-    duplicates summed in their input order by np.add.at, with no dense or
-    per-product sparse intermediate.
+    All weighted triplets then go through :func:`canonical` once, with no
+    dense or per-product sparse intermediate.
     """
     dim = space.dim
     flats, values_list = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=complex)]
@@ -215,7 +215,15 @@ def assemble(space: HilbertSpace, products) -> SparseOperator:
             flat = (flat[:, None] * d + digits).ravel()
         flats.append(flat)
         values_list.append(values * weight)
-    flat, values = np.concatenate(flats), np.concatenate(values_list)
+    return canonical(dim, np.concatenate(flats), np.concatenate(values_list))
+
+
+def canonical(dim: int, flat: np.ndarray, values: np.ndarray) -> SparseOperator:
+    """The dim x dim operator summing values[i] at flat index flat[i] = row * dim + col.
+
+    The entries are sorted stably by flat index once and duplicates summed
+    in their input order, so equal inputs give bit-identical triplets.
+    """
     order = np.argsort(flat, kind="stable")
     flat, values = flat[order], values[order]
     first = np.diff(flat, prepend=-1) != 0  # opens a (row, col) run

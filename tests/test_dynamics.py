@@ -1,9 +1,11 @@
 """Integrator and trajectory machinery against independent oracles."""
 
+import functools
 import math
 import os
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
-from test_model import lab_frame_hamiltonian, reference_coupled, three_mode_record
+from test_model import ThreeModes, lab_frame_hamiltonian, reference_coupled, three_mode_record
 
 from ghzforge.analytic import (
     GHZ_CONVENTIONS,
@@ -45,6 +47,7 @@ from ghzforge.model import (
     SingleTlrCircuit,
     TimeDependentHamiltonian,
     effective_hamiltonian,
+    exchange_sector,
     full_simulation_hamiltonian,
     qubit_drive_from_resonator_drive,
     rotating_frame_hamiltonian,
@@ -487,36 +490,166 @@ def test_run_takes_rk4_above_the_dimension_limit_and_for_time_dependent_h(monkey
     levels = EXACT_DIMENSION_LIMIT // 4
     at_limit = run(circuit, "effective", 0.2, 0.1, (levels,))
     assert (at_limit.propagator, at_limit.steps, calls) == ("exact", 0, [])
+    assert at_limit.diagnostics["propagated_dim"] == at_limit.dim == 4 * levels
     above = run(circuit, "effective", 0.2, 0.1, (levels + 1,))
-    assert above.propagator == "rk4" and calls == [4 * (levels + 1)]
+    # the two identical qubits: RK4 runs in the exchange-symmetric sector,
+    # the qubits' triplet times the mode, while the trajectory keeps the full space
+    assert above.propagator == "rk4" and calls == [3 * (levels + 1)]
+    assert above.dim == 4 * (levels + 1)
+    assert above.diagnostics["propagated_dim"] == 3 * (levels + 1)
     # one step per 0.1 ns segment: the default step of the effective model is longer
     assert above.steps == 2
     full = run(circuit, "full", 0.2, 0.1, (4,))
-    assert full.propagator == "rk4" and calls[-1] == 16
+    assert full.propagator == "rk4" and calls[-1] == 12 and full.dim == 16
     dt = TWO_PI / (circuit.omega + circuit.omega_d) / 64
     assert full.steps == 2 * math.ceil(0.1 / dt - 1e-12)
+    assert full.diagnostics["dt"] == dt
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_only_rk4_runs_build_the_csr_column(variant, monkeypatch):
-    """An exact run never builds the Hamiltonian's CSR column `stacked`, so
-    it needs no scipy.sparse; an RK4 run builds it before its build timing
-    closes."""
-    hamiltonians = []
-    builder = _BUILDERS[variant]
+    """An exact run never builds a CSR column `stacked`, so it needs no
+    scipy.sparse.  An RK4 run of the two identical qubits builds it for the
+    exchange-sector Hamiltonian it propagates, before its build timing
+    closes, and never for the full-space one."""
+    hamiltonians, propagated = [], []
+    builder, real_evolve = _BUILDERS[variant], evolve_sampled
 
     def recording(circuit, space):
         hamiltonians.append(builder(circuit, space))
         return hamiltonians[-1]
 
+    def evolving(hamiltonian, psi0, samples, dt=None):
+        propagated.append((hamiltonian, "stacked" in vars(hamiltonian)))
+        return real_evolve(hamiltonian, psi0, samples, dt)
+
     monkeypatch.setitem(_BUILDERS, variant, recording)
+    monkeypatch.setattr("ghzforge.dynamics.evolve_sampled", evolving)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ApproximationWarning)
         trajectory = run(reference_single(), variant, 0.2, 0.1, (4,))
     (h,) = hamiltonians
     rk4 = variant in ("full", "intermediate")
     assert trajectory.propagator == ("rk4" if rk4 else "exact")
-    assert ("stacked" in vars(h)) is rk4
+    assert "stacked" not in vars(h)
+    if rk4:
+        ((sector_h, built_before_evolve),) = propagated
+        assert built_before_evolve and sector_h is not h
+        assert sector_h.space.dim == trajectory.diagnostics["propagated_dim"] == 12
+    else:
+        assert propagated == []
+
+
+# ---------------------------------------------------------------------------
+# the qubit-exchange sector RK4 runs in
+# ---------------------------------------------------------------------------
+
+
+class SignedThreeModes(ThreeModes):
+    """Three modes, two qubits with |G_0| = |G_1|: modes 0 and 2 change sign."""
+
+    coupling_matrix = np.array([[0.05, 0.02, -0.03], [-0.05, 0.02, 0.03]])
+
+
+def signed_three_mode_record():
+    record = three_mode_record()
+    return SignedThreeModes(record.qubits, record.omega_d, record.rabi)
+
+
+def _negative_hopping(circuit):
+    j = circuit.hopping[0][1]
+    return replace(circuit, hopping=((0.0, -j), (-j, 0.0)))
+
+
+SECTOR_LAYOUTS = {
+    "single": lambda: (reference_single(), (4,)),
+    "coupled-J>0": lambda: (reference_coupled(), (3, 3)),
+    "coupled-J<0": lambda: (_negative_hopping(reference_coupled()), (3, 3)),
+    "three-qubits": lambda: (reference_single(n_qubits=3), (3,)),
+    "three-modes": lambda: (three_mode_record(), (2, 3, 2)),
+    "three-modes-signed": lambda: (signed_three_mode_record(), (2, 3, 2)),
+}
+
+
+def exchange_matrix(space, coupling_matrix):
+    """P built by Kronecker products: SWAP of qubits 0 and 1, then (-1)^n on
+    every mode whose two coupling entries differ in sign."""
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    flips = coupling_matrix[0] * coupling_matrix[1] < 0
+    factors = [swap, np.eye(2 ** (space.n_qubits - 2))]
+    for flip, levels in zip(flips, space.mode_levels):
+        factors.append(np.diag((-1.0) ** np.arange(levels)) if flip else np.eye(levels))
+    return functools.reduce(np.kron, factors)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("layout", SECTOR_LAYOUTS)
+def test_exchange_sector_commutes_with_every_block_and_lifts_rk4(layout, variant):
+    """For identical qubits every block of every builder commutes exactly
+    with P; V is an isometry onto P's whole +1 eigenspace that holds the
+    ground-vacuum state bit for bit; the sector blocks are V^dag B V; and
+    RK4 in the sector, lifted by V, follows full-space RK4 to 1e-13.  A
+    layout whose first two coupling rows differ in magnitude has no sector."""
+    circuit, levels = SECTOR_LAYOUTS[layout]()
+    space = HilbertSpace(n_qubits=circuit.n_qubits, mode_levels=levels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ApproximationWarning)
+        h = _BUILDERS[variant](circuit, space)
+    sector = exchange_sector(h, circuit.coupling_matrix)
+    g = np.abs(circuit.coupling_matrix)
+    if not np.array_equal(g[0], g[1]):
+        assert sector is None
+        return
+    p = exchange_matrix(space, circuit.coupling_matrix)
+    for block in h.blocks:
+        b = block.toarray()
+        assert np.array_equal(p @ b, b @ p)
+    n = sector.hamiltonian.space.dim
+    v = np.zeros((space.dim, n))
+    v[np.arange(space.dim), sector.column] = sector.weight
+    assert np.abs(v.T @ v - np.eye(n)).max() <= 4 * np.finfo(float).eps
+    assert np.array_equal(p @ v, v) and 2 * n == space.dim + np.trace(p)
+    psi0 = ground_vacuum_state(space)
+    assert np.array_equal(v.T @ psi0, sector.reduce(psi0))
+    assert_same_bits(sector.lift(sector.reduce(psi0)[None])[0], psi0)
+    for block, reduced in zip(h.blocks, sector.hamiltonian.blocks):
+        b = block.toarray()
+        assert np.abs(reduced.toarray() - v.T @ b @ v).max() <= 1e-15 * max(1.0, np.abs(b).max())
+    times = np.linspace(0.0, 0.2, 5)
+    full = evolve_sampled(h, psi0, times)
+    lifted = sector.lift(evolve_sampled(sector.hamiltonian, sector.reduce(psi0), times))
+    assert np.abs(lifted - full).max() <= 1e-13
+
+
+def test_couplings_one_ulp_apart_give_no_sector_and_the_full_space_run(monkeypatch):
+    """One ulp between the two couplings is enough to refuse the sector,
+    and the run is then the full-space RK4 run bit for bit; so is a block
+    that breaks the exchange while the couplings match."""
+    circuit = reference_single()
+    first, second = circuit.qubits
+    uneven = replace(
+        circuit, qubits=(first, replace(second, coupling=np.nextafter(second.coupling, 1.0)))
+    )
+    space = HilbertSpace(n_qubits=2, mode_levels=(4,))
+    h = full_simulation_hamiltonian(uneven, space)
+    assert exchange_sector(h, uneven.coupling_matrix) is None
+    even = full_simulation_hamiltonian(circuit, space)
+    assert exchange_sector(even, circuit.coupling_matrix) is not None
+    broken_static = even.static.toarray() + 1e-3 * embed(pauli("z"), 0, space).toarray()
+    broken = TimeDependentHamiltonian(space, broken_static, even.terms, even.fastest_frequency, "b")
+    assert exchange_sector(broken, circuit.coupling_matrix) is None
+
+    recorded, real_evolve = [], evolve_sampled
+
+    def evolving(hamiltonian, psi0, samples, dt=None):
+        recorded.append(real_evolve(hamiltonian, psi0, samples, dt))
+        return recorded[-1]
+
+    monkeypatch.setattr("ghzforge.dynamics.evolve_sampled", evolving)
+    trajectory = run(uneven, "full", 0.2, 0.05, (4,))
+    (states,) = recorded
+    assert trajectory.diagnostics["propagated_dim"] == trajectory.dim == 16
+    assert_same_bits(states, real_evolve(h, ground_vacuum_state(space), trajectory.times))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,10 @@ from hypothesis import strategies as st
 
 from ghzforge import cli
 from ghzforge.cli import _write_trajectory_csv, main
-from ghzforge.dynamics import Trajectory, sweep_drive_strength
+from ghzforge.dynamics import Trajectory, resolve_step, sweep_drive_strength
 from ghzforge.errors import ScenarioFormatError
+from ghzforge.model import effective_hamiltonian
+from ghzforge.operators import HilbertSpace
 from ghzforge.scenario import (
     MAX_STORED_AMPLITUDES,
     bundled_scenario_names,
@@ -349,7 +351,15 @@ def test_summaries_carry_norm_and_truncation_diagnostics(tmp_path):
     assert main(["run", bundled, "--out-dir", str(out)]) == 0
     summary = json.loads((out / "single_tlr_ghz_effective_summary.json").read_text())
     diagnostics = summary["diagnostics"]
-    assert set(diagnostics) == {"max_norm_drift", "top_fock_population"}
+    assert set(diagnostics) == {
+        "max_norm_drift", "top_fock_population", "propagated_dim", "dt", "nnz"
+    }
+    # an exact run propagates the whole space; dt is validated, though unused
+    assert diagnostics["propagated_dim"] == summary["dim"] == 40
+    scenario = load_scenario(bundled)
+    h = effective_hamiltonian(scenario.circuit, HilbertSpace(2, scenario.fock))
+    assert diagnostics["dt"] == resolve_step(h, scenario.dt)
+    assert diagnostics["nnz"] == np.count_nonzero(h(0.3)) == 144
     assert 0 <= diagnostics["max_norm_drift"] < 1e-12
     assert len(diagnostics["top_fock_population"]) == 1
     assert 0 < diagnostics["top_fock_population"][0] < 1e-6
@@ -365,6 +375,8 @@ def test_summaries_carry_norm_and_truncation_diagnostics(tmp_path):
     for point in points:
         assert point["diagnostics"]["max_norm_drift"] < 1e-12
         assert len(point["diagnostics"]["top_fock_population"]) == 1
+        assert point["diagnostics"]["propagated_dim"] == point["dim"] == 12
+        assert point["diagnostics"]["nnz"] > 0 and point["diagnostics"]["dt"] > 0
 
 
 def test_run_prints_the_wall_time_of_its_summary(tmp_path, capsys):
