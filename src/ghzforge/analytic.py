@@ -383,8 +383,12 @@ def solve_coupled_phase_condition(
     delta_prime = xi * j_rate
     gate_time = 2.0 * np.pi * n / j_rate
     denom = delta_prime**2 - j_rate**2
-    same = g_squared * delta_prime * gate_time / denom
-    cross = g_squared * j_rate * gate_time / denom
+    # g^2 delta' overflows past g ~ 5e102 although the phases are O(1), so
+    # g^2 enters as its mantissa and its power of two is restored last: the
+    # scaling is exact, every rounding that of g^2 delta' T / denom
+    mantissa, exponent = np.frexp(g_squared)
+    same = np.ldexp(mantissa * delta_prime * gate_time / denom, exponent)
+    cross = np.ldexp(mantissa * j_rate * gate_time / denom, exponent)
     _require_normal(g_squared=g_squared, j_squared=j_rate**2, denom=denom, same=same, cross=cross)
     res_same = abs(same - (3 + 4 * m) * np.pi / 2.0)
     res_cross = abs(cross - (1 + 4 * l) * np.pi / 2.0)

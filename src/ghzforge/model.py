@@ -28,7 +28,7 @@ weighted tensor products and makes it one
 :class:`~ghzforge.operators.SparseOperator` of canonical triplets by one
 :func:`~ghzforge.operators.assemble` call: a static part plus (matrix,
 frequency) terms, each adding ``exp(i w t) M + exp(-i w t) M^dag``, one
-matrix per frequency.  RK4 consumes the CSR block column [static; M;
+matrix per frequency.  RK4 consumes the CSR block row [static | M |
 M^dag], built from the blocks' triplets on first use (the only step that
 loads scipy.sparse), with a phase table of the block weights; calling the
 handle at a time t gives a dense H(t).
@@ -279,12 +279,14 @@ class TimeDependentHamiltonian:
     is declared.  With it H(t) = e^{iKt} H_F e^{-iKt}, where
     H_F = K + H(0) is static, so the dynamics need no time stepping.  A
     Hamiltonian without terms gets the zero frame; a declared frame that
-    breaks the identity raises ValueError.
+    breaks the identity raises ValueError.  ``warned`` holds the messages
+    of the ApproximationWarnings its builder raised, in order.
 
-    ``stacked`` is the CSR block column [static; M_1..M_J; M_1^dag..M_J^dag],
+    ``block_row`` is the CSR block row [static | M_1..M_J | M_1^dag..M_J^dag],
     whose blocks oscillate at ``frequencies`` (0, w_j, -w_j):
-    -i H(t) y = coefficients(t) @ (stacked @ y).reshape(n_blocks, dim).
-    It is built on first use, which loads scipy.sparse; only RK4 uses it.
+    -i H(t) y = block_row @ (coefficients(t) (x) y), the outer product
+    flattened block-major.  It is built on first use, which loads
+    scipy.sparse; only RK4 uses it.
     """
 
     space: HilbertSpace
@@ -293,6 +295,7 @@ class TimeDependentHamiltonian:
     fastest_frequency: float
     label: str
     frame: np.ndarray | None = field(default=None, repr=False)
+    warned: tuple[str, ...] = ()  # the builder's ApproximationWarning messages, in order
     frequencies: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -310,7 +313,7 @@ class TimeDependentHamiltonian:
             self._check_frame()
 
     @functools.cached_property
-    def stacked(self):
+    def block_row(self):
         dim, parts = self.space.dim, []  # (rows, cols, values) of each block, row-major
         for m in self.blocks:
             keep = m.values != 0  # a zero coupling or drive stores explicit zeros
@@ -318,9 +321,15 @@ class TimeDependentHamiltonian:
         for rows, cols, values in parts[1:]:  # M_j^dag: a stable sort on M_j's columns
             order = np.argsort(cols, kind="stable")
             parts.append((cols[order], rows[order], values[order].conj()))
-        counts = np.concatenate([np.bincount(rows, minlength=dim) for rows, _, _ in parts])
-        cols, values = (np.concatenate(x) for x in list(zip(*parts))[1:])
-        return csr_from_row_counts(counts, cols, values, dim)
+        rows, cols, values = (
+            np.concatenate(x)
+            for x in zip(*((r, c + b * dim, v) for b, (r, c, v) in enumerate(parts)))
+        )
+        # the blocks are concatenated in order, each row-major, so a stable
+        # sort on the row keeps a row's entries block by block, in column order
+        order = np.argsort(rows, kind="stable")
+        counts = np.bincount(rows, minlength=dim)
+        return csr_from_row_counts(counts, cols[order], values[order], len(parts) * dim)
 
     @property
     def blocks(self) -> tuple[SparseOperator, ...]:
@@ -329,7 +338,7 @@ class TimeDependentHamiltonian:
 
     @property
     def nnz(self) -> int:
-        """Nonzero entries of the block column, counted from the triplets: stacked.nnz."""
+        """Nonzero entries of the block row, counted from the triplets: block_row.nnz."""
         static, *terms = (np.count_nonzero(m.values) for m in self.blocks)
         return int(static + 2 * sum(terms))
 
@@ -348,7 +357,7 @@ class TimeDependentHamiltonian:
                 )
 
     def __call__(self, t: float) -> np.ndarray:
-        """Dense H(t), for the exact path, tests and diagnostics; RK4 reads ``stacked``."""
+        """Dense H(t), for the exact path, tests and diagnostics; RK4 reads ``block_row``."""
         h = self.static.toarray()
         for m, w in self.terms:
             term = np.exp(1j * w * t) * m.toarray()
@@ -506,19 +515,23 @@ def qubit_drive_from_resonator_drive(
 # ---------------------------------------------------------------------------
 
 
-def _check_rwa(circuit) -> None:
+def _check_rwa(circuit) -> list[str]:
+    """Warn for each ratio that strains the rotating-wave approximation; return the messages."""
     worst_g = max(q.coupling for q in circuit.qubits)
+    messages = []
     for name, ratio in (
         ("g/omega_r", worst_g / circuit.omega),
         ("Omega_R/omega_d", abs(circuit.rabi) / circuit.omega_d),
     ):
         if ratio > _RWA_RATIO:
-            message = f"{name} = {ratio:.3f} strains the rotating-wave approximation"
-            warnings.warn(message, ApproximationWarning, stacklevel=4)
+            messages.append(f"{name} = {ratio:.3f} strains the rotating-wave approximation")
+            warnings.warn(messages[-1], ApproximationWarning, stacklevel=4)
+    return messages
 
 
-def _check_frame(circuit, space: HilbertSpace) -> None:
-    """Preconditions shared by every rotating-frame builder."""
+def _check_frame(circuit, space: HilbertSpace) -> list[str]:
+    """Preconditions shared by every rotating-frame builder; returns the
+    messages of the ApproximationWarnings it raised."""
     for i, q in enumerate(circuit.qubits):
         if not abs(q.gap - circuit.omega_d) <= _RESONANCE_RTOL * circuit.omega_d:  # NaN fails
             raise PreconditionError(
@@ -526,23 +539,23 @@ def _check_frame(circuit, space: HilbertSpace) -> None:
                 f"{circuit.omega_d:g} rad/ns; the rotating-frame builders assume "
                 "Delta_k = omega_d"
             )
-    _check_rwa(circuit)
+    warned = _check_rwa(circuit)
     if space.n_qubits != circuit.n_qubits or space.n_modes != len(circuit.mode_detunings):
         raise ValueError("space must carry the circuit's qubits and one Fock cutoff per mode")
+    return warned
 
 
 def _fastest_detuning(circuit) -> float:
     return max(abs(d) for d in circuit.mode_detunings)
 
 
-def _warn_unless_strong_drive(circuit, consequence: str) -> None:
+def _warn_unless_strong_drive(circuit, consequence: str) -> list[str]:
     scale = max(_fastest_detuning(circuit), max(circuit.couplings))
-    if abs(circuit.rabi) < _STRONG_DRIVE_FACTOR * scale:
-        warnings.warn(
-            f"Omega_R is not large against |Delta_m| and g; {consequence}",
-            ApproximationWarning,
-            stacklevel=3,
-        )
+    if abs(circuit.rabi) >= _STRONG_DRIVE_FACTOR * scale:
+        return []
+    message = f"Omega_R is not large against |Delta_m| and g; {consequence}"
+    warnings.warn(message, ApproximationWarning, stacklevel=3)
+    return [message]
 
 
 def _coupling_sum(circuit, space: HilbertSpace, qubit_op, mode_op, scale=1.0, modes=None):
@@ -578,10 +591,11 @@ def rotating_frame_hamiltonian(circuit, space: HilbertSpace) -> TimeDependentHam
     qubits.  For coupled resonators this is the normal-mode form of the
     bare-resonator Hamiltonian, with hopping sum_{r != s} J_rs a_r^dag a_s.
     """
-    _check_frame(circuit, space)
+    warned = _check_frame(circuit, space)
     static = assemble(space, _rotating_static(circuit, space))
     fastest = abs(circuit.rabi) + _fastest_detuning(circuit)
-    return TimeDependentHamiltonian(space, static, (), fastest, f"{circuit.kind}:rotating")
+    label = f"{circuit.kind}:rotating"
+    return TimeDependentHamiltonian(space, static, (), fastest, label, warned=tuple(warned))
 
 
 def full_simulation_hamiltonian(circuit, space: HilbertSpace) -> TimeDependentHamiltonian:
@@ -596,7 +610,7 @@ def full_simulation_hamiltonian(circuit, space: HilbertSpace) -> TimeDependentHa
     F by 6.8e-5 (single gate) and 4.6e-5 (coupled) and waits on re-recorded
     benchmark references (ROADMAP.md, item 2).
     """
-    _check_frame(circuit, space)
+    warned = _check_frame(circuit, space)
     static = assemble(space, _rotating_static(circuit, space))
     drive_cr = [(0.5 * circuit.rabi, {k: sigma_plus()}) for k in range(circuit.n_qubits)]
     coupling_cr = _coupling_sum(circuit, space, sigma_plus(), creation)
@@ -605,7 +619,8 @@ def full_simulation_hamiltonian(circuit, space: HilbertSpace) -> TimeDependentHa
         (assemble(space, coupling_cr), circuit.omega + circuit.omega_d),
     )
     fastest = circuit.omega + circuit.omega_d
-    return TimeDependentHamiltonian(space, static, terms, fastest, f"{circuit.kind}:full")
+    label = f"{circuit.kind}:full"
+    return TimeDependentHamiltonian(space, static, terms, fastest, label, warned=tuple(warned))
 
 
 def interaction_picture_hamiltonian(circuit, space: HilbertSpace) -> TimeDependentHamiltonian:
@@ -622,8 +637,7 @@ def interaction_picture_hamiltonian(circuit, space: HilbertSpace) -> TimeDepende
     The sigma_y/sigma_z parts oscillate at Omega_R and average away for
     strong driving; dropping them gives :func:`effective_hamiltonian`.
     """
-    _check_frame(circuit, space)
-    _warn_unless_strong_drive(
+    warned = _check_frame(circuit, space) + _warn_unless_strong_drive(
         circuit, "the interaction-picture error terms will not average cleanly"
     )
     rabi, y = circuit.rabi, 1j * pauli("y")
@@ -636,7 +650,8 @@ def interaction_picture_hamiltonian(circuit, space: HilbertSpace) -> TimeDepende
         for op, scale, w in pieces
     ]
     fastest = abs(rabi) + _fastest_detuning(circuit)
-    return TimeDependentHamiltonian(space, None, terms, fastest, f"{circuit.kind}:intermediate")
+    label = f"{circuit.kind}:intermediate"
+    return TimeDependentHamiltonian(space, None, terms, fastest, label, warned=tuple(warned))
 
 
 def effective_hamiltonian(circuit, space: HilbertSpace) -> TimeDependentHamiltonian:
@@ -650,8 +665,7 @@ def effective_hamiltonian(circuit, space: HilbertSpace) -> TimeDependentHamilton
     layout the P and Q contributions add for same-resonator pairs and
     compete for cross-resonator pairs.
     """
-    _check_frame(circuit, space)
-    _warn_unless_strong_drive(
+    warned = _check_frame(circuit, space) + _warn_unless_strong_drive(
         circuit, "the effective Hamiltonian is outside its strong-driving regime"
     )
     terms = tuple(
@@ -662,4 +676,4 @@ def effective_hamiltonian(circuit, space: HilbertSpace) -> TimeDependentHamilton
     counts = np.indices(space.dims).reshape(len(space.dims), -1)
     frame = sum(d * counts[space.mode_factor(m)] for m, d in enumerate(circuit.mode_detunings))
     fastest, label = _fastest_detuning(circuit), f"{circuit.kind}:effective"
-    return TimeDependentHamiltonian(space, None, terms, fastest, label, frame)
+    return TimeDependentHamiltonian(space, None, terms, fastest, label, frame, tuple(warned))

@@ -16,6 +16,7 @@ on the excited state and ``sigma_plus()`` raises ground to excited.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -84,7 +85,7 @@ class HilbertSpace:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)  # exact: np.prod wraps past int64
 
     def mode_factor(self, mode: int) -> int:
         """Flat factor index of the given mode."""

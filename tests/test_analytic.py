@@ -555,9 +555,20 @@ def test_phase_condition_solvers_reject_couplings_outside_float_range(g_ghz):
 
 
 def test_coupled_solver_rejects_a_non_finite_phase():
-    """g^2 fits, but g^2 delta' T_n overflows on the way to the phases."""
+    """g^2, J^2 and delta'^2 - J^2 are normal floats, but g^2's mantissa
+    times delta' T_n / (delta'^2 - J^2) = xi (1 + 4l) pi / (2 g^2) overflows
+    on the way to the phases when g^2 is near the smallest normal float."""
     with pytest.raises(ValueError, match="same = inf"):
-        solve_coupled_phase_condition(TWO_PI * 1e150, xi=3)
+        solve_coupled_phase_condition(1.5e-154, xi=7, n=64, m=8, l=1)
+
+
+def test_coupled_solver_solves_a_coupling_whose_g2_delta_overflows():
+    """g^2 delta' overflows at g = 2 pi 1e150 rad/ns, but the phases are
+    O(1) and grouped so that no intermediate does."""
+    solution = solve_coupled_phase_condition(TWO_PI * 1e150, xi=3)
+    assert solution.same_pair_phase == pytest.approx(3 * np.pi / 8, rel=1e-14)
+    assert solution.cross_pair_phase == pytest.approx(-np.pi / 8, rel=1e-14)
+    assert solution.delta_prime == 3 * solution.coupler_rate
 
 
 def test_solver_output_feeds_pair_phase_matrix():

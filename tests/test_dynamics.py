@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from test_model import ThreeModes, lab_frame_hamiltonian, reference_coupled, three_mode_record
@@ -30,8 +31,8 @@ from ghzforge.dynamics import (
     EXACT_DIMENSION_LIMIT,
     VARIANTS,
     Trajectory,
+    _accumulate,
     _observe,
-    _stage,
     evolve_sampled,
     ghz_fidelity,
     ground_vacuum_state,
@@ -98,7 +99,7 @@ def test_static_diagonal_phases_exact():
 
 
 def test_zero_hamiltonian_returns_initial_state_exactly():
-    """No static part and no terms: the stacked matrix is one zero block."""
+    """No static part and no terms: the block row is one zero block."""
     space = HilbertSpace(n_qubits=1, mode_levels=(3,))
     h = TimeDependentHamiltonian(space, None, (), 1.0, "zero")
     rng = np.random.default_rng(7)
@@ -128,16 +129,18 @@ def test_phase_table_pieces_leave_the_trajectory_unchanged(monkeypatch):
 def reference_evolve_sampled(hamiltonian, psi0, sample_times, dt=None):
     """Reference for evolve_sampled: a phase table per sample segment, fresh
     arrays for every RK4 stage and update, the public sparse product, and a
-    finiteness check at every sample.  evolve_sampled must match it bit for
-    bit; the argument checks are left to evolve_sampled."""
+    finiteness check at every sample.  Each stage is t_i = R @ (w_i (x) v)
+    for the block row R and the block weights w_i scaled by alpha_i =
+    h/2, h/2, h, h/6, and the update is y + ((t1 + 2 t2 + t3) / 3 + t4),
+    with 2 t2 formed as t2 + t2 and / 3 as * (1/3).  evolve_sampled must
+    match it bit for bit; the argument checks are left to evolve_sampled."""
     samples = np.asarray(sample_times, dtype=float)
     dt = resolve_step(hamiltonian, dt)
     y = np.asarray(psi0, dtype=complex).copy()
-    stacked = hamiltonian.stacked
-    blocks = (stacked.shape[0] // y.size, y.size)
+    block_row = hamiltonian.block_row
 
-    def stage(c, v):
-        return c @ (stacked @ v).reshape(blocks)
+    def stage(w, v):
+        return block_row @ np.outer(w, v).ravel()
 
     out = np.empty((samples.size, y.size), dtype=complex)
     t_now = 0.0
@@ -148,17 +151,51 @@ def reference_evolve_sampled(hamiltonian, psi0, sample_times, dt=None):
             h = span / n_steps
             phases = hamiltonian.coefficients(t_now + (0.5 * h) * np.arange(2 * n_steps + 1))
             for row in range(0, 2 * n_steps, 2):
-                k1 = stage(phases[row], y)
-                k2 = stage(phases[row + 1], y + (0.5 * h) * k1)
-                k3 = stage(phases[row + 1], y + (0.5 * h) * k2)
-                k4 = stage(phases[row + 2], y + h * k3)
-                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                t1 = stage(phases[row] * (0.5 * h), y)
+                t2 = stage(phases[row + 1] * (0.5 * h), y + t1)
+                t3 = stage(phases[row + 1] * h, y + t2)
+                t4 = stage(phases[row + 2] * (h / 6.0), y + t3)
+                y = y + ((t1 + (t2 + t2) + t3) * (1.0 / 3.0) + t4)
             t_now = t_target
         if not np.isfinite(y).all():
             raise PreconditionError(
                 f"state stopped being finite by t = {t_target:g} ns; the step "
                 f"{dt:g} ns or the Hamiltonian's entries are out of range"
             )
+        out[idx] = y
+    return out
+
+
+def textbook_evolve_sampled(hamiltonian, psi0, sample_times, dt):
+    """Classic RK4 on the same step schedule: k_i = -i H(t) v from the
+    block column [static; M_j; M_j^dag] and the phase table, stages
+    y + (h/2) k1, y + (h/2) k2, y + h k3, and y + (h/6)(k1 + 2 k2 + 2 k3 + k4)."""
+    samples = np.asarray(sample_times, dtype=float)
+    y = np.asarray(psi0, dtype=complex).copy()
+    row, dim = hamiltonian.block_row, y.size
+    column = sparse.vstack(
+        [row[:, b : b + dim] for b in range(0, row.shape[1], dim)], format="csr"
+    )
+    blocks = (column.shape[0] // dim, dim)
+
+    def stage(c, v):
+        return c @ (column @ v).reshape(blocks)
+
+    out = np.empty((samples.size, dim), dtype=complex)
+    t_now = 0.0
+    for idx, t_target in enumerate(samples):
+        span = t_target - t_now
+        if span > 1e-15:
+            n_steps = max(1, int(np.ceil(span / dt - 1e-12)))
+            h = span / n_steps
+            phases = hamiltonian.coefficients(t_now + (0.5 * h) * np.arange(2 * n_steps + 1))
+            for j in range(0, 2 * n_steps, 2):
+                k1 = stage(phases[j], y)
+                k2 = stage(phases[j + 1], y + (0.5 * h) * k1)
+                k3 = stage(phases[j + 1], y + (0.5 * h) * k2)
+                k4 = stage(phases[j + 2], y + h * k3)
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t_now = t_target
         out[idx] = y
     return out
 
@@ -236,26 +273,42 @@ def test_every_builder_matches_the_reference_loop(name, variant, monkeypatch):
     assert_same_bits(evolve_sampled(h, psi0, times, scenario.dt), expected)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_block_row_loop_stays_within_1e13_of_textbook_rk4(name, variant):
+    """The folded weights and the (t1 + 2 t2 + t3)/3 + t4 update only
+    reorder the rounding of classic RK4 on the same schedule."""
+    scenario = load_scenario(bundled_scenario_path(name))
+    space = HilbertSpace(n_qubits=scenario.circuit.n_qubits, mode_levels=scenario.fock)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ApproximationWarning)
+        h = _BUILDERS[variant](scenario.circuit, space)
+    dt = resolve_step(h, scenario.dt)
+    times = dt * np.array([0.0, 0.6, 4.5, 13.0, 40.0])
+    psi0 = ground_vacuum_state(space)
+    textbook = textbook_evolve_sampled(h, psi0, times, dt)
+    assert np.abs(evolve_sampled(h, psi0, times, dt) - textbook).max() <= 1e-13
+
+
 @pytest.mark.parametrize("case", ["zero", "coupled-full"])
 def test_stage_product_is_the_public_sparse_product(case):
-    """The stage calls SciPy's private CSR kernel; it must give what
-    `stacked @ v` gives, bit for bit, so a change to that entry point fails
-    here rather than in a trajectory."""
+    """The stages call SciPy's private CSR kernel into a zeroed buffer; it
+    must give what `block_row @ x` gives, bit for bit, so a change to that
+    entry point fails here rather than in a trajectory."""
     if case == "zero":  # one all-zero block, no stored entries
         space = HilbertSpace(n_qubits=1, mode_levels=(3,))
         h = TimeDependentHamiltonian(space, None, (), 1.0, "zero")
     else:  # static part and two oscillating terms: five blocks
         space = HilbertSpace(n_qubits=2, mode_levels=(3, 3))
         h = full_simulation_hamiltonian(reference_coupled(), space)
-    stage, product = _stage(h.stacked, space.dim)
-    k = np.empty(space.dim, dtype=complex)
-    for seed, t in ((1, 0.0), (2, 0.37)):
-        v = random_state(space.dim, seed)
-        c = h.coefficients(t)
-        product.fill(np.nan)  # the stage overwrites its buffer, never accumulates
-        stage(c, v, k)
-        assert_same_bits(product, h.stacked @ v)
-        assert_same_bits(k, c @ (h.stacked @ v).reshape(-1, space.dim))
+    kernel = _accumulate(h.block_row)
+    assert h.block_row.shape == (space.dim, (1 + 2 * len(h.terms)) * space.dim)
+    t = np.empty(space.dim, dtype=complex)
+    for seed, time_ns in ((1, 0.0), (2, 0.37)):
+        x = np.outer(h.coefficients(time_ns), random_state(space.dim, seed)).ravel()
+        t.fill(0.0)
+        kernel(x, t)
+        assert_same_bits(t, h.block_row @ x)
 
 
 @pytest.mark.parametrize("steps_per_table", [_STEPS_PER_TABLE, 7])
@@ -508,8 +561,8 @@ def test_run_takes_rk4_above_the_dimension_limit_and_for_time_dependent_h(monkey
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_only_rk4_runs_build_the_csr_column(variant, monkeypatch):
-    """An exact run never builds a CSR column `stacked`, so it needs no
-    scipy.sparse.  An RK4 run of the two identical qubits builds it for the
+    """An exact run never builds the CSR block row `block_row`, so it needs
+    no scipy.sparse.  An RK4 run of the two identical qubits builds it for the
     exchange-sector Hamiltonian it propagates, before its build timing
     closes, and never for the full-space one."""
     hamiltonians, propagated = [], []
@@ -520,7 +573,7 @@ def test_only_rk4_runs_build_the_csr_column(variant, monkeypatch):
         return hamiltonians[-1]
 
     def evolving(hamiltonian, psi0, samples, dt=None):
-        propagated.append((hamiltonian, "stacked" in vars(hamiltonian)))
+        propagated.append((hamiltonian, "block_row" in vars(hamiltonian)))
         return real_evolve(hamiltonian, psi0, samples, dt)
 
     monkeypatch.setitem(_BUILDERS, variant, recording)
@@ -531,7 +584,7 @@ def test_only_rk4_runs_build_the_csr_column(variant, monkeypatch):
     (h,) = hamiltonians
     rk4 = variant in ("full", "intermediate")
     assert trajectory.propagator == ("rk4" if rk4 else "exact")
-    assert "stacked" not in vars(h)
+    assert "block_row" not in vars(h)
     if rk4:
         ((sector_h, built_before_evolve),) = propagated
         assert built_before_evolve and sector_h is not h

@@ -294,7 +294,7 @@ def test_time_dependent_hamiltonian_call():
 
 def test_hamiltonian_stores_each_operator_once_as_triplets():
     """static and every term are SparseOperators; a missing static part is
-    an empty block, and the stacked column is made of exactly those
+    an empty block, and the block row is made of exactly those
     matrices."""
     circuit = reference_single()
     space = HilbertSpace(n_qubits=2, mode_levels=(4,))
@@ -307,7 +307,7 @@ def test_hamiltonian_stores_each_operator_once_as_triplets():
         assert all(isinstance(m, SparseOperator) for m, _ in h.terms)
         blocks = [h.static, *(m for m, _ in h.terms), *(m.tocsr().conj().T for m, _ in h.terms)]
         for b, block in enumerate(blocks):
-            assert np.array_equal(h.stacked[b * dim:(b + 1) * dim].toarray(), block.toarray())
+            assert np.array_equal(h.block_row[:, b * dim:(b + 1) * dim].toarray(), block.toarray())
     assert effective_hamiltonian(circuit, space).static.nnz == 0
 
 
@@ -325,7 +325,7 @@ def test_full_build_stays_below_one_dense_matrix():
     finally:
         tracemalloc.stop()
     assert space.dim == 1728
-    assert h.stacked.shape == (5 * space.dim, space.dim)
+    assert h.block_row.shape == (space.dim, 5 * space.dim)
     assert peak < space.dim**2 * np.dtype(complex).itemsize
 
 
@@ -339,7 +339,7 @@ def test_term_shape_mismatch_rejected():
 
 
 # ---------------------------------------------------------------------------
-# the stacked right-hand side the integrator consumes
+# the block-row right-hand side the integrator consumes
 # ---------------------------------------------------------------------------
 
 
@@ -388,19 +388,20 @@ STAGE_CASES = [
 )
 @example(t_start=0.0, span=0.5, n_steps=7, seed=0)
 def test_stacked_stage_equals_dense_rhs(case, t_start, span, n_steps, seed):
-    """One RK4 stage, coefficients @ (stacked @ y) over a segment's phase
-    table, equals -i H(t) y at the segment's start, a midpoint and its end."""
+    """One RK4 stage, block_row @ (coefficients (x) y) over a segment's
+    phase table, equals -i H(t) y at the segment's start, a midpoint and its
+    end."""
     h = _stage_hamiltonian(case)
     dim = h.space.dim
-    blocks = h.stacked.shape[0] // dim
-    assert h.stacked.shape == (blocks * dim, dim)
+    blocks = h.block_row.shape[1] // dim
+    assert h.block_row.shape == (dim, blocks * dim)
     assert blocks == 1 + 2 * len(h.terms)
     rng = np.random.default_rng(seed)
     y = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     times = t_start + (0.5 * span / n_steps) * np.arange(2 * n_steps + 1)
     table = h.coefficients(times)
     for row in (0, 2 * int(rng.integers(n_steps)) + 1, 2 * n_steps):
-        stage = table[row] @ (h.stacked @ y).reshape(blocks, dim)
+        stage = h.block_row @ np.outer(table[row], y).ravel()
         expected = -1j * (h(times[row]) @ y)
         assert np.allclose(table[row], h.coefficients(times[row]), rtol=1e-15, atol=0.0)
         assert np.linalg.norm(stage - expected) <= 1e-13 * np.linalg.norm(expected)
@@ -479,13 +480,13 @@ def reference_blocks(variant, circuit, space, amplitude=0.0):
     return None, terms, frame
 
 
-def reference_stacked(space, static, terms):
-    """[static; M_j; M_j^dag] stacked block by block, explicit zeros pruned."""
+def reference_block_row(space, static, terms):
+    """[static | M_j | M_j^dag] side by side, explicit zeros pruned."""
     static = sparse.csr_matrix((space.dim,) * 2 if static is None else static, dtype=complex)
     terms = [sparse.csr_matrix(m, dtype=complex) for m, _ in terms]
-    stacked = sparse.vstack([static, *terms, *(m.conj().T for m in terms)], format="csr")
-    stacked.eliminate_zeros()
-    return stacked
+    row = sparse.hstack([static, *terms, *(m.conj().T.tocsr() for m in terms)], format="csr")
+    row.eliminate_zeros()
+    return row
 
 
 def _bundled_circuit(name):
@@ -516,7 +517,7 @@ REFERENCE_BUILDERS = {
     ],
 )
 def test_one_pass_assembly_matches_the_sum_of_csr_reference(layout, variant):
-    """stacked equals the one-product-at-a-time reference: the same
+    """block_row equals the one-product-at-a-time reference: the same
     structure, and the same data bit for bit up to two modes.  With three
     modes three number terms meet on the diagonal, where the summation
     order may move a sum by one ulp."""
@@ -526,16 +527,16 @@ def test_one_pass_assembly_matches_the_sum_of_csr_reference(layout, variant):
         warnings.simplefilter("ignore", ApproximationWarning)
         h = REFERENCE_BUILDERS[variant](circuit, space=space)
         static, terms, frame = reference_blocks(variant, circuit, space, TWO_PI * 0.05)
-    expected = reference_stacked(space, static, terms)
-    assert h.stacked.shape == expected.shape
-    assert np.array_equal(h.stacked.indptr, expected.indptr)
-    assert np.array_equal(h.stacked.indices, expected.indices)
+    expected = reference_block_row(space, static, terms)
+    assert h.block_row.shape == expected.shape
+    assert np.array_equal(h.block_row.indptr, expected.indptr)
+    assert np.array_equal(h.block_row.indices, expected.indices)
     assert [w for _, w in h.terms] == [w for _, w in terms]
     if space.n_modes <= 2:
-        assert h.stacked.data.tobytes() == expected.data.tobytes()
+        assert h.block_row.data.tobytes() == expected.data.tobytes()
     else:
         for part in ("real", "imag"):
-            got, want = getattr(h.stacked.data, part), getattr(expected.data, part)
+            got, want = getattr(h.block_row.data, part), getattr(expected.data, part)
             assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
     if frame is not None:
         assert h.frame.tobytes() == frame.tobytes()
@@ -549,10 +550,10 @@ def test_one_pass_assembly_matches_the_sum_of_csr_reference(layout, variant):
     ],
 )
 def test_triplet_blocks_give_the_csr_column_and_the_dense_h(layout, variant):
-    """stacked is, bit for bit, the sparse.vstack reference of the blocks'
-    own CSR forms, and H(t) is, bit for bit, the dense formula
+    """block_row is, bit for bit, the sparse.hstack reference of the
+    blocks' own CSR forms, and H(t) is, bit for bit, the dense formula
     static + sum_j (e^{iwt} M_j + h.c.) on the blocks summed one CSR
-    matrix at a time; with three modes, as for stacked above, to one ulp.
+    matrix at a time; with three modes, as for block_row above, to one ulp.
     The dense check stops at the exact path's dimension limit."""
     circuit, levels = REFERENCE_LAYOUTS[layout]()
     space = HilbertSpace(n_qubits=circuit.n_qubits, mode_levels=levels)
@@ -560,9 +561,9 @@ def test_triplet_blocks_give_the_csr_column_and_the_dense_h(layout, variant):
         warnings.simplefilter("ignore", ApproximationWarning)
         h = REFERENCE_BUILDERS[variant](circuit, space=space)
         static, terms, _ = reference_blocks(variant, circuit, space, TWO_PI * 0.05)
-    own = reference_stacked(space, h.static.tocsr(), [(m.tocsr(), w) for m, w in h.terms])
+    own = reference_block_row(space, h.static.tocsr(), [(m.tocsr(), w) for m, w in h.terms])
     for part in ("indptr", "indices", "data"):
-        assert getattr(h.stacked, part).tobytes() == getattr(own, part).tobytes()
+        assert getattr(h.block_row, part).tobytes() == getattr(own, part).tobytes()
     static = sparse.csr_matrix((space.dim,) * 2 if static is None else static, dtype=complex)
     for t in SAMPLE_TIMES if space.dim <= EXACT_DIMENSION_LIMIT else ():
         expected = static.toarray()

@@ -57,6 +57,14 @@ def test_space_takes_integral_counts_only():
     space = HilbertSpace(np.int64(2), (np.int32(3), np.uint8(4)))
     assert space.dims == (2, 2, 3, 4)
     assert all(type(n) is int for n in space.mode_levels)
+    assert type(space.dim) is int and space.dim == 48
+
+
+def test_space_dimension_is_exact_past_int64():
+    """The dimension is an exact integer product: an int64 product wraps
+    2**32 * 2**32 to 0."""
+    assert HilbertSpace(0, (2**32, 2**32)).dim == 2**64
+    assert HilbertSpace(64).dim == 2**64
 
 
 def test_pauli_algebra():

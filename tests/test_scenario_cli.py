@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from ghzforge import cli
 from ghzforge.cli import _write_trajectory_csv, main
 from ghzforge.dynamics import Trajectory, resolve_step, sweep_drive_strength
-from ghzforge.errors import ScenarioFormatError
+from ghzforge.errors import ApproximationWarning, ScenarioFormatError
 from ghzforge.model import effective_hamiltonian
 from ghzforge.operators import HilbertSpace
 from ghzforge.scenario import (
@@ -352,8 +352,10 @@ def test_summaries_carry_norm_and_truncation_diagnostics(tmp_path):
     summary = json.loads((out / "single_tlr_ghz_effective_summary.json").read_text())
     diagnostics = summary["diagnostics"]
     assert set(diagnostics) == {
-        "max_norm_drift", "top_fock_population", "propagated_dim", "dt", "nnz"
+        "max_norm_drift", "top_fock_population", "propagated_dim", "dt", "nnz",
+        "approximation_warnings",
     }
+    assert diagnostics["approximation_warnings"] == []
     # an exact run propagates the whole space; dt is validated, though unused
     assert diagnostics["propagated_dim"] == summary["dim"] == 40
     scenario = load_scenario(bundled)
@@ -377,6 +379,30 @@ def test_summaries_carry_norm_and_truncation_diagnostics(tmp_path):
         assert len(point["diagnostics"]["top_fock_population"]) == 1
         assert point["diagnostics"]["propagated_dim"] == point["dim"] == 12
         assert point["diagnostics"]["nnz"] > 0 and point["diagnostics"]["dt"] > 0
+
+
+def test_summaries_record_the_approximation_warnings_of_the_builder(tmp_path):
+    """A drive of Omega_R/omega_d > 0.2 trips the rotating-wave check: the
+    warning is still raised, and the run and every sweep point, pool
+    workers included, record its message in their diagnostics."""
+    path = write_scenario(tmp_path, "strained", scenario_doc(drive={"rabi_ghz": 2.5}))
+    out = tmp_path / "out"
+    with pytest.warns(ApproximationWarning, match="rotating-wave") as caught:
+        assert main(["run", str(path), "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "strained_summary.json").read_text())
+    expected = ["Omega_R/omega_d = 0.248 strains the rotating-wave approximation"]
+    assert [str(w.message) for w in caught] == expected
+    assert summary["diagnostics"]["approximation_warnings"] == expected
+    assert main([
+        "sweep", str(path), "--param", "omega_r_multiple", "--values", "5,25,40",
+        "--window", "9.5:10.0", "--workers", "2", "--out-dir", str(out),
+    ]) == 0
+    points = json.loads((out / "strained_sweep_summary.json").read_text())["points"]
+    assert [p["diagnostics"]["approximation_warnings"] for p in points] == [
+        [],
+        ["Omega_R/omega_d = 0.248 strains the rotating-wave approximation"],
+        ["Omega_R/omega_d = 0.396 strains the rotating-wave approximation"],
+    ]
 
 
 def test_run_prints_the_wall_time_of_its_summary(tmp_path, capsys):
