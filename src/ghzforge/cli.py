@@ -352,13 +352,14 @@ def _solution(args, coupling: float) -> dict:
     else:
         if args.xi is None:
             raise ScenarioFormatError("--xi is required for --mode coupled")
-        solution = solve_coupled_phase_condition(coupling, args.xi, n=args.n, m=args.m, l=args.l)
+        l = 0 if args.l is None else args.l
+        solution = solve_coupled_phase_condition(coupling, args.xi, n=args.n, m=args.m, l=l)
         j_ghz = ghz_from_rad_per_ns(solution.coupler_rate)
         detuning_ghz = ghz_from_rad_per_ns(solution.delta_prime)
         resonator, rabi_ghz, fock, hosts = (10.0, 10.0, j_ghz), 42.0 * j_ghz, (8, 8), (0, 1)
         result = {
             "mode": "coupled",
-            "inputs": {"n": args.n, "m": args.m, "l": args.l, "xi": args.xi, "g_ghz": args.g_ghz},
+            "inputs": {"n": args.n, "m": args.m, "l": l, "xi": args.xi, "g_ghz": args.g_ghz},
             "coupler_rate_ghz": j_ghz,
             "delta_prime_ghz": detuning_ghz,
             "gate_time_ns": solution.gate_time,
@@ -381,6 +382,10 @@ def _solution(args, coupling: float) -> dict:
 
 
 def cmd_solve(args) -> int:
+    if args.mode == "single":
+        ignored = [f"--{flag}" for flag in ("xi", "l") if getattr(args, flag) is not None]
+        if ignored:
+            raise ScenarioFormatError(f"--mode single takes no {' or '.join(ignored)}")
     coupling = 2.0 * np.pi * args.g_ghz
     if not math.isfinite(coupling):
         raise ScenarioFormatError(f"--g-ghz {args.g_ghz!r} is not finite after the 2 pi scaling")
@@ -463,7 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--mode", choices=("single", "coupled"), required=True)
     p_solve.add_argument("--n", type=int, default=1, help="decoupling winding number (default 1)")
     p_solve.add_argument("--m", type=int, default=0, help="phase branch integer (default 0)")
-    p_solve.add_argument("--l", type=int, default=0, help="cross-pair phase branch (coupled)")
+    p_solve.add_argument(
+        "--l", type=int, default=None, help="cross-pair phase branch (coupled; default 0)"
+    )
     p_solve.add_argument("--xi", type=int, default=None, help="delta'/J ratio, odd (coupled)")
     p_solve.add_argument("--g-ghz", type=float, required=True, help="qubit-resonator coupling g (GHz)")
     p_solve.add_argument("--out", default=None, help="write the JSON here instead of stdout")

@@ -1,58 +1,39 @@
 """Schrodinger-equation propagation and fidelity trajectories.
 
-A run takes one of two propagators.  A Hamiltonian that declares a frame
-K (see TimeDependentHamiltonian) is static in it, H(t) = e^{iKt} H_F
-e^{-iKt}: the 'rotating' variant (K = 0) and the 'effective' one
-(K = sum_m Delta_m n_m).  Up to dimension EXACT_DIMENSION_LIMIT such a run
-is propagated exactly, psi(t) = e^{iKt} V e^{-iEt} V^dag psi0 from one
-dense eigendecomposition H_F = V E V^dag, for all samples in a few
-matrix products; no time step is taken and the result does not depend on
-the sample grid.  The phases e^{-iEt}, and e^{iKt} on K's distinct levels
-only (10 of the effective gate's 40 entries), fill one complex table from
-one cos and one sin of the real angles, half the cost of np.exp of
-imaginary ones; 2,501 samples of that gate take about 7 ms in all.  Dense
-eigh costs about 0.2 s at dimension 512 and 1.5 s
-at 1024, so larger runs, and the 'full' and 'intermediate' variants whose
-H really depends on time, take fixed-step RK4.  dt is validated by
-resolve_step on both paths, so a bad step is refused either way.
+One rule picks the space and the propagator.  A run whose Hamiltonian is
+unchanged by exchanging two qubits (with the mode signs, and the frame, of
+model.exchange_sector) runs in the exchange-even sector, which holds the
+ground-vacuum start state; its states are lifted back by V before they
+are observed.  The coupled-pair gate runs at dimension 128 instead of
+256, the effective gate at 30 instead of 40.  The propagated Hamiltonian
+then picks the propagator: one that declares a frame K (see
+TimeDependentHamiltonian; 'rotating' and 'effective') is static in it,
+H(t) = e^{iKt} H_F e^{-iKt}, and is propagated exactly,
+psi(t) = e^{iKt} V e^{-iEt} V^dag psi0 from one dense eigendecomposition
+H_F = V E V^dag, with no time step; the phase tables come from one cos
+and one sin of the real angles, e^{iKt} on K's distinct levels only.
+Dense eigh grows as the cube of the dimension: a 25 ns coupled run takes
+about 0.05 s at Fock 16 x 16 (a sector of 512) and 0.35 s at 16 x 32
+(one BLAS thread, 2-vCPU Xeon host).
+'full' and 'intermediate', whose H really depends on time, take RK4.
+resolve_step validates dt on both paths.
 
 RK4 integrates d|psi>/dt = -i H(t) |psi> with the step size tied to the
 fastest angular frequency the Hamiltonian builder declares: default
 dt = (2 pi / omega_fastest)/64, and anything coarser than
 (2 pi / omega_fastest)/50 is rejected outright.  Fixed stepping keeps
-trajectories bit-reproducible, which the CSV regression harness relies on;
-adaptive control would trade that away for speed nobody needs at these
-dimensions.
-
-A run follows one step schedule: each sample segment's step count and
-uniformly shrunk step are fixed up front, and the block weights are
-tabulated at the steps' half-step times once per chunk of
-_STEPS_PER_TABLE steps, across segment boundaries (k2 and k3 share a
-row), each stage's row scaled there by its step factor alpha = h/2, h/2,
-h, h/6.  -i H(t) v is the Hamiltonian's CSR block row [static | M_j |
-M_j^dag] times the outer product (weights (x) v), so each stage is one
-outer product into a preallocated buffer and one sparse product, by the
-CSR kernel that ``block_row @ x`` calls, into a zeroed buffer; it yields
-t_i = alpha_i k_i directly.  The stage inputs are y + t_i and the update
-is y += (t1 + 2 t2 + t3) / 3 + t4, all in place: 18 array calls per step
-where the in-place ``y + (h/2) k1`` form took 25.  The states match that
-form to rounding (F(T) of the 25 ns coupled gate moved by 6e-15), and a
-step of that gate's dimension-128 sector takes 44 us instead of 59 us
-(median best-of-7 round over 258 steps, one BLAS thread, 2-vCPU Xeon
-host).  The block row, and scipy.sparse with it, is built inside the
-run's build timing, by RK4 runs only: an exact run needs numpy alone.
-Whether the state is still finite is checked once per chunk, over the
-samples the chunk stored.
-
-An RK4 run whose Hamiltonian is unchanged by exchanging two qubits (with
-the mode signs of model.exchange_sector) is integrated in the
-exchange-even sector, which holds the ground-vacuum start state: the
-sector Hamiltonian V^dag H(t) V is what evolve_sampled sees, and the
-sampled states are lifted back by V before they are observed.  The
-paper's coupled-pair gate runs at dimension 128 with 829 stored nonzeros
-instead of 256 with 3,068.  Exact runs stay in the full space: on the
-effective gate the sector shortens the eigh path by about 0.8 ms, less
-than its build and lift cost.
+trajectories bit-reproducible, which the CSV regression harness relies on.
+Each sample segment's step count and uniformly shrunk step are fixed up
+front, and the block weights are tabulated at the half-step times once
+per chunk of _STEPS_PER_TABLE steps, each stage's row scaled by its step
+factor alpha = h/2, h/2, h, h/6.  -i H(t) v is the CSR block row
+[static | M_j | M_j^dag] times the outer product (weights (x) v), so a
+stage is one outer product and one sparse product, by the kernel behind
+``block_row @ x``, yielding t_i = alpha_i k_i; the stage inputs are
+y + t_i and the update is y += (t1 + 2 t2 + t3) / 3 + t4, all in place.
+The block row, and scipy.sparse with it, is built inside the run's build
+timing, by RK4 runs only: an exact run needs numpy alone.  Whether the
+state is still finite is checked once per chunk.
 
 Fidelity against the GHZ target is evaluated for both phase conventions at
 every sample; the trajectory keeps the pointwise maximum and records which
@@ -110,7 +91,6 @@ __all__ = [
 DEFAULT_STEP_DIVISOR = 64
 MINIMUM_STEP_DIVISOR = 50
 _STEPS_PER_TABLE = 4096  # steps per phase table: bounds its memory on long runs
-EXACT_DIMENSION_LIMIT = 512  # dense eigh: about 0.2 s here, 1.5 s at twice the size
 _SAMPLES_PER_PRODUCT = 256  # samples per exact product: bounds its temporaries
 MAX_SAMPLES = 2**24  # per trajectory: each sample stores at least one amplitude
 
@@ -217,7 +197,13 @@ def _segments(samples: np.ndarray, dt: float):
     segment, so sampling never perturbs the grid elsewhere).  A sample no
     more than 1e-15 ns past the time already reached opens no segment: it
     takes the state reached, and the next segment still starts there.
+    A step so small that the step count could leave int64 raises
+    PreconditionError.
     """
+    with np.errstate(over="ignore"):  # a subnormal dt gives inf
+        bound = samples[-1] / dt + samples.size  # no less than the run's step count
+    if not bound < 2.0**62:
+        raise PreconditionError(f"dt = {dt:g} ns would take {bound:.3g} RK4 steps, over 2**62")
     starts, steps, sizes, ends = [], [], [], []
     t_now = 0.0
     for idx, t_target in enumerate(samples.tolist()):
@@ -473,20 +459,19 @@ def _trajectory(circuit, variant, times, fock_cutoffs, dt, convention) -> Trajec
     ticks = [time.perf_counter()]
     space = HilbertSpace(n_qubits=circuit.n_qubits, mode_levels=tuple(fock_cutoffs))
     hamiltonian = _BUILDERS[variant](circuit, space)
-    exact = hamiltonian.frame is not None and space.dim <= EXACT_DIMENSION_LIMIT
-    sector = None if exact else exchange_sector(hamiltonian, circuit.coupling_matrix)
+    sector = exchange_sector(hamiltonian, circuit.coupling_matrix)
     propagated = hamiltonian if sector is None else sector.hamiltonian
+    exact = propagated.frame is not None
     if not exact:
         propagated.block_row  # RK4's CSR block row (and scipy.sparse) count as build
     psi0 = ground_vacuum_state(space)
     step = resolve_step(hamiltonian, dt)
     ticks.append(time.perf_counter())
-    if exact:
-        states = propagate_exactly(hamiltonian, psi0, times, dt)
-    elif sector is None:
-        states = evolve_sampled(hamiltonian, psi0, times, dt)
+    propagate = propagate_exactly if exact else evolve_sampled
+    if sector is None:
+        states = propagate(hamiltonian, psi0, times, dt)
     else:  # the ground-vacuum state lies in every exchange sector
-        states = sector.lift(evolve_sampled(propagated, sector.reduce(psi0), times, dt))
+        states = sector.lift(propagate(propagated, sector.reduce(psi0), times, dt))
     ticks.append(time.perf_counter())
     trajectory = _observe(states, times, space, hamiltonian.label, convention)
     ticks.append(time.perf_counter())
@@ -526,10 +511,10 @@ def run(
     terms), 'effective' (strong-driving limit).  fock_cutoffs holds one
     Fock truncation per mode: (n,) for one resonator, (n_P, n_Q) for the
     coupled pair's normal modes.  dt is the RK4 step (see resolve_step):
-    'rotating' and 'effective' runs up to dimension EXACT_DIMENSION_LIMIT
-    are propagated exactly (propagate_exactly), so there dt is validated
-    but takes no steps; the trajectory's ``propagator`` and ``steps`` say
-    which path ran, and its ``diagnostics`` the dimension it ran in.
+    'rotating' and 'effective' runs, which declare a frame, are propagated
+    exactly (propagate_exactly), so there dt is validated but takes no
+    steps; the trajectory's ``propagator`` and ``steps`` say which path
+    ran, and its ``diagnostics`` the dimension it ran in.
     """
     times = _sample_grid(t_final, sample_every)
     return _trajectory(circuit, variant, times, fock_cutoffs, dt, convention)

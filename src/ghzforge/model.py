@@ -38,10 +38,11 @@ step-size precondition can be enforced mechanically.
 Identical qubits make a Hamiltonian symmetric under exchanging two of
 them while flipping the sign of every mode their couplings give opposite
 signs.  :func:`exchange_sector` finds such a pair from the coupling
-matrix, checks every block's triplets against their exchanged copy, and
-returns the Hamiltonian restricted to the exchange-even sector (about
-half the dimension; the paper's coupled pair 256 -> 128) as an ordinary
-TimeDependentHamiltonian, with the map back to the full space.
+matrix, checks the frame and every block's triplets against their
+exchanged copy, and returns the Hamiltonian restricted to the
+exchange-even sector (about half the dimension; the paper's coupled pair
+256 -> 128) as an ordinary TimeDependentHamiltonian, frame included,
+with the map back to the full space.
 
 Frames, outermost first:
 
@@ -409,11 +410,12 @@ def exchange_sector(
 
     P swaps qubits a and b and flips the sign of every mode m with
     G_am G_bm < 0, which maps each coupling sum onto itself.  Returns None
-    when no such pair exists or when some block of the Hamiltonian, its
-    triplets permuted by P and made canonical, differs from itself in any
-    entry.  The blocks are then projected by the same canonicalisation, with
-    exact +-1 factors between pairs: (V^dag M V)_ij = M[x, y] +- M[x, Py]
-    for the first states x, y of columns i, j.
+    when no such pair exists, when P changes a declared frame K (K != K[Px]),
+    or when some block of the Hamiltonian, its triplets permuted by P and
+    made canonical, differs from itself in any entry.  The blocks are then
+    projected by the same canonicalisation, with exact +-1 factors between
+    pairs: (V^dag M V)_ij = M[x, y] +- M[x, Py] for the first states x, y
+    of columns i, j; the sector frame is K at those first states.
     """
     space, g = hamiltonian.space, np.abs(coupling_matrix)
     pairs = ((a, b) for a in range(len(g)) for b in range(a + 1, len(g)))
@@ -426,6 +428,9 @@ def exchange_sector(
     sign = 1 - 2 * (index[space.n_qubits + flipped].sum(axis=0) % 2)  # P|x> = sign|Px>
     index[[a, b]] = index[[b, a]]
     partner = np.ravel_multi_index(tuple(index), space.dims)
+    frame = hamiltonian.frame
+    if frame is not None and not np.array_equal(frame, frame[partner]):
+        return None
     for m in hamiltonian.blocks:
         flat = partner[m.rows] * dim + partner[m.cols]
         p = canonical(dim, flat, sign[m.rows] * sign[m.cols] * m.values)
@@ -451,6 +456,7 @@ def exchange_sector(
         tuple((project(m), w) for m, w in hamiltonian.terms),
         hamiltonian.fastest_frequency,
         hamiltonian.label,
+        None if frame is None else frame[rows],
     )
     return ExchangeSector(reduced, column, weight, rows)
 

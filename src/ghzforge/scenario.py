@@ -34,10 +34,10 @@ SCHEMA_VERSION = 1
 
 GHZ_PHASE_CHOICES = ("auto", "i_power", "plus_i")
 
-# Size limits, checked before anything is allocated.  The builders store
-# only nonzeros, so the dimension limit is a resource cap on the run, not
-# the size of a dense operator; at the amplitude limit the states one
-# trajectory stores (samples x dimension) take 256 MiB.
+# Size limits, checked before anything is allocated: resource caps on the
+# run.  At the dimension limit an exact run without an exchange sector
+# peaks near 0.3 GB in its dense eigh; at the amplitude limit the states
+# one trajectory stores (samples x dimension) take 256 MiB.
 MAX_DIMENSION = 2048
 MAX_STORED_AMPLITUDES = 2**24
 

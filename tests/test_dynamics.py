@@ -28,7 +28,6 @@ from ghzforge.dynamics import (
     _BUILDERS,
     _SAMPLES_PER_PRODUCT,
     _STEPS_PER_TABLE,
-    EXACT_DIMENSION_LIMIT,
     VARIANTS,
     Trajectory,
     _accumulate,
@@ -530,7 +529,7 @@ def test_exact_path_checks_its_input_like_rk4():
         propagate_exactly(blown, psi0, [0.0, 1.0])
 
 
-def test_run_takes_rk4_above_the_dimension_limit_and_for_time_dependent_h(monkeypatch):
+def test_run_takes_rk4_for_time_dependent_h(monkeypatch):
     calls = []
     real = evolve_sampled
 
@@ -540,23 +539,37 @@ def test_run_takes_rk4_above_the_dimension_limit_and_for_time_dependent_h(monkey
 
     monkeypatch.setattr("ghzforge.dynamics.evolve_sampled", recording)
     circuit = reference_single()
-    levels = EXACT_DIMENSION_LIMIT // 4
-    at_limit = run(circuit, "effective", 0.2, 0.1, (levels,))
-    assert (at_limit.propagator, at_limit.steps, calls) == ("exact", 0, [])
-    assert at_limit.diagnostics["propagated_dim"] == at_limit.dim == 4 * levels
-    above = run(circuit, "effective", 0.2, 0.1, (levels + 1,))
+    full = run(circuit, "full", 0.2, 0.1, (4,))
     # the two identical qubits: RK4 runs in the exchange-symmetric sector,
     # the qubits' triplet times the mode, while the trajectory keeps the full space
-    assert above.propagator == "rk4" and calls == [3 * (levels + 1)]
-    assert above.dim == 4 * (levels + 1)
-    assert above.diagnostics["propagated_dim"] == 3 * (levels + 1)
-    # one step per 0.1 ns segment: the default step of the effective model is longer
-    assert above.steps == 2
-    full = run(circuit, "full", 0.2, 0.1, (4,))
-    assert full.propagator == "rk4" and calls[-1] == 12 and full.dim == 16
+    assert full.propagator == "rk4" and calls == [12] and full.dim == 16
+    assert full.diagnostics["propagated_dim"] == 12
     dt = TWO_PI / (circuit.omega + circuit.omega_d) / 64
     assert full.steps == 2 * math.ceil(0.1 / dt - 1e-12)
     assert full.diagnostics["dt"] == dt
+
+
+@pytest.mark.parametrize("variant", ["effective", "rotating"])
+def test_frame_static_runs_are_exact_in_the_sector_at_dimension_1024(variant, monkeypatch):
+    """Coupled Fock 16 x 16: the run is exact, takes no step, propagates
+    the sector of 512, and its states are those of full-space
+    propagate_exactly to 1e-12."""
+    observed, real_observe = [], _observe
+
+    def observing(states, *args):
+        observed.append(states)
+        return real_observe(states, *args)
+
+    monkeypatch.setattr("ghzforge.dynamics._observe", observing)
+    circuit, fock = reference_coupled(), (16, 16)
+    trajectory = run(circuit, variant, 2.0, 0.5, fock)
+    assert (trajectory.propagator, trajectory.steps, trajectory.dim) == ("exact", 0, 1024)
+    assert trajectory.diagnostics["propagated_dim"] == 512
+    space = HilbertSpace(n_qubits=2, mode_levels=fock)
+    h = _BUILDERS[variant](circuit, space)
+    full = propagate_exactly(h, ground_vacuum_state(space), trajectory.times)
+    (states,) = observed
+    assert np.abs(states - full).max() <= 1e-12
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -641,8 +654,10 @@ def test_exchange_sector_commutes_with_every_block_and_lifts_rk4(layout, variant
     """For identical qubits every block of every builder commutes exactly
     with P; V is an isometry onto P's whole +1 eigenspace that holds the
     ground-vacuum state bit for bit; the sector blocks are V^dag B V; and
-    RK4 in the sector, lifted by V, follows full-space RK4 to 1e-13.  A
-    layout whose first two coupling rows differ in magnitude has no sector."""
+    RK4 in the sector, lifted by V, follows full-space RK4 to 1e-13, and
+    with a declared frame the exact path follows its full-space run to
+    1e-12.  A layout whose first two coupling rows differ in magnitude has
+    no sector."""
     circuit, levels = SECTOR_LAYOUTS[layout]()
     space = HilbertSpace(n_qubits=circuit.n_qubits, mode_levels=levels)
     with warnings.catch_warnings():
@@ -672,6 +687,14 @@ def test_exchange_sector_commutes_with_every_block_and_lifts_rk4(layout, variant
     full = evolve_sampled(h, psi0, times)
     lifted = sector.lift(evolve_sampled(sector.hamiltonian, sector.reduce(psi0), times))
     assert np.abs(lifted - full).max() <= 1e-13
+    if h.frame is None:
+        assert sector.hamiltonian.frame is None
+        return
+    # the sector frame is K at the sector's first states, and the exact path lifts too
+    assert np.array_equal(sector.hamiltonian.frame, h.frame[sector.rows])
+    full = propagate_exactly(h, psi0, times)
+    lifted = sector.lift(propagate_exactly(sector.hamiltonian, sector.reduce(psi0), times))
+    assert np.abs(lifted - full).max() <= 1e-12
 
 
 def test_couplings_one_ulp_apart_give_no_sector_and_the_full_space_run(monkeypatch):
@@ -703,6 +726,26 @@ def test_couplings_one_ulp_apart_give_no_sector_and_the_full_space_run(monkeypat
     (states,) = recorded
     assert trajectory.diagnostics["propagated_dim"] == trajectory.dim == 16
     assert_same_bits(states, real_evolve(h, ground_vacuum_state(space), trajectory.times))
+
+
+@pytest.mark.parametrize("frame_qubits, propagated_dim", [((0, 1), 6), ((0,), 8)])
+def test_a_frame_the_exchange_changes_gives_no_sector(frame_qubits, propagated_dim, monkeypatch):
+    """H = Z_0 + Z_1 on two qubits and a two-level mode keeps the exchange;
+    with the frame K = sum of Z over frame_qubits, so does K when both
+    qubits are in it, and the run takes the sector of 6.  K = Z_0 alone is
+    changed by the exchange: there is no sector, and the run is exact in
+    the full space of 8."""
+    space = HilbertSpace(n_qubits=2, mode_levels=(2,))
+    z = [embed(pauli("z"), q, space).toarray() for q in (0, 1)]
+    frame = sum(z[q].diagonal().real for q in frame_qubits)
+    toy = TimeDependentHamiltonian(space, z[0] + z[1], (), 1.0, "toy", frame)
+    circuit = reference_single()
+    sector = exchange_sector(toy, circuit.coupling_matrix)
+    assert (sector is None) == (propagated_dim == space.dim)
+    monkeypatch.setitem(_BUILDERS, "rotating", lambda circuit, space: toy)
+    trajectory = run(circuit, "rotating", 0.2, 0.1, (2,))
+    assert (trajectory.propagator, trajectory.dim) == ("exact", space.dim)
+    assert trajectory.diagnostics["propagated_dim"] == propagated_dim
 
 
 # ---------------------------------------------------------------------------

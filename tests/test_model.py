@@ -16,7 +16,7 @@ from test_operators import hermiticity_defect, kron_embed
 
 from ghzforge.errors import ApproximationWarning, PreconditionError
 from ghzforge.scenario import bundled_scenario_path, load_scenario
-from ghzforge.dynamics import EXACT_DIMENSION_LIMIT, VARIANTS
+from ghzforge.dynamics import VARIANTS
 from ghzforge.model import (
     CoupledTlrCircuit,
     QubitSpec,
@@ -554,7 +554,7 @@ def test_triplet_blocks_give_the_csr_column_and_the_dense_h(layout, variant):
     blocks' own CSR forms, and H(t) is, bit for bit, the dense formula
     static + sum_j (e^{iwt} M_j + h.c.) on the blocks summed one CSR
     matrix at a time; with three modes, as for block_row above, to one ulp.
-    The dense check stops at the exact path's dimension limit."""
+    The dense check stops at dimension 512."""
     circuit, levels = REFERENCE_LAYOUTS[layout]()
     space = HilbertSpace(n_qubits=circuit.n_qubits, mode_levels=levels)
     with warnings.catch_warnings():
@@ -565,7 +565,7 @@ def test_triplet_blocks_give_the_csr_column_and_the_dense_h(layout, variant):
     for part in ("indptr", "indices", "data"):
         assert getattr(h.block_row, part).tobytes() == getattr(own, part).tobytes()
     static = sparse.csr_matrix((space.dim,) * 2 if static is None else static, dtype=complex)
-    for t in SAMPLE_TIMES if space.dim <= EXACT_DIMENSION_LIMIT else ():
+    for t in SAMPLE_TIMES if space.dim <= 512 else ():  # dense H above that is slow
         expected = static.toarray()
         for m, w in terms:
             term = np.exp(1j * w * t) * sparse.csr_matrix(m, dtype=complex).toarray()

@@ -22,7 +22,7 @@ from ghzforge import cli
 from ghzforge.cli import _write_trajectory_csv, main
 from ghzforge.dynamics import Trajectory, resolve_step, sweep_drive_strength
 from ghzforge.errors import ApproximationWarning, ScenarioFormatError
-from ghzforge.model import effective_hamiltonian
+from ghzforge.model import effective_hamiltonian, exchange_sector
 from ghzforge.operators import HilbertSpace
 from ghzforge.scenario import (
     MAX_STORED_AMPLITUDES,
@@ -356,12 +356,13 @@ def test_summaries_carry_norm_and_truncation_diagnostics(tmp_path):
         "approximation_warnings",
     }
     assert diagnostics["approximation_warnings"] == []
-    # an exact run propagates the whole space; dt is validated, though unused
-    assert diagnostics["propagated_dim"] == summary["dim"] == 40
+    # the exact run propagates the exchange sector; dt is validated, though unused
+    assert (diagnostics["propagated_dim"], summary["dim"]) == (30, 40)
     scenario = load_scenario(bundled)
     h = effective_hamiltonian(scenario.circuit, HilbertSpace(2, scenario.fock))
     assert diagnostics["dt"] == resolve_step(h, scenario.dt)
-    assert diagnostics["nnz"] == np.count_nonzero(h(0.3)) == 144
+    sector = exchange_sector(h, scenario.circuit.coupling_matrix).hamiltonian
+    assert diagnostics["nnz"] == np.count_nonzero(sector(0.3)) == 72
     assert 0 <= diagnostics["max_norm_drift"] < 1e-12
     assert len(diagnostics["top_fock_population"]) == 1
     assert 0 < diagnostics["top_fock_population"][0] < 1e-6
@@ -377,7 +378,7 @@ def test_summaries_carry_norm_and_truncation_diagnostics(tmp_path):
     for point in points:
         assert point["diagnostics"]["max_norm_drift"] < 1e-12
         assert len(point["diagnostics"]["top_fock_population"]) == 1
-        assert point["diagnostics"]["propagated_dim"] == point["dim"] == 12
+        assert (point["diagnostics"]["propagated_dim"], point["dim"]) == (9, 12)
         assert point["diagnostics"]["nnz"] > 0 and point["diagnostics"]["dt"] > 0
 
 
@@ -635,6 +636,23 @@ def test_run_coarse_step_exits_3(tmp_path):
     doc = scenario_doc(integrator={"dt_ns": 0.5})  # limit is period/50 = 0.2 ns
     path = write_scenario(tmp_path, "coarse", doc)
     assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("dt_ns", [1e-300, 5e-324])
+def test_run_and_sweep_with_a_vanishing_step_exit_3(dt_ns, tmp_path, capsys):
+    """A positive step so small that the RK4 step count overflows is a
+    precondition error naming the step and the count, not a traceback."""
+    doc = scenario_doc(
+        variant="full", t_final_ns=0.1, sample_every_ns=0.05, integrator={"dt_ns": dt_ns}
+    )
+    path = write_scenario(tmp_path, "vanishing", doc)
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"dt = {dt_ns:g} ns" in err and "RK4 steps" in err
+    sweep = ["sweep", str(path), "--param", "omega_r_multiple", "--values", "20"]
+    assert main(sweep + ["--window", "0:0.1", "--workers", "1", "--out-dir", str(out)]) == 3
+    assert "RK4 steps" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -905,3 +923,13 @@ def test_solve_never_prints_a_non_finite_solution(tmp_path, capsys, mode, g_ghz)
 
 def test_solve_missing_xi_exits_2():
     assert main(["solve", "--mode", "coupled", "--g-ghz", "0.05"]) == 2
+
+
+@pytest.mark.parametrize(
+    "flags, named", [(["--xi", "4", "--l", "7"], "--xi or --l"), (["--l", "0"], "--l")]
+)
+def test_solve_single_refuses_the_coupled_flags(flags, named, capsys):
+    assert main(["solve", "--mode", "single", *flags, "--g-ghz", "0.05"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--mode single takes no {named}" in captured.err

@@ -91,13 +91,15 @@ def _short_scenario(tmp_path, name, **changes):
 
 def test_commands_load_scipy_sparse_only_for_rk4(tmp_path):
     """Exact runs, `coupler` and `solve` leave scipy.sparse unloaded; the
-    first `full` run loads it, and a one-worker sweep loads no pool."""
+    first `full` run loads it, and a one-worker sweep loads no pool.  The
+    exact runs propagate the exchange sector, so numpy alone covers it."""
     out = str(tmp_path / "out")
+    exact = [tmp_path / "effective", tmp_path / "rotating"]
     commands = [
         ["run", _short_scenario(tmp_path, "single_tlr_ghz_effective", t_final_ns=0.5),
-         "--out-dir", out],
+         "--out-dir", str(exact[0])],
         ["run", _short_scenario(tmp_path, "single_tlr_ghz", variant="rotating", t_final_ns=0.5),
-         "--out-dir", out],
+         "--out-dir", str(exact[1])],
         ["coupler", "--lc-ph", "200", "--ic-ua", "1.5", "--mca-ph", "60", "--mcb-ph", "60",
          "--out-dir", out],
         ["solve", "--mode", "single", "--g-ghz", "0.05"],
@@ -113,6 +115,10 @@ def test_commands_load_scipy_sparse_only_for_rk4(tmp_path):
     assert record["pool_on_import"] is False
     assert record["codes"] == [0] * len(commands)
     assert record["loaded"] == [[]] * 4 + [["scipy.sparse"]] * 2
+    for directory in exact:
+        (summary,) = (json.loads(path.read_text()) for path in directory.glob("*_summary.json"))
+        assert summary["propagator"] == "exact"
+        assert (summary["diagnostics"]["propagated_dim"], summary["dim"]) == (30, 40)
 
 
 def test_no_module_loads_a_deferred_scipy_package(tmp_path):
