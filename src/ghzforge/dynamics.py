@@ -80,7 +80,6 @@ __all__ = [
     "VARIANTS",
     "Trajectory",
     "ground_vacuum_state",
-    "ghz_fidelity",
     "resolve_step",
     "evolve_sampled",
     "propagate_exactly",
@@ -93,6 +92,7 @@ MINIMUM_STEP_DIVISOR = 50
 _STEPS_PER_TABLE = 4096  # steps per phase table: bounds its memory on long runs
 _SAMPLES_PER_PRODUCT = 256  # samples per exact product: bounds its temporaries
 MAX_SAMPLES = 2**24  # per trajectory: each sample stores at least one amplitude
+MAX_RK4_STEPS = 10**8  # per run: at 30-45 us a step, about an hour
 
 # Every variant maps to a builder, and every layout accepts every variant.
 _BUILDERS = {
@@ -161,11 +161,6 @@ def _ghz_overlap(states: np.ndarray, space: HilbertSpace, target: np.ndarray) ->
     return np.sum(np.abs(amplitudes) ** 2, axis=-1)
 
 
-def ghz_fidelity(psi: np.ndarray, space: HilbertSpace, target: np.ndarray) -> float:
-    """F = <target| Tr_modes |psi><psi| |target>, real in [0, 1]."""
-    return float(_ghz_overlap(psi, space, target))
-
-
 def resolve_step(hamiltonian: TimeDependentHamiltonian, dt: float | None) -> float:
     """Step size for this Hamiltonian, enforcing the fastest-frequency rule.
 
@@ -197,28 +192,29 @@ def _segments(samples: np.ndarray, dt: float):
     segment, so sampling never perturbs the grid elsewhere).  A sample no
     more than 1e-15 ns past the time already reached opens no segment: it
     takes the state reached, and the next segment still starts there.
-    A step so small that the step count could leave int64 raises
-    PreconditionError.
+    A schedule of more than MAX_RK4_STEPS steps raises PreconditionError.
     """
-    with np.errstate(over="ignore"):  # a subnormal dt gives inf
-        bound = samples[-1] / dt + samples.size  # no less than the run's step count
-    if not bound < 2.0**62:
-        raise PreconditionError(f"dt = {dt:g} ns would take {bound:.3g} RK4 steps, over 2**62")
-    starts, steps, sizes, ends = [], [], [], []
+    starts, spans, ends = [], [], []
     t_now = 0.0
     for idx, t_target in enumerate(samples.tolist()):
         span = t_target - t_now
         if span > 1e-15:
-            n_steps = max(1, math.ceil(span / dt - 1e-12))
             starts.append(t_now)
-            steps.append(n_steps)
-            sizes.append(span / n_steps)
+            spans.append(span)
             ends.append(idx)
             t_now = t_target
+    spans = np.array(spans, dtype=float)
+    with np.errstate(over="ignore"):  # a subnormal dt gives inf
+        steps = np.maximum(1.0, np.ceil(spans / dt - 1e-12))
+    total = steps.sum()
+    if not total <= MAX_RK4_STEPS:
+        raise PreconditionError(
+            f"dt = {dt:g} ns would take {total:.9g} RK4 steps; the budget is {MAX_RK4_STEPS}"
+        )
     return (
         np.array(starts, dtype=float),
-        np.array(steps, dtype=np.int64),
-        np.array(sizes, dtype=float),
+        steps.astype(np.int64),
+        spans / steps,
         np.array(ends, dtype=np.int64),
     )
 

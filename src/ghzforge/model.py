@@ -29,9 +29,10 @@ weighted tensor products and makes it one
 :func:`~ghzforge.operators.assemble` call: a static part plus (matrix,
 frequency) terms, each adding ``exp(i w t) M + exp(-i w t) M^dag``, one
 matrix per frequency.  RK4 consumes the CSR block row [static | M |
-M^dag], built from the blocks' triplets on first use (the only step that
-loads scipy.sparse), with a phase table of the block weights; calling the
-handle at a time t gives a dense H(t).
+M^dag], with a phase table of the block weights; the block row is built
+from the blocks' triplets on first use, which loads scipy.sparse; it is
+the one CSR matrix the package builds.  Calling the handle at a time t
+gives a dense H(t).
 Every builder also declares the fastest angular frequency present so the
 step-size precondition can be enforced mechanically.
 
@@ -75,7 +76,6 @@ from .operators import (
     assemble,
     canonical,
     creation,
-    csr_from_row_counts,
     number_operator,
     pauli,
     sigma_minus,
@@ -315,6 +315,8 @@ class TimeDependentHamiltonian:
 
     @functools.cached_property
     def block_row(self):
+        from scipy import sparse  # loaded by the first RK4 run only
+
         dim, parts = self.space.dim, []  # (rows, cols, values) of each block, row-major
         for m in self.blocks:
             keep = m.values != 0  # a zero coupling or drive stores explicit zeros
@@ -329,8 +331,10 @@ class TimeDependentHamiltonian:
         # the blocks are concatenated in order, each row-major, so a stable
         # sort on the row keeps a row's entries block by block, in column order
         order = np.argsort(rows, kind="stable")
-        counts = np.bincount(rows, minlength=dim)
-        return csr_from_row_counts(counts, cols[order], values[order], len(parts) * dim)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=dim))])
+        return sparse.csr_matrix(
+            (values[order], cols[order], indptr), shape=(dim, len(parts) * dim)
+        )
 
     @property
     def blocks(self) -> tuple[SparseOperator, ...]:
@@ -411,9 +415,10 @@ def exchange_sector(
     P swaps qubits a and b and flips the sign of every mode m with
     G_am G_bm < 0, which maps each coupling sum onto itself.  Returns None
     when no such pair exists, when P changes a declared frame K (K != K[Px]),
-    or when some block of the Hamiltonian, its triplets permuted by P and
-    made canonical, differs from itself in any entry.  The blocks are then
-    projected by the same canonicalisation, with exact +-1 factors between
+    or when some block of the Hamiltonian, its triplets moved by P and put
+    back in row-major order by one sort, differs from itself in a position
+    or a value.  The blocks are then projected by
+    :func:`~ghzforge.operators.canonical`, with exact +-1 factors between
     pairs: (V^dag M V)_ij = M[x, y] +- M[x, Py] for the first states x, y
     of columns i, j; the sector frame is K at those first states.
     """
@@ -431,10 +436,12 @@ def exchange_sector(
     frame = hamiltonian.frame
     if frame is not None and not np.array_equal(frame, frame[partner]):
         return None
-    for m in hamiltonian.blocks:
+    for m in hamiltonian.blocks:  # P moves each entry to a (row, col) of its own: no sums
         flat = partner[m.rows] * dim + partner[m.cols]
-        p = canonical(dim, flat, sign[m.rows] * sign[m.cols] * m.values)
-        if not all(map(np.array_equal, (p.rows, p.cols, p.values), (m.rows, m.cols, m.values))):
+        order = np.argsort(flat)
+        if not np.array_equal(flat[order], m.rows * dim + m.cols):
+            return None  # an entry moves to a position the block does not store
+        if not np.array_equal((sign[m.rows] * sign[m.cols] * m.values)[order], m.values):
             return None
     states = np.arange(dim)
     fixed = partner == states

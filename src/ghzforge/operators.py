@@ -5,8 +5,8 @@ and full-space operators :class:`SparseOperator` triplets from
 :func:`assemble`.  A :class:`HilbertSpace` records how the flat index
 factors into qubits and bosonic modes.  Tensor factors are ordered qubits
 first (qubit 0 is the slowest-varying index), then modes in declaration
-order.  The module needs numpy alone: scipy.sparse is imported only when a
-CSR matrix is asked for (:func:`csr_from_row_counts`), which only RK4 does.
+order.  The module needs numpy alone; the one CSR matrix, RK4's block row,
+is built by ``model.TimeDependentHamiltonian.block_row``.
 
 Qubit basis convention used throughout the package: basis index 0 is the
 *excited* energy eigenstate and index 1 the *ground* eigenstate, so the
@@ -31,12 +31,8 @@ __all__ = [
     "creation",
     "number_operator",
     "SparseOperator",
-    "csr_from_row_counts",
     "assemble",
     "canonical",
-    "embed",
-    "embedded_product",
-    "partial_trace_modes",
 ]
 
 _PAULI = {
@@ -132,7 +128,7 @@ class SparseOperator:
     """A dim x dim operator as canonical triplets: values[i] at (rows[i], cols[i]).
 
     The entries are row-major and each (row, col) pair occurs once; a zero
-    value may be stored.  Dense and CSR forms are made on request.
+    value may be stored.  The dense form is made on request.
     """
 
     dim: int
@@ -158,32 +154,6 @@ class SparseOperator:
         dense = np.zeros(self.shape, dtype=complex)
         dense[self.rows, self.cols] += self.values  # 0 + v, as a sparse toarray: no -0 is kept
         return dense
-
-    def tocsr(self):
-        counts = np.bincount(self.rows, minlength=self.dim)
-        return csr_from_row_counts(counts, self.cols, self.values.copy(), self.dim)
-
-
-def csr_from_row_counts(counts, cols, values, n_cols: int):
-    """CSR matrix of row-major entries, counts[r] of them in row r, each
-    (row, col) once; values are shared, not copied.
-
-    The one place the package imports scipy.sparse.
-    """
-    from scipy import sparse
-
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    return sparse.csr_matrix((values, cols, indptr), shape=(len(counts), n_cols))
-
-
-def embed(op: np.ndarray, factor: int, space: HilbertSpace) -> SparseOperator:
-    """Lift a single-factor operator to the full space by tensoring identities."""
-    return embedded_product(space, {factor: op})
-
-
-def embedded_product(space: HilbertSpace, factor_ops: dict[int, np.ndarray]) -> SparseOperator:
-    """Tensor product with the given operators on selected factors, identity elsewhere."""
-    return assemble(space, [(1.0, factor_ops)])
 
 
 def assemble(space: HilbertSpace, products) -> SparseOperator:
@@ -234,22 +204,3 @@ def canonical(dim: int, flat: np.ndarray, values: np.ndarray) -> SparseOperator:
     np.add.at(summed, np.cumsum(first) - 1, values)
     rows, cols = np.divmod(flat[first], dim)
     return SparseOperator(dim, rows, cols, summed)
-
-
-def partial_trace_modes(state: np.ndarray, space: HilbertSpace) -> np.ndarray:
-    """Reduced qubit density matrix after tracing out every bosonic mode.
-
-    Accepts either a state vector or a density matrix on the full space.
-    """
-    q = 2 ** space.n_qubits
-    m = space.dim // q
-    state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        if state.size != space.dim:
-            raise ValueError("state vector does not match the space dimension")
-        a = state.reshape(q, m)
-        return a @ a.conj().T
-    if state.shape != (space.dim, space.dim):
-        raise ValueError("density matrix does not match the space dimension")
-    return np.einsum("imjm->ij", state.reshape(q, m, q, m))
-

@@ -15,6 +15,7 @@ from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from test_model import ThreeModes, lab_frame_hamiltonian, reference_coupled, three_mode_record
+from test_operators import embed, partial_trace_modes, tocsr
 
 from ghzforge.analytic import (
     GHZ_CONVENTIONS,
@@ -26,14 +27,16 @@ from ghzforge.analytic import (
 )
 from ghzforge.dynamics import (
     _BUILDERS,
+    MAX_RK4_STEPS,
     _SAMPLES_PER_PRODUCT,
     _STEPS_PER_TABLE,
     VARIANTS,
     Trajectory,
     _accumulate,
+    _ghz_overlap,
     _observe,
+    _segments,
     evolve_sampled,
-    ghz_fidelity,
     ground_vacuum_state,
     propagate_exactly,
     resolve_step,
@@ -55,9 +58,7 @@ from ghzforge.model import (
 from ghzforge.operators import (
     HilbertSpace,
     assemble,
-    embed,
     number_operator,
-    partial_trace_modes,
     annihilation,
     pauli,
     sigma_plus,
@@ -700,7 +701,8 @@ def test_exchange_sector_commutes_with_every_block_and_lifts_rk4(layout, variant
 def test_couplings_one_ulp_apart_give_no_sector_and_the_full_space_run(monkeypatch):
     """One ulp between the two couplings is enough to refuse the sector,
     and the run is then the full-space RK4 run bit for bit; so is a block
-    that breaks the exchange while the couplings match."""
+    that breaks the exchange while the couplings match, in a value or in
+    the position of an entry."""
     circuit = reference_single()
     first, second = circuit.qubits
     uneven = replace(
@@ -714,6 +716,10 @@ def test_couplings_one_ulp_apart_give_no_sector_and_the_full_space_run(monkeypat
     broken_static = even.static.toarray() + 1e-3 * embed(pauli("z"), 0, space).toarray()
     broken = TimeDependentHamiltonian(space, broken_static, even.terms, even.fastest_frequency, "b")
     assert exchange_sector(broken, circuit.coupling_matrix) is None
+    # sigma_+ on qubit 0 alone: the exchange moves its entries where the block stores none
+    raising = ((embed(sigma_plus(), 0, space), 1.0), *even.terms)
+    lopsided = TimeDependentHamiltonian(space, even.static, raising, even.fastest_frequency, "p")
+    assert exchange_sector(lopsided, circuit.coupling_matrix) is None
 
     recorded, real_evolve = [], evolve_sampled
 
@@ -833,6 +839,17 @@ def test_resolve_step_rules():
             resolve_step(h, dt)
 
 
+def test_segments_take_exactly_the_step_budget_and_refuse_one_step_more():
+    """The budget is checked on the schedule's own step count, before any
+    step is taken; dt = 2**-20 ns makes both one-segment counts exact."""
+    dt = 2.0**-20
+    starts, steps, sizes, ends = _segments(np.array([0.0, MAX_RK4_STEPS * dt]), dt)
+    assert (starts.tolist(), steps.tolist(), sizes.tolist()) == ([0.0], [MAX_RK4_STEPS], [dt])
+    assert ends.tolist() == [1]
+    with pytest.raises(PreconditionError, match=r"dt = 9\.53674e-07 ns would take 100000001 RK4"):
+        _segments(np.array([0.0, (MAX_RK4_STEPS + 1) * dt]), dt)
+
+
 def test_trajectory_sample_grid_ends_at_t_final():
     circuit = reference_single()
     traj = run(circuit, "effective", 10.0, 0.3, (6,))
@@ -917,7 +934,7 @@ def test_ghz_fidelity_of_product_state():
     space = HilbertSpace(n_qubits=2, mode_levels=(3,))
     psi = ground_vacuum_state(space)
     target = ghz_target(2, "i_power")
-    assert ghz_fidelity(psi, space, target) == pytest.approx(0.5, abs=1e-14)
+    assert float(_ghz_overlap(psi, space, target)) == pytest.approx(0.5, abs=1e-14)
 
 
 def random_states(space, n_states, seed):
@@ -937,7 +954,7 @@ def test_ghz_fidelity_matches_the_partial_trace():
             for c in GHZ_CONVENTIONS:
                 target = ghz_target(space.n_qubits, c)
                 expected = np.real(np.vdot(target, rho_q @ target))
-                assert abs(ghz_fidelity(psi, space, target) - expected) < 1e-14
+                assert abs(float(_ghz_overlap(psi, space, target)) - expected) < 1e-14
 
 
 def observe_by_sample(states, space):
@@ -945,7 +962,7 @@ def observe_by_sample(states, space):
     partial trace per state; returns fidelities, occupations, norms, winner."""
     targets = {c: ghz_target(space.n_qubits, c) for c in GHZ_CONVENTIONS}
     number_ops = [
-        embed(number_operator(space.mode_levels[m]), space.mode_factor(m), space).tocsr()
+        tocsr(embed(number_operator(space.mode_levels[m]), space.mode_factor(m), space))
         for m in range(space.n_modes)
     ]
     occupations = np.empty((len(states), space.n_modes))
@@ -1020,7 +1037,7 @@ def test_observe_diagnostics_match_the_per_sample_reference(case):
     for m, levels in enumerate(space.mode_levels):
         projector = np.zeros((levels, levels))
         projector[-1, -1] = 1.0
-        p_top = embed(projector, space.mode_factor(m), space).tocsr()
+        p_top = tocsr(embed(projector, space.mode_factor(m), space))
         top.append(max(np.real(np.vdot(psi, p_top @ psi)) for psi in states))
     np.testing.assert_allclose(diagnostics["top_fock_population"], top, rtol=1e-12, atol=1e-14)
 
@@ -1117,9 +1134,9 @@ def lab_frame_overlap(circuit, amplitude, fock_cutoff, t_final, full=full_simula
     a = annihilation(fock_cutoff)
 
     def displace(beta):
-        return embed(expm(beta * a.conj().T - np.conj(beta) * a), 1, space).tocsr()
+        return tocsr(embed(expm(beta * a.conj().T - np.conj(beta) * a), 1, space))
 
-    qubit_map = embed(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), 0, space).tocsr()
+    qubit_map = tocsr(embed(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), 0, space))
     ground = ground_vacuum_state(space)
     beta0 = -amplitude / circuit.detuning
     h_lab = lab_frame_hamiltonian(circuit, amplitude, space)
@@ -1127,9 +1144,9 @@ def lab_frame_overlap(circuit, amplitude, fock_cutoff, t_final, full=full_simula
     beta_t = beta0 * np.exp(-1j * circuit.omega_d * t_final)
     psi_disp = qubit_map @ (displace(-beta_t) @ psi_lab)
     # undo the omega_d rotation of mode and qubit, generated by omega_d (n + sigma_z/2)
-    generator = assemble(
+    generator = tocsr(assemble(
         space, [(1.0, {1: number_operator(fock_cutoff)}), (0.5, {0: pauli("z")})]
-    ).tocsr()
+    ))
     psi_rot = np.exp(1j * (circuit.omega_d * generator).diagonal() * t_final) * psi_disp
 
     driven, _ = qubit_drive_from_resonator_drive(circuit, amplitude)

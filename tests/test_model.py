@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import expm
-from test_operators import hermiticity_defect, kron_embed
+from test_operators import embed, embedded_product, hermiticity_defect, kron_embed, tocsr
 
 from ghzforge.errors import ApproximationWarning, PreconditionError
 from ghzforge.scenario import bundled_scenario_path, load_scenario
@@ -35,8 +35,6 @@ from ghzforge.operators import (
     annihilation,
     assemble,
     creation,
-    embed,
-    embedded_product,
     number_operator,
     pauli,
     sigma_minus,
@@ -117,22 +115,22 @@ def bare_mode_hamiltonian(circuit, space):
     """
     levels, factor = space.mode_levels, space.mode_factor
     static = sum(
-        circuit.detuning * embed(number_operator(levels[r]), factor(r), space).tocsr()
+        circuit.detuning * tocsr(embed(number_operator(levels[r]), factor(r), space))
         for r in range(circuit.n_resonators)
     )
     for r, row in enumerate(circuit.hopping):
         for s, j in enumerate(row):
             if j != 0.0:
-                static = static + j * embedded_product(
+                static = static + j * tocsr(embedded_product(
                     space, {factor(r): creation(levels[r]), factor(s): annihilation(levels[s])}
-                ).tocsr()
+                ))
     for k, q in enumerate(circuit.qubits):
         r = q.resonator
         for qubit_op, mode_op in ((sigma_minus(), creation), (sigma_plus(), annihilation)):
-            static = static + q.coupling * embedded_product(
+            static = static + q.coupling * tocsr(embedded_product(
                 space, {k: qubit_op, factor(r): mode_op(levels[r])}
-            ).tocsr()
-        static = static + 0.5 * circuit.rabi * embed(pauli("x"), k, space).tocsr()
+            ))
+        static = static + 0.5 * circuit.rabi * tocsr(embed(pauli("x"), k, space))
     fastest = abs(circuit.rabi) + max(abs(d) for d in circuit.mode_detunings)
     return TimeDependentHamiltonian(space, static.toarray(), (), fastest, f"{circuit.kind}:bare")
 
@@ -305,7 +303,7 @@ def test_hamiltonian_stores_each_operator_once_as_triplets():
     ):
         assert isinstance(h.static, SparseOperator)
         assert all(isinstance(m, SparseOperator) for m, _ in h.terms)
-        blocks = [h.static, *(m for m, _ in h.terms), *(m.tocsr().conj().T for m, _ in h.terms)]
+        blocks = [h.static, *(m for m, _ in h.terms), *(tocsr(m).conj().T for m, _ in h.terms)]
         for b, block in enumerate(blocks):
             assert np.array_equal(h.block_row[:, b * dim:(b + 1) * dim].toarray(), block.toarray())
     assert effective_hamiltonian(circuit, space).static.nnz == 0
@@ -417,9 +415,9 @@ def _reference_coupling(circuit, space, qubit_op, mode_op, scale=1.0, modes=None
     modes = range(space.n_modes) if modes is None else modes
     return sum(
         scale * g[k, m]
-        * embedded_product(
+        * tocsr(embedded_product(
             space, {k: qubit_op, space.mode_factor(m): mode_op(space.mode_levels[m])}
-        ).tocsr()
+        ))
         for k in range(circuit.n_qubits)
         for m in modes
     )
@@ -427,13 +425,13 @@ def _reference_coupling(circuit, space, qubit_op, mode_op, scale=1.0, modes=None
 
 def _reference_rotating_static(circuit, space):
     static = sum(
-        d * embed(number_operator(levels), space.mode_factor(m), space).tocsr()
+        d * tocsr(embed(number_operator(levels), space.mode_factor(m), space))
         for m, (d, levels) in enumerate(zip(circuit.mode_detunings, space.mode_levels))
     )
     static = static + _reference_coupling(circuit, space, sigma_minus(), creation)
     static = static + _reference_coupling(circuit, space, sigma_plus(), annihilation)
     for k in range(circuit.n_qubits):
-        static = static + 0.5 * circuit.rabi * embed(pauli("x"), k, space).tocsr()
+        static = static + 0.5 * circuit.rabi * tocsr(embed(pauli("x"), k, space))
     return static
 
 
@@ -442,19 +440,19 @@ def reference_blocks(variant, circuit, space, amplitude=0.0):
     at a time, the way the builders formed them before one-pass assembly."""
     if variant == "lab":
         nm = space.mode_levels[0]
-        a = embed(annihilation(nm), space.mode_factor(0), space).tocsr()
-        static = circuit.omega * embed(number_operator(nm), space.mode_factor(0), space).tocsr()
+        a = tocsr(embed(annihilation(nm), space.mode_factor(0), space))
+        static = circuit.omega * tocsr(embed(number_operator(nm), space.mode_factor(0), space))
         for k, q in enumerate(circuit.qubits):
-            static = static + 0.5 * q.gap * embed(pauli("x"), k, space).tocsr()
-            static = static + q.coupling * embedded_product(
+            static = static + 0.5 * q.gap * tocsr(embed(pauli("x"), k, space))
+            static = static + q.coupling * tocsr(embedded_product(
                 space, {k: pauli("z"), space.mode_factor(0): annihilation(nm) + creation(nm)}
-            ).tocsr()
+            ))
         return static, [(amplitude * a.conj().T, -circuit.omega_d)], None
     if variant == "rotating":
         return _reference_rotating_static(circuit, space), [], None
     if variant == "full":
         drive_cr = sum(
-            0.5 * circuit.rabi * embed(sigma_plus(), k, space).tocsr()
+            0.5 * circuit.rabi * tocsr(embed(sigma_plus(), k, space))
             for k in range(circuit.n_qubits)
         )
         coupling_cr = _reference_coupling(circuit, space, sigma_plus(), creation)
@@ -474,7 +472,7 @@ def reference_blocks(variant, circuit, space, amplitude=0.0):
     if variant == "intermediate":
         return None, terms, None
     frame = sum(
-        delta * embed(number_operator(levels), space.mode_factor(m), space).tocsr().diagonal().real
+        delta * tocsr(embed(number_operator(levels), space.mode_factor(m), space)).diagonal().real
         for m, (delta, levels) in enumerate(zip(circuit.mode_detunings, space.mode_levels))
     )
     return None, terms, frame
@@ -561,7 +559,7 @@ def test_triplet_blocks_give_the_csr_column_and_the_dense_h(layout, variant):
         warnings.simplefilter("ignore", ApproximationWarning)
         h = REFERENCE_BUILDERS[variant](circuit, space=space)
         static, terms, _ = reference_blocks(variant, circuit, space, TWO_PI * 0.05)
-    own = reference_block_row(space, h.static.tocsr(), [(m.tocsr(), w) for m, w in h.terms])
+    own = reference_block_row(space, tocsr(h.static), [(tocsr(m), w) for m, w in h.terms])
     for part in ("indptr", "indices", "data"):
         assert getattr(h.block_row, part).tobytes() == getattr(own, part).tobytes()
     static = sparse.csr_matrix((space.dim,) * 2 if static is None else static, dtype=complex)

@@ -15,10 +15,7 @@ from ghzforge.operators import (
     annihilation,
     assemble,
     creation,
-    embed,
-    embedded_product,
     number_operator,
-    partial_trace_modes,
     pauli,
     sigma_minus,
     sigma_plus,
@@ -106,6 +103,41 @@ def test_ladder_matrix_elements():
         assert np.max(np.abs(a @ adag - adag @ a - expected)) < 1e-12
 
 
+def embedded_product(space, factor_ops):
+    """Tensor product with the given operators on selected factors, identity elsewhere."""
+    return assemble(space, [(1.0, factor_ops)])
+
+
+def embed(op, factor, space):
+    """Lift a single-factor operator to the full space by tensoring identities."""
+    return embedded_product(space, {factor: op})
+
+
+def tocsr(op):
+    """The CSR matrix of a SparseOperator's triplets, which are row-major,
+    each (row, col) once; the values are copied."""
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(op.rows, minlength=op.dim))])
+    return sparse.csr_matrix((op.values.copy(), op.cols, indptr), shape=op.shape)
+
+
+def partial_trace_modes(state, space):
+    """Reduced qubit density matrix after tracing out every bosonic mode.
+
+    Accepts either a state vector or a density matrix on the full space.
+    """
+    q = 2 ** space.n_qubits
+    m = space.dim // q
+    state = np.asarray(state, dtype=complex)
+    if state.ndim == 1:
+        if state.size != space.dim:
+            raise ValueError("state vector does not match the space dimension")
+        a = state.reshape(q, m)
+        return a @ a.conj().T
+    if state.shape != (space.dim, space.dim):
+        raise ValueError("density matrix does not match the space dimension")
+    return np.einsum("imjm->ij", state.reshape(q, m, q, m))
+
+
 def kron_embedded_product(space, factor_ops):
     """Dense reference for embedded_product: the Kronecker product of every
     factor, identity where none is given."""
@@ -138,7 +170,7 @@ def test_embedded_product_equals_product_of_embeds():
     op_q = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     op_m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     combined = embedded_product(space, {0: op_q, 2: op_m})
-    product = embed(op_q, 0, space).tocsr() @ embed(op_m, 2, space).tocsr()
+    product = tocsr(embed(op_q, 0, space)) @ tocsr(embed(op_m, 2, space))
     assert np.allclose(combined.toarray(), product.toarray())
 
 
@@ -197,7 +229,7 @@ def test_assemble_equals_the_sum_of_one_product_embeddings(case):
     expected = np.zeros((space.dim, space.dim), dtype=complex)
     scale = np.zeros((space.dim, space.dim))
     for weight, ops in products:
-        term = (weight * embedded_product(space, ops).tocsr()).toarray()
+        term = (weight * tocsr(embedded_product(space, ops))).toarray()
         expected += term
         scale += np.abs(term)
     assert np.all(np.abs(assembled.toarray() - expected) <= 8 * np.finfo(float).eps * scale)
@@ -222,7 +254,7 @@ def test_assemble_gives_canonical_triplets_and_their_csr(case):
     values = np.concatenate([np.zeros(0, complex), *weighted])
     reference = sparse.csr_matrix((values, (rows, cols)), shape=assembled.shape)
     reference.data += 0
-    csr = assembled.tocsr()
+    csr = tocsr(assembled)
     assert isinstance(csr, sparse.csr_matrix) and csr.has_canonical_format
     assert np.array_equal(csr.indptr, reference.indptr)
     assert np.array_equal(csr.indices, reference.indices)
@@ -238,7 +270,7 @@ def test_sparse_operator_from_dense_keeps_the_nonzero_entries():
     assert (op.dim, op.nnz, op.shape) == (2, 2, (2, 2))
     assert op.rows.tolist() == [0, 1] and op.cols.tolist() == [1, 0]
     assert np.array_equal(op.toarray(), matrix)
-    assert np.array_equal(op.tocsr().toarray(), matrix)
+    assert np.array_equal(tocsr(op).toarray(), matrix)
 
 
 def test_embedded_product_rejects_bad_factors():

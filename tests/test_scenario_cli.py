@@ -2,7 +2,8 @@
 
 CLI tests call main() in-process and assert on exit codes and the files
 written, so they cover the same code path as the installed entry point
-without process-spawn overhead.
+without process-spawn overhead.  The one exception, the RK4 step budget,
+runs a fresh interpreter under a timeout.
 """
 
 import copy
@@ -11,7 +12,11 @@ import gc
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -653,6 +658,26 @@ def test_run_and_sweep_with_a_vanishing_step_exit_3(dt_ns, tmp_path, capsys):
     sweep = ["sweep", str(path), "--param", "omega_r_multiple", "--values", "20"]
     assert main(sweep + ["--window", "0:0.1", "--workers", "1", "--out-dir", str(out)]) == 3
     assert "RK4 steps" in capsys.readouterr().err
+
+
+def test_run_over_the_rk4_step_budget_exits_3_before_its_first_step(tmp_path):
+    """dt_ns = 1e-9 over 10 ns asks for 1e10 RK4 steps, about three days of
+    stepping; the run is refused up front.  It runs in a fresh interpreter
+    under a timeout, so a run that starts stepping fails the test instead
+    of stalling the suite."""
+    doc = scenario_doc(variant="full", integrator={"dt_ns": 1e-9})
+    path = write_scenario(tmp_path, "budget", doc)
+    src = Path(__file__).resolve().parent.parent / "src"
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "ghzforge.cli", "run", str(path), "--out-dir", str(tmp_path / "o")],
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 3, result.stderr
+    assert "dt = 1e-09 ns would take 1e+10 RK4 steps; the budget is 100000000" in result.stderr
 
 
 # ---------------------------------------------------------------------------
