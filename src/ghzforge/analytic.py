@@ -245,36 +245,35 @@ class SquidCoupler:
         return 2.0 * np.pi * l_si * i_si / constants.FLUX_QUANTUM_WB
 
 
-def effective_mutual_inductance(coupler: SquidCoupler, flux: float) -> float:
+def effective_mutual_inductance(coupler: SquidCoupler, flux):
     """Effective resonator-resonator mutual inductance M_eff in pH.
 
     M_eff(phi_e) = -(M_CA M_CB / L_c) * beta_L cos(l pi - pi phi_e/Phi_0)
                    / (2 + beta_L cos(l pi - pi phi_e/Phi_0))
 
-    flux is the external SQUID flux phi_e in units of Phi_0.  M_eff is
-    2 Phi_0 - periodic, crosses zero at phi_e = Phi_0/2 (l even), and flips
-    sign with the branch parity l, which is what lets the coupler tune from
-    antiferromagnetic to ferromagnetic coupling.
+    flux is the external SQUID flux phi_e in Phi_0, or an array of fluxes
+    taken element by element.  M_eff is 2 Phi_0 - periodic, crosses zero at
+    phi_e = Phi_0/2 (l even), and flips sign with the branch parity l, which
+    is what lets the coupler tune from antiferromagnetic to ferromagnetic coupling.
     """
     beta = coupler.screening_parameter
     c = beta * np.cos(np.pi * coupler.branch_parity - np.pi * flux)
-    return float(-(coupler.mutual_a_ph * coupler.mutual_b_ph / coupler.loop_inductance_ph)
-                 * c / (2.0 + c))
+    return -(coupler.mutual_a_ph * coupler.mutual_b_ph / coupler.loop_inductance_ph) * c / (2.0 + c)
 
 
-def resonator_coupling_rate(coupler: SquidCoupler, flux: float) -> float:
+def resonator_coupling_rate(coupler: SquidCoupler, flux):
     """Photon-exchange rate J between the two resonators, in rad/ns.
 
     J = 2 M_eff I_A0 I_B0 / hbar.  The factor 2 comes from the resonator
     current operator at the coupler position: each zero-point current
     enters through (a + a^dag), and the cross term a b^dag + a^dag b picks
-    up both orderings.
+    up both orderings.  flux is as for effective_mutual_inductance.
     """
     m_si = constants.henry_from_ph(effective_mutual_inductance(coupler, flux))
     i_a = constants.ampere_from_na(coupler.zero_point_current_a_na)
     i_b = constants.ampere_from_na(coupler.zero_point_current_b_na)
     j_si = 2.0 * m_si * i_a * i_b / constants.HBAR_JS
-    return float(constants.rad_per_ns_from_rad_per_s(j_si))
+    return constants.rad_per_ns_from_rad_per_s(j_si)
 
 
 # ---------------------------------------------------------------------------

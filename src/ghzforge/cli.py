@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +32,9 @@ from .analytic import (
 )
 from .constants import ghz_from_rad_per_ns
 from .dynamics import Trajectory, sweep_drive_strength, worker_count
-from .errors import PreconditionError, ScenarioFormatError, UnsolvableConditionError
-from .scenario import LoadedScenario, check_run_size, load_scenario, run_scenario, scenario_document
+from .errors import ApproximationWarning, PreconditionError, ScenarioFormatError
+from .errors import UnsolvableConditionError
+from .scenario import check_run_size, load_scenario, run_scenario, scenario_document
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -40,12 +42,12 @@ EXIT_PRECONDITION = 3
 EXIT_UNSOLVABLE = 4
 
 MAX_GRID_POINTS = 10**6  # coupler flux grid, checked before it is allocated
-_ROWS_PER_WRITE = 4096  # trajectory CSV rows formatted per write
+_ROWS_PER_WRITE = 4096  # CSV table rows formatted per write
+_NUMBER = "%.11e"  # CSV number format: 12 significant digits, locale-independent
 
 
 def _fmt(value: float) -> str:
-    """CSV number format: 12 significant digits, locale-independent."""
-    return f"{value:.11e}"
+    return _NUMBER % value
 
 
 def _mode_columns(n_modes: int) -> list[str]:
@@ -56,51 +58,46 @@ def _mode_columns(n_modes: int) -> list[str]:
     return [f"mode_occupation_{m}" for m in range(n_modes)]
 
 
-def _write_trajectory_csv(path: Path, trajectory: Trajectory) -> None:
-    """One row per sample: the numbers in _fmt's format, then the label.
-
-    Every row comes from one template over the whole table; the template's
-    tail, the label cell and the CRLF row end, is written by csv.writer, so
-    the bytes are those of writing each row with csv.writer.  One % on the
-    template repeated _ROWS_PER_WRITE times formats each chunk of rows.
-    """
-    columns = np.column_stack(
-        [trajectory.times, trajectory.fidelity, trajectory.norm, trajectory.mode_occupation]
-    )
-    header = ["t_ns", "fidelity", "norm", *_mode_columns(columns.shape[1] - 3), "variant"]
-    tail = io.StringIO()
-    csv.writer(tail).writerow(["", trajectory.label])
-    row = ",".join(["%.11e"] * columns.shape[1]) + tail.getvalue().replace("%", "%%")
+def _write_table(path: Path, header: list[str], columns, label: str | None = None) -> None:
+    """One row per entry of the columns (1-D or 2-D arrays, side by side):
+    the numbers in _NUMBER's format, then the label cell, if any.  csv.writer
+    writes the row template, so the bytes are those of csv.writer row by row;
+    one % on the template repeated _ROWS_PER_WRITE times formats each chunk."""
+    table = np.column_stack(columns)
+    cells = [_NUMBER] * table.shape[1]
+    template = io.StringIO()
+    csv.writer(template).writerow(cells if label is None else [*cells, label.replace("%", "%%")])
+    row = template.getvalue()
     with open(path, "w", newline="") as handle:
         csv.writer(handle).writerow(header)
-        for first in range(0, len(columns), _ROWS_PER_WRITE):
-            chunk = columns[first : first + _ROWS_PER_WRITE]
+        for first in range(0, len(table), _ROWS_PER_WRITE):
+            chunk = table[first : first + _ROWS_PER_WRITE]
             handle.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
-def _summary_dict(scenario: LoadedScenario, trajectory: Trajectory, wall_s: float) -> dict:
-    summary = {
-        "scenario": scenario.name,
-        "variant": trajectory.label,
-        "fidelity_at_t_final": trajectory.final_fidelity,
+def _write_trajectory_csv(path: Path, trajectory: Trajectory) -> None:
+    """One row per sample: time, fidelity, norm, mode occupations, label."""
+    occupation = trajectory.mode_occupation
+    header = ["t_ns", "fidelity", "norm", *_mode_columns(occupation.shape[1]), "variant"]
+    columns = [trajectory.times, trajectory.fidelity, trajectory.norm, occupation]
+    _write_table(path, header, columns, trajectory.label)
+
+
+def _trajectory_record(path: Path, trajectory: Trajectory) -> dict:
+    """Write the trajectory's CSV; return the record a run and a sweep point share."""
+    written = time.perf_counter()
+    _write_trajectory_csv(path, trajectory)
+    write_ms = 1e3 * (time.perf_counter() - written)
+    return {
         "peak_fidelity": trajectory.peak_fidelity,
         "peak_time_ns": trajectory.peak_time,
-        "ghz_phase_convention_selected": trajectory.convention,
         "propagator": trajectory.propagator,
         "steps": trajectory.steps,
         "dim": trajectory.dim,
         "diagnostics": trajectory.diagnostics,
-        "wall_time_s": wall_s,
-        "parameters": scenario.raw,
+        "csv": path.name,
+        "timings_ms": {**trajectory.timings_ms, "write": write_ms},
     }
-    if scenario.drive_mapping is not None:
-        summary["drive_mapping"] = {
-            "rabi_per_qubit_ghz": [
-                ghz_from_rad_per_ns(r) for r in scenario.drive_mapping.rabi_per_qubit
-            ],
-            "displacement_magnitude": scenario.drive_mapping.displacement_magnitude,
-        }
-    return summary
 
 
 def _multiplier_token(value: float) -> str:
@@ -116,12 +113,22 @@ def cmd_run(args) -> int:
     trajectory = run_scenario(scenario)
     wall = time.perf_counter() - start
     csv_path = out_dir / f"{scenario.name}.csv"
-    written = time.perf_counter()
-    _write_trajectory_csv(csv_path, trajectory)
-    write_ms = 1e3 * (time.perf_counter() - written)
-    summary = _summary_dict(scenario, trajectory, wall)
-    summary["csv"] = csv_path.name
-    summary["timings_ms"] = {**trajectory.timings_ms, "write": write_ms}
+    summary = {
+        "scenario": scenario.name,
+        "variant": trajectory.label,
+        "fidelity_at_t_final": trajectory.final_fidelity,
+        "ghz_phase_convention_selected": trajectory.convention,
+        **_trajectory_record(csv_path, trajectory),
+        "wall_time_s": wall,
+        "parameters": scenario.raw,
+    }
+    if scenario.drive_mapping is not None:
+        summary["drive_mapping"] = {
+            "rabi_per_qubit_ghz": [
+                ghz_from_rad_per_ns(r) for r in scenario.drive_mapping.rabi_per_qubit
+            ],
+            "displacement_magnitude": scenario.drive_mapping.displacement_magnitude,
+        }
     json_path = out_dir / f"{scenario.name}_summary.json"
     json_path.write_text(json.dumps(summary, indent=2) + "\n")
     print(
@@ -188,38 +195,33 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    trajectories = sweep_drive_strength(
-        scenario.circuit,
-        scenario.variant,
-        values,
-        window,
-        scenario.sample_every_ns,
-        fock=scenario.fock,
-        dt=scenario.dt,
-        convention=scenario.convention,
-        workers=workers,
-    )
+    # printed below with each point's multiplier; forked pool workers inherit the filter
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ApproximationWarning)
+        trajectories = sweep_drive_strength(
+            scenario.circuit,
+            scenario.variant,
+            values,
+            window,
+            scenario.sample_every_ns,
+            fock=scenario.fock,
+            dt=scenario.dt,
+            convention=scenario.convention,
+            workers=workers,
+        )
     wall = time.perf_counter() - start
     rows = []
     for value, token, trajectory in zip(values, tokens, trajectories):
         point_path = out_dir / f"{scenario.name}_{args.param}={token}.csv"
-        written = time.perf_counter()
-        _write_trajectory_csv(point_path, trajectory)
-        write_ms = 1e3 * (time.perf_counter() - written)
         rows.append(
             {
                 "omega_r_multiple": value,
-                "peak_fidelity": trajectory.peak_fidelity,
-                "peak_time_ns": trajectory.peak_time,
                 "convention": trajectory.convention,
-                "propagator": trajectory.propagator,
-                "steps": trajectory.steps,
-                "dim": trajectory.dim,
-                "diagnostics": trajectory.diagnostics,
-                "csv": point_path.name,
-                "timings_ms": {**trajectory.timings_ms, "write": write_ms},
+                **_trajectory_record(point_path, trajectory),
             }
         )
+        for message in trajectory.diagnostics["approximation_warnings"]:
+            print(f"warning: x{token}: {message}", file=sys.stderr)
         print(
             f"  x{token}: peak F = {trajectory.peak_fidelity:.6f} "
             f"at {trajectory.peak_time:g} ns ({trajectory.convention})"
@@ -286,30 +288,26 @@ def cmd_coupler(args) -> int:
     except ValueError as exc:
         raise ScenarioFormatError(str(exc)) from exc
     grid = _parse_grid(args.phie_grid)
-    m_eff = np.array([effective_mutual_inductance(coupler, phi) for phi in grid])
-    j_rate = np.array([resonator_coupling_rate(coupler, phi) for phi in grid])
-    m_zero = effective_mutual_inductance(coupler, 0.0)
-    j_zero = resonator_coupling_rate(coupler, 0.0)
-    if not np.isfinite([*m_eff, *j_rate, m_zero, j_zero]).all():
+    with np.errstate(all="ignore"):  # an overflow is refused below, not warned of
+        m_eff = effective_mutual_inductance(coupler, grid)
+        j_rate = resonator_coupling_rate(coupler, grid)
+        m_zero = effective_mutual_inductance(coupler, 0.0)
+        j_zero = resonator_coupling_rate(coupler, 0.0)
+    if not all(np.isfinite(x).all() for x in (m_eff, j_rate, m_zero, j_zero)):
         raise ScenarioFormatError(
             "the coupler table is not finite: M_eff or J overflows for these device parameters"
         )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "coupler.csv"
-    with open(csv_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["phi_e_over_phi0", "m_eff_ph", "j_ghz"])
-        for phi, m, j in zip(grid, m_eff, j_rate):
-            writer.writerow([_fmt(phi), _fmt(m), _fmt(ghz_from_rad_per_ns(j))])
-    # zero crossings by sign change with linear interpolation
-    crossings = []
-    for i in range(len(grid) - 1):
-        if m_eff[i] == 0.0:
-            crossings.append(float(grid[i]))
-        elif m_eff[i] * m_eff[i + 1] < 0:
-            frac = m_eff[i] / (m_eff[i] - m_eff[i + 1])
-            crossings.append(float(grid[i] + frac * (grid[i + 1] - grid[i])))
+    header = ["phi_e_over_phi0", "m_eff_ph", "j_ghz"]
+    _write_table(csv_path, header, [grid, m_eff, ghz_from_rad_per_ns(j_rate)])
+    # zero crossings: a grid point where M_eff is 0, else a sign change to
+    # the next point, placed by linear interpolation (0/0 is never picked)
+    m, after = m_eff[:-1], m_eff[1:]
+    with np.errstate(all="ignore"):
+        at = np.where(m == 0.0, grid[:-1], grid[:-1] + m / (m - after) * (grid[1:] - grid[:-1]))
+    crossings = at[(m == 0.0) | (m * after < 0)].tolist()
     i_max = int(np.argmax(np.abs(m_eff)))
     summary = {
         "beta_l": coupler.screening_parameter,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from .analytic import GHZ_CONVENTIONS
 from .constants import rad_per_ns_from_ghz
 from .dynamics import VARIANTS, Trajectory, run
 from .errors import ScenarioFormatError
@@ -32,7 +33,7 @@ from .model import (
 
 SCHEMA_VERSION = 1
 
-GHZ_PHASE_CHOICES = ("auto", "i_power", "plus_i")
+GHZ_PHASE_CHOICES = ("auto", *GHZ_CONVENTIONS)
 
 # Size limits, checked before anything is allocated: resource caps on the
 # run.  At the dimension limit an exact run without an exchange sector

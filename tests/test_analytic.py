@@ -486,6 +486,18 @@ def test_coupling_rate_matches_target_band():
     assert resonator_coupling_rate(coupler, 0.6) > 0.0
 
 
+@pytest.mark.parametrize("parity", [0, 1])
+def test_coupler_curves_take_a_flux_array(parity):
+    """An array of fluxes is evaluated element by element, bit for bit as
+    one scalar call per flux; a scalar flux still gives a number."""
+    coupler = reference_coupler(branch_parity=parity)
+    flux = np.linspace(-3, 3, 100001)
+    for curve in (effective_mutual_inductance, resonator_coupling_rate):
+        assert np.array_equal(curve(coupler, flux), [curve(coupler, float(f)) for f in flux])
+        scalar = curve(coupler, 0.3)
+        assert isinstance(scalar, float) and np.ndim(scalar) == 0
+
+
 # ---------------------------------------------------------------------------
 # phase-condition solvers
 # ---------------------------------------------------------------------------

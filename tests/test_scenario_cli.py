@@ -16,6 +16,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ghzforge import cli
+from ghzforge.analytic import SquidCoupler, effective_mutual_inductance, resonator_coupling_rate
 from ghzforge.cli import _write_trajectory_csv, main
+from ghzforge.constants import ghz_from_rad_per_ns
 from ghzforge.dynamics import Trajectory, resolve_step, sweep_drive_strength
 from ghzforge.errors import ApproximationWarning, ScenarioFormatError
 from ghzforge.model import effective_hamiltonian, exchange_sector
@@ -733,6 +736,30 @@ def test_sweep_csv_matches_library_call(tmp_path):
         assert row[1] == f"{f:.11e}"
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_names_the_point_of_each_approximation_warning(workers, tmp_path, capfd):
+    """Each point's ApproximationWarning is printed once, after the sweep,
+    as `warning: x<value>: <message>`, also for points run in pool workers;
+    no bare warning names the builder's source line instead.  Warnings
+    are shown on stderr here as outside pytest, in workers too."""
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    path = write_scenario(tmp_path, "strained", scenario_doc())
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = show
+        assert main([
+            "sweep", str(path), "--param", "omega_r_multiple", "--values", "5,25,40",
+            "--window", "9.5:10.0", "--workers", workers, "--out-dir", str(tmp_path / "out"),
+        ]) == 0
+    assert capfd.readouterr().err.splitlines() == [
+        "warning: x25: Omega_R/omega_d = 0.248 strains the rotating-wave approximation",
+        "warning: x40: Omega_R/omega_d = 0.396 strains the rotating-wave approximation",
+    ]
+
+
 def test_one_qubit_scenario_exits_2_before_running(tmp_path, capsys):
     doc = scenario_doc(qubits=[{"gap_ghz": 10.1, "coupling_ghz": 0.05}])
     path = write_scenario(tmp_path, "one", doc)
@@ -827,6 +854,36 @@ def test_coupler_outputs(tmp_path):
     assert abs(summary["j_at_zero_flux_ghz"]) == pytest.approx(0.0425, abs=0.005)
 
 
+def test_coupler_outputs_match_a_per_point_reference(tmp_path):
+    """The table and the zero crossings, evaluated on the whole grid at
+    once, equal one scalar evaluation and one csv.writer row per flux, and
+    a loop over each pair of neighbouring grid points."""
+    out = tmp_path / "out"
+    assert main(COUPLER_ARGS + ["--phie-grid=-3:3:100001", "--out-dir", str(out)]) == 0
+    coupler = SquidCoupler(loop_inductance_ph=200, critical_current_ua=1.5,
+                           mutual_a_ph=60, mutual_b_ph=60)
+    grid = np.linspace(-3, 3, 100001).tolist()
+    m_eff = [effective_mutual_inductance(coupler, phi) for phi in grid]
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["phi_e_over_phi0", "m_eff_ph", "j_ghz"])
+        for phi, m in zip(grid, m_eff):
+            j = ghz_from_rad_per_ns(resonator_coupling_rate(coupler, phi))
+            writer.writerow([f"{phi:.11e}", f"{m:.11e}", f"{j:.11e}"])
+    assert (out / "coupler.csv").read_bytes() == reference.read_bytes()
+    crossings = []
+    for i in range(len(grid) - 1):
+        if m_eff[i] == 0.0:
+            crossings.append(grid[i])
+        elif m_eff[i] * m_eff[i + 1] < 0:
+            frac = m_eff[i] / (m_eff[i] - m_eff[i + 1])
+            crossings.append(grid[i] + frac * (grid[i + 1] - grid[i]))
+    summary = json.loads((out / "coupler_summary.json").read_text())
+    assert summary["zero_crossings_phi0"] == crossings
+    assert len(crossings) == 6
+
+
 def test_coupler_hysteretic_device_exits_2(tmp_path, capsys):
     args = [
         "coupler", "--lc-ph", "200", "--ic-ua", "1.7",
@@ -858,15 +915,20 @@ def test_coupler_bad_grid_exits_2(tmp_path, capsys):
         ["--mca-ph", "1e200", "--mcb-ph", "1e200"],
         ["--ia0-na", "inf"],
         ["--l", "100000000000000000000"],
+        ["--ia0-na", "1e200", "--ib0-na", "1e200"],  # J overflows in its last product
     ],
 )
-def test_coupler_non_finite_table_exits_2_without_writing(tmp_path, capsys, extra):
+def test_coupler_non_finite_table_exits_2_without_writing(tmp_path, capsys, recwarn, extra):
     """No NaN/inf coupler table: non-finite inputs, finite ones whose M_eff
     or J overflows, and a branch parity past 2**53, which no float holds,
-    exit 2 before any file is opened."""
+    exit 2 before any file is opened, with one error line and no numpy
+    RuntimeWarning about the overflow."""
     out = tmp_path / "out"
     assert main(COUPLER_ARGS + extra + ["--out-dir", str(out)]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "RuntimeWarning" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not (out / "coupler.csv").exists()
     assert not out.exists()
 
