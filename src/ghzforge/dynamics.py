@@ -41,12 +41,14 @@ convention won at the peak.  The produced phase depends on the sign of the
 detuning and the elapsed drive rotation, so fixing one convention a priori
 would report ~0 fidelity for a perfectly good GHZ state half the time.
 
-Observation is one array pass over the (samples, dim) states: a fidelity
-is sum_m |<GHZ|psi[:, m]>|^2 over the (qubit, mode) split of each state, a
-mode occupation is the photon-number marginal of |psi|^2, and neither a
-density matrix nor a dense number operator is formed.  The same pass
-yields the run's diagnostics: the largest |norm - 1| and, per mode, the
-largest population of its top Fock level, which flags truncation.
+Observation takes one block of _SAMPLES_PER_PRODUCT samples at a time, as
+it is propagated and lifted, so a run holds one block's full-space states
+(an RK4 run, all its propagated states too): a fidelity is sum_m
+|<GHZ|psi[:, m]>|^2 over the (qubit, mode) split of each state, a mode
+occupation is the photon-number marginal of |psi|^2, and neither a density
+matrix nor a dense number operator is formed.  The diagnostics are the
+largest |norm - 1| and, per mode, the running maximum of the population of
+its top Fock level, which flags truncation.
 
 Drive-strength sweeps fan out across a process pool (size from the
 ``workers`` argument, else the CPU count; multiprocessing is imported only
@@ -232,14 +234,13 @@ def _accumulate(block_row):
     return partial(csr_matvec, *m.shape, m.indptr, m.indices, m.data)
 
 
-def _require_finite(states: np.ndarray, first: int, samples: np.ndarray, dt: float) -> None:
+def _require_finite(states: np.ndarray, first: int, samples: np.ndarray, cause: str) -> None:
     """Raise at the first non-finite row of states, which hold samples[first:]."""
     bad = ~np.isfinite(states).all(axis=1)
     if bad.any():
         t_target = samples[first + int(np.argmax(bad))]
         raise PreconditionError(
-            f"state stopped being finite by t = {t_target:g} ns; the step "
-            f"{dt:g} ns or the Hamiltonian's entries are out of range"
+            f"state stopped being finite by t = {t_target:g} ns; {cause} out of range"
         )
 
 
@@ -292,7 +293,7 @@ def evolve_sampled(
     n_total = int(first_step[-1])
     out = np.empty((samples.size, y.size), dtype=complex)
     out[: bounds[0]] = y
-    checked = 0
+    checked, cause = 0, f"the step {dt:g} ns or the Hamiltonian's entries are"
     for g0 in range(0, n_total, _STEPS_PER_TABLE):
         # step s of segment k reads the weights at starts[k] + (h/2) j for
         # j = 2s, 2s+1, 2s+2, h = sizes[k]: one table for the whole chunk;
@@ -336,10 +337,42 @@ def evolve_sampled(
             if fill is not None:
                 out[fill] = y
                 stored = fill.stop
-        _require_finite(out[checked:stored], checked, samples, dt)
+        _require_finite(out[checked:stored], checked, samples, cause)
         checked = stored
-    _require_finite(out[checked:], checked, samples, dt)
+    _require_finite(out[checked:], checked, samples, cause)
     return out
+
+
+def _exact_blocks(hamiltonian: TimeDependentHamiltonian, psi0, sample_times, dt):
+    """propagate_exactly's checks and eigh, once: (samples, evaluate), where evaluate(first,
+    out) fills out with the states at samples[first : first + len(out)] and returns it."""
+    samples = _checked_samples(sample_times)
+    resolve_step(hamiltonian, dt)
+    psi0 = _checked_state(hamiltonian, psi0)
+    if hamiltonian.frame is None:
+        raise ValueError(f"{hamiltonian.label} declares no frame in which it is static")
+    h = hamiltonian(0.0)
+    h[np.diag_indices_from(h)] += hamiltonian.frame
+    if not np.isfinite(h).all():
+        raise PreconditionError(f"{hamiltonian.label} has entries that are not finite")
+    energies, vectors = np.linalg.eigh(h if h.imag.any() else h.real)
+    amplitudes = vectors.conj().T @ psi0
+    # one table of e^{-iEt} and of e^{iKt} on K's distinct levels (see above)
+    levels, level_of = np.unique(hamiltonian.frame, return_inverse=True)
+    rates = np.concatenate([-energies, levels])
+    table = np.empty((min(samples.size, _SAMPLES_PER_PRODUCT), rates.size), dtype=complex)
+
+    def evaluate(first: int, out: np.ndarray) -> np.ndarray:
+        t = samples[first : first + len(out), None]
+        phases, angles = table[: t.size], t * rates
+        np.cos(angles, out=phases.real)
+        np.sin(angles, out=phases.imag)
+        np.matmul(phases[:, : energies.size] * amplitudes, vectors.T, out=out)
+        out *= phases[:, energies.size + level_of]
+        _require_finite(out, first, samples, "the Hamiltonian's entries are")
+        return out
+
+    return samples, evaluate
 
 
 def propagate_exactly(
@@ -355,79 +388,62 @@ def propagate_exactly(
     samples.  Takes the same arguments, checks and errors as
     evolve_sampled; dt is validated by resolve_step but no step is taken.
     """
-    samples = _checked_samples(sample_times)
-    dt = resolve_step(hamiltonian, dt)
-    psi0 = _checked_state(hamiltonian, psi0)
-    if hamiltonian.frame is None:
-        raise ValueError(f"{hamiltonian.label} declares no frame in which it is static")
-    h = hamiltonian(0.0)
-    h[np.diag_indices_from(h)] += hamiltonian.frame
-    if not np.isfinite(h).all():
-        raise PreconditionError(f"{hamiltonian.label} has entries that are not finite")
-    energies, vectors = np.linalg.eigh(h if h.imag.any() else h.real)
-    amplitudes = vectors.conj().T @ psi0
-    # one table of e^{-iEt} and of e^{iKt} on K's distinct levels (see above)
-    levels, level_of = np.unique(hamiltonian.frame, return_inverse=True)
-    rates = np.concatenate([-energies, levels])
-    table = np.empty((min(samples.size, _SAMPLES_PER_PRODUCT), rates.size), dtype=complex)
-    states = np.empty((samples.size, psi0.size), dtype=complex)
+    samples, evaluate = _exact_blocks(hamiltonian, psi0, sample_times, dt)
+    out = np.empty((samples.size, hamiltonian.space.dim), dtype=complex)
     for first in range(0, samples.size, _SAMPLES_PER_PRODUCT):
-        t = samples[first : first + _SAMPLES_PER_PRODUCT, None]
-        block = states[first : first + _SAMPLES_PER_PRODUCT]
-        phases, angles = table[: t.size], t * rates
-        np.cos(angles, out=phases.real)
-        np.sin(angles, out=phases.imag)
-        np.matmul(phases[:, : energies.size] * amplitudes, vectors.T, out=block)
-        block *= phases[:, energies.size + level_of]
-    _require_finite(states, 0, samples, dt)
-    return states
+        evaluate(first, out[first : first + _SAMPLES_PER_PRODUCT])
+    return out
 
 
-def _observe(
-    states: np.ndarray,
-    times: np.ndarray,
-    space: HilbertSpace,
-    label: str,
-    convention: str,
-) -> Trajectory:
-    """Assemble a Trajectory from sampled states in one pass over the array."""
-    fids = {
-        c: _ghz_overlap(states, space, ghz_target(space.n_qubits, c))
-        for c in GHZ_CONVENTIONS
-    }
-    populations = (np.abs(states) ** 2).reshape(len(states), *space.dims)
-    occupations = np.empty((len(states), space.n_modes))
-    top = np.empty(space.n_modes)
+def _observing(times: np.ndarray, space: HilbertSpace, label: str) -> Trajectory:
+    """A Trajectory whose per-sample arrays _observe fills, block by block."""
+    n, modes = times.size, space.n_modes
+    return Trajectory(
+        times=times, fidelity=np.empty(0), norm=np.empty(n), label=label, convention="auto",
+        mode_occupation=np.empty((n, modes)),
+        fidelity_by_convention={c: np.empty(n) for c in GHZ_CONVENTIONS},
+        diagnostics={"top_fock_population": np.zeros(modes)},  # running maxima
+    )
+
+
+def _observe(states: np.ndarray, space: HilbertSpace, into: Trajectory, first: int) -> None:
+    """Write the fidelities, norms and occupations of a block of states, samples
+    first, first + 1, ... of into, and raise into's running top-level maxima."""
+    rows = slice(first, first + len(states))
+    for c, fidelity in into.fidelity_by_convention.items():
+        fidelity[rows] = _ghz_overlap(states, space, ghz_target(space.n_qubits, c))
+    populations = np.abs(states)
+    populations = np.square(populations, out=populations).reshape(len(states), *space.dims)
+    top = into.diagnostics["top_fock_population"]
     for m, levels in enumerate(space.mode_levels):
         axis = 1 + space.mode_factor(m)
         others = tuple(a for a in range(1, populations.ndim) if a != axis)
         marginal = populations.sum(axis=others)
-        occupations[:, m] = marginal @ np.arange(levels)
-        top[m] = marginal[:, -1].max()
-    norm = np.sqrt(populations.reshape(len(states), -1).sum(axis=1))
+        into.mode_occupation[rows, m] = marginal @ np.arange(levels)
+        top[m] = max(top[m], marginal[:, -1].max())
+    into.norm[rows] = np.sqrt(populations.reshape(len(states), -1).sum(axis=1))
+
+
+def _observed(observing: Trajectory, convention: str) -> Trajectory:
+    """The observed Trajectory: its fidelity and winning convention, and its diagnostics."""
+    fids = observing.fidelity_by_convention
     if convention == "auto":
         stacked = np.vstack([fids[c] for c in GHZ_CONVENTIONS])
         fidelity = stacked.max(axis=0)
-        peak_idx = int(np.argmax(fidelity))
-        winner = GHZ_CONVENTIONS[int(np.argmax(stacked[:, peak_idx]))]
+        winner = GHZ_CONVENTIONS[int(np.argmax(stacked[:, np.argmax(fidelity)]))]
     else:
-        if convention not in GHZ_CONVENTIONS:
-            raise ValueError(f"unknown GHZ phase convention {convention!r}")
-        fidelity = fids[convention]
-        winner = convention
-    return Trajectory(
-        times=times,
-        fidelity=fidelity,
-        norm=norm,
-        mode_occupation=occupations,
-        label=label,
-        convention=winner,
-        fidelity_by_convention=fids,
-        diagnostics={
-            "max_norm_drift": float(np.max(np.abs(norm - 1.0))),
-            "top_fock_population": top.tolist(),
-        },
-    )
+        fidelity, winner = fids[convention], convention
+    drift = float(np.max(np.abs(observing.norm - 1.0)))
+    top = observing.diagnostics["top_fock_population"].tolist()
+    diagnostics = {"max_norm_drift": drift, "top_fock_population": top}
+    return replace(observing, fidelity=fidelity, convention=winner, diagnostics=diagnostics)
+
+
+def _check_choices(variant: str, convention: str) -> None:
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if convention != "auto" and convention not in GHZ_CONVENTIONS:
+        raise ValueError(f"unknown GHZ phase convention {convention!r}")
 
 
 def _sample_count(span: float, every: float, what: str) -> int:
@@ -450,8 +466,7 @@ def _sample_grid(t_final: float, sample_every: float) -> np.ndarray:
 
 
 def _trajectory(circuit, variant, times, fock_cutoffs, dt, convention) -> Trajectory:
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    _check_choices(variant, convention)
     ticks = [time.perf_counter()]
     space = HilbertSpace(n_qubits=circuit.n_qubits, mode_levels=tuple(fock_cutoffs))
     hamiltonian = _BUILDERS[variant](circuit, space)
@@ -461,18 +476,32 @@ def _trajectory(circuit, variant, times, fock_cutoffs, dt, convention) -> Trajec
     if not exact:
         propagated.block_row  # RK4's CSR block row (and scipy.sparse) count as build
     psi0 = ground_vacuum_state(space)
+    if sector is not None:  # the ground-vacuum state lies in every exchange sector
+        psi0 = sector.reduce(psi0)
     step = resolve_step(hamiltonian, dt)
     ticks.append(time.perf_counter())
-    propagate = propagate_exactly if exact else evolve_sampled
-    if sector is None:
-        states = propagate(hamiltonian, psi0, times, dt)
-    else:  # the ground-vacuum state lies in every exchange sector
-        states = sector.lift(propagate(propagated, sector.reduce(psi0), times, dt))
+    # every block reuses these buffers; freed per block, they would be faulted in again
+    rows = min(times.size, _SAMPLES_PER_PRODUCT)
+    lifted = None if sector is None else np.empty((rows, space.dim), dtype=complex)
+    if exact:
+        _, evaluate = _exact_blocks(propagated, psi0, times, dt)
+        buffer = np.empty((rows, psi0.size), dtype=complex)
+    else:
+        sampled = evolve_sampled(propagated, psi0, times, dt)
+    observing, observe_s = _observing(times, space, hamiltonian.label), 0.0
+    for first in range(0, times.size, _SAMPLES_PER_PRODUCT):
+        stop = min(first + _SAMPLES_PER_PRODUCT, times.size)
+        states = evaluate(first, buffer[: stop - first]) if exact else sampled[first:stop]
+        if sector is not None:
+            states = sector.lift(states, lifted[: stop - first])
+        tick = time.perf_counter()
+        _observe(states, space, observing, first)
+        observe_s += time.perf_counter() - tick
     ticks.append(time.perf_counter())
-    trajectory = _observe(states, times, space, hamiltonian.label, convention)
-    ticks.append(time.perf_counter())
+    trajectory = _observed(observing, convention)
     propagator, steps = ("exact", 0) if exact else ("rk4", int(_segments(times, step)[1].sum()))
-    timings = dict(zip(("build", "propagate", "observe"), (1e3 * np.diff(ticks)).tolist()))
+    build, loop = (1e3 * np.diff(ticks)).tolist()
+    timings = {"build": build, "propagate": loop - 1e3 * observe_s, "observe": 1e3 * observe_s}
     diagnostics = {
         **trajectory.diagnostics,
         "propagated_dim": propagated.space.dim,
@@ -560,6 +589,7 @@ def sweep_drive_strength(
     drive frequency.  Results are ordered like the multipliers regardless
     of worker completion order.
     """
+    _check_choices(variant, convention)
     multipliers = list(multipliers)
     if not multipliers:
         raise ValueError("multiplier list must not be empty")

@@ -399,9 +399,9 @@ class ExchangeSector:
         """V^dag psi for a state psi inside the sector."""
         return psi[self.rows] / self.weight[self.rows]
 
-    def lift(self, states: np.ndarray) -> np.ndarray:
-        """V phi for each row phi of a (samples, sector dim) array."""
-        full = np.take(states, self.column, axis=1)  # a third of states[:, column]'s time
+    def lift(self, states: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """V phi for each row phi of a (samples, sector dim) array, into out if given."""
+        full = np.take(states, self.column, axis=1, out=out)  # a third of states[:, column]'s time
         full *= self.weight
         full += 0.0  # a negative weight on a zero amplitude leaves -0
         return full

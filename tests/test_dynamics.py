@@ -4,6 +4,7 @@ import functools
 import math
 import os
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -35,6 +36,8 @@ from ghzforge.dynamics import (
     _accumulate,
     _ghz_overlap,
     _observe,
+    _observed,
+    _observing,
     _segments,
     evolve_sampled,
     ground_vacuum_state,
@@ -495,6 +498,61 @@ def test_repeat_exact_runs_are_bit_identical():
         assert np.array_equal(a.mode_occupation, b.mode_occupation)
 
 
+def _one_ulp_uneven(circuit):
+    """The circuit with its second coupling one ulp higher: no exchange sector."""
+    first, second, *rest = circuit.qubits
+    second = replace(second, coupling=np.nextafter(second.coupling, 1.0))
+    return replace(circuit, qubits=(first, second, *rest))
+
+
+BLOCK_RUNS = {  # (circuit, variant, t_final, sample_every, fock, runs in a sector)
+    "exact-sector": lambda: (reference_coupled(), "effective", 25.0, 0.01, (6, 6), True),
+    "exact-no-sector": lambda: (
+        _one_ulp_uneven(reference_single()), "effective", 10.0, 0.004, (6,), False
+    ),
+    "rk4": lambda: (reference_single(), "full", 0.6, 0.001, (4,), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_RUNS))
+def test_block_boundaries_leave_no_trace(case, monkeypatch):
+    """A run propagates and observes _SAMPLES_PER_PRODUCT samples at a
+    time; blocks of 7 samples move no bit of any observable, the winning
+    convention or the diagnostics."""
+    *args, in_sector = BLOCK_RUNS[case]()
+    whole = run(*args)
+    assert whole.times.size > 2 * _SAMPLES_PER_PRODUCT
+    assert (whole.diagnostics["propagated_dim"] < whole.dim) == in_sector
+    monkeypatch.setattr("ghzforge.dynamics._SAMPLES_PER_PRODUCT", 7)
+    blocked = run(*args)
+    for c in GHZ_CONVENTIONS:
+        assert_same_bits(blocked.fidelity_by_convention[c], whole.fidelity_by_convention[c])
+    assert_same_bits(blocked.fidelity, whole.fidelity)
+    assert_same_bits(blocked.norm, whole.norm)
+    assert_same_bits(blocked.mode_occupation, whole.mode_occupation)
+    assert blocked.convention == whole.convention
+    assert blocked.diagnostics == whole.diagnostics
+
+
+def test_an_exact_run_holds_one_block_of_states():
+    """The coupled effective gate at Fock 8 x 8 (dim 256) over 25 ns: ten
+    times the samples, 25,001 instead of 2,501, less than doubles the
+    traced peak, since only the per-sample observables grow; an array of
+    every sample's full-space states would grow tenfold with them."""
+    run(reference_coupled(), "effective", 25.0, 0.01, (8, 8))  # nothing lazy is traced
+    peaks = []
+    for every in (0.01, 0.001):
+        tracemalloc.start()
+        try:
+            trajectory = run(reference_coupled(), "effective", 25.0, every, (8, 8))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert trajectory.times.size == 25_001
+    assert peaks[1] < 2 * peaks[0]
+
+
 def test_a_frame_the_terms_contradict_is_refused():
     space = HilbertSpace(n_qubits=0, mode_levels=(3,))
     a = annihilation(3)
@@ -557,8 +615,8 @@ def test_frame_static_runs_are_exact_in_the_sector_at_dimension_1024(variant, mo
     propagate_exactly to 1e-12."""
     observed, real_observe = [], _observe
 
-    def observing(states, *args):
-        observed.append(states)
+    def observing(states, *args):  # once per block; a block's buffer may be reused
+        observed.append(states.copy())
         return real_observe(states, *args)
 
     monkeypatch.setattr("ghzforge.dynamics._observe", observing)
@@ -786,6 +844,20 @@ def test_evolve_sampled_hits_times_exactly():
     assert np.array_equal(states[0], psi0)
 
 
+def test_exact_non_finite_state_names_the_sample_and_the_hamiltonian():
+    """An exact run takes no step, so its error names none: H = diag(1e308,
+    -1e308) is finite, but its phases overflow from t = 2 ns."""
+    space = HilbertSpace(n_qubits=1)
+    h = TimeDependentHamiltonian(space, np.diag([1e308, -1e308]), (), 1.0, "huge", np.zeros(2))
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(PreconditionError) as raised:
+            propagate_exactly(h, psi0, [0.0, 1.0, 2.0, 3.0])
+    assert str(raised.value) == (
+        "state stopped being finite by t = 2 ns; the Hamiltonian's entries are out of range"
+    )
+
+
 def test_evolve_sampled_rejects_non_finite_state():
     space = HilbertSpace(n_qubits=1)
     static = np.array([[np.inf, 0.0], [0.0, 0.0]], dtype=complex)
@@ -876,6 +948,23 @@ def test_run_rejects_unknown_variant():
     circuit = reference_single()
     with pytest.raises(ValueError, match="variant"):
         run(circuit, "exact", 1.0, 0.5, (10,))
+
+
+def test_an_unknown_convention_is_refused_before_any_build(monkeypatch):
+    """run and sweep_drive_strength refuse a convention they do not know
+    before the Hamiltonian builder runs, not after propagating."""
+
+    def never(circuit, space):
+        raise AssertionError("the builder ran")
+
+    monkeypatch.setitem(_BUILDERS, "full", never)
+    with pytest.raises(ValueError, match="convention 'bogus'"):
+        run(reference_single(), "full", 0.5, 0.1, (10,), convention="bogus")
+    with pytest.raises(ValueError, match="convention 'bogus'"):
+        sweep_drive_strength(
+            reference_single(), "full", [10.0, 20.0], (0.4, 0.5), 0.05, convention="bogus",
+            workers=1,
+        )
 
 
 def test_run_rejects_a_fractional_fock_cutoff():
@@ -1006,16 +1095,24 @@ OBSERVE_CASES = {
 }
 
 
+def observe_in_blocks(states, space, convention, size=16):
+    """The Trajectory _observe gives, called once per block of size samples
+    as a run calls it, then assembled by _observed."""
+    observing = _observing(np.arange(len(states), dtype=float), space, "case")
+    for first in range(0, len(states), size):
+        _observe(states[first : first + size], space, observing, first)
+    return _observed(observing, convention)
+
+
 @pytest.mark.parametrize("case", sorted(OBSERVE_CASES))
 def test_observe_matches_the_per_sample_reference(case):
     states, space = OBSERVE_CASES[case]()
     fids, occupations, norms, winner = observe_by_sample(states, space)
-    times = np.arange(len(states), dtype=float)
-    traj = _observe(states, times, space, "case", "auto")
+    traj = observe_in_blocks(states, space, "auto")
     tol = dict(rtol=1e-12, atol=1e-14)
     for c in GHZ_CONVENTIONS:
         np.testing.assert_allclose(traj.fidelity_by_convention[c], fids[c], **tol)
-        pinned = _observe(states, times, space, "case", c)
+        pinned = observe_in_blocks(states, space, c)
         np.testing.assert_allclose(pinned.fidelity, fids[c], **tol)
         assert pinned.convention == c
     np.testing.assert_allclose(traj.mode_occupation, occupations, **tol)
@@ -1030,8 +1127,7 @@ def test_observe_diagnostics_match_the_per_sample_reference(case):
     mode's top Fock level."""
     states, space = OBSERVE_CASES[case]()
     _, _, norms, _ = observe_by_sample(states, space)
-    times = np.arange(len(states), dtype=float)
-    diagnostics = _observe(states, times, space, "case", "auto").diagnostics
+    diagnostics = observe_in_blocks(states, space, "auto").diagnostics
     assert diagnostics["max_norm_drift"] == pytest.approx(np.max(np.abs(norms - 1.0)), abs=1e-14)
     top = []
     for m, levels in enumerate(space.mode_levels):
