@@ -33,7 +33,7 @@ stage is one outer product and one sparse product, by the kernel behind
 y + t_i and the update is y += (t1 + 2 t2 + t3) / 3 + t4, all in place.
 The block row, and scipy.sparse with it, is built inside the run's build
 timing, by RK4 runs only: an exact run needs numpy alone.  Whether the
-state is still finite is checked once per chunk.
+state is still finite is checked once per chunk and before each block.
 
 Fidelity against the GHZ target is evaluated for both phase conventions at
 every sample; the trajectory keeps the pointwise maximum and records which
@@ -42,13 +42,13 @@ detuning and the elapsed drive rotation, so fixing one convention a priori
 would report ~0 fidelity for a perfectly good GHZ state half the time.
 
 Observation takes one block of _SAMPLES_PER_PRODUCT samples at a time, as
-it is propagated and lifted, so a run holds one block's full-space states
-(an RK4 run, all its propagated states too): a fidelity is sum_m
-|<GHZ|psi[:, m]>|^2 over the (qubit, mode) split of each state, a mode
-occupation is the photon-number marginal of |psi|^2, and neither a density
-matrix nor a dense number operator is formed.  The diagnostics are the
-largest |norm - 1| and, per mode, the running maximum of the population of
-its top Fock level, which flags truncation.
+either propagator yields it and it is lifted, so a run holds one block's
+states: a fidelity is sum_m |<GHZ|psi[:, m]>|^2 over the (qubit, mode)
+split of each state, a mode occupation is the photon-number marginal of
+|psi|^2, and neither a density matrix nor a dense number operator is
+formed.  The diagnostics are the largest |norm - 1| and, per mode, the
+running maximum of the population of its top Fock level, which flags
+truncation.
 
 Drive-strength sweeps fan out across a process pool (size from the
 ``workers`` argument, else the CPU count; multiprocessing is imported only
@@ -92,8 +92,8 @@ __all__ = [
 DEFAULT_STEP_DIVISOR = 64
 MINIMUM_STEP_DIVISOR = 50
 _STEPS_PER_TABLE = 4096  # steps per phase table: bounds its memory on long runs
-_SAMPLES_PER_PRODUCT = 256  # samples per exact product: bounds its temporaries
-MAX_SAMPLES = 2**24  # per trajectory: each sample stores at least one amplitude
+_SAMPLES_PER_PRODUCT = 256  # samples per block: bounds a run's states and temporaries
+MAX_SAMPLES = 2**21  # per trajectory: about 80 B a sample, 200 B with RK4's step schedule
 MAX_RK4_STEPS = 10**8  # per run: at 30-45 us a step, about an hour
 
 # Every variant maps to a builder, and every layout accepts every variant.
@@ -244,7 +244,9 @@ def _require_finite(states: np.ndarray, first: int, samples: np.ndarray, cause: 
         )
 
 
-def _checked_samples(sample_times) -> np.ndarray:
+def _propagated(blocks, hamiltonian: TimeDependentHamiltonian, psi0, sample_times, dt):
+    """The propagators' argument checks, then every state blocks(hamiltonian,
+    psi0, samples, dt) yields, in one (samples, dim) array."""
     samples = np.asarray(sample_times, dtype=float)
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError("sample_times must be a non-empty 1-D sequence")
@@ -252,14 +254,14 @@ def _checked_samples(sample_times) -> np.ndarray:
         raise ValueError("sample_times must be finite")
     if samples[0] < 0 or np.any(np.diff(samples) < 0):
         raise ValueError("sample_times must be non-decreasing and start at t >= 0")
-    return samples
-
-
-def _checked_state(hamiltonian: TimeDependentHamiltonian, psi0) -> np.ndarray:
-    y = np.asarray(psi0, dtype=complex).copy()
-    if y.shape != (hamiltonian.space.dim,):
+    dt = resolve_step(hamiltonian, dt)
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (hamiltonian.space.dim,):
         raise ValueError("initial state does not match the Hamiltonian's space")
-    return y
+    out = np.empty((samples.size, psi0.size), dtype=complex)
+    for first, states in blocks(hamiltonian, psi0, samples, dt):
+        out[first : first + len(states)] = states
+    return out
 
 
 def evolve_sampled(
@@ -276,10 +278,14 @@ def evolve_sampled(
     PreconditionError naming the first sample time at which the state is
     no longer finite.
     """
-    samples = _checked_samples(sample_times)
-    dt = resolve_step(hamiltonian, dt)
+    return _propagated(_rk4_blocks, hamiltonian, psi0, sample_times, dt)
 
-    y = _checked_state(hamiltonian, psi0)
+
+def _rk4_blocks(hamiltonian: TimeDependentHamiltonian, psi0, samples, dt):
+    """evolve_sampled's states for checked arguments, as a stream: yields
+    (first, states), the states at samples[first : first + len(states)], in
+    one buffer of at most _SAMPLES_PER_PRODUCT rows that every block reuses."""
+    y = psi0.copy()
     block_row = hamiltonian.block_row
     kernel = _accumulate(block_row)
     outer = np.empty((block_row.shape[1] // y.size, y.size), dtype=complex)  # w (x) v
@@ -288,12 +294,26 @@ def evolve_sampled(
     t1, t2, t3, t4 = t  # t_i = alpha_i k_i, alpha = (h/2, h/2, h, h/6)
 
     starts, steps, sizes, ends = _segments(samples, dt)
-    bounds = np.append(ends, samples.size).tolist()  # segment k fills bounds[k]:bounds[k+1]
+    bounds = np.append(ends, samples.size)  # segment k fills samples bounds[k]:bounds[k+1]
     first_step = np.concatenate([[0], np.cumsum(steps)])  # of each segment, run-wide
     n_total = int(first_step[-1])
-    out = np.empty((samples.size, y.size), dtype=complex)
-    out[: bounds[0]] = y
-    checked, cause = 0, f"the step {dt:g} ns or the Hamiltonian's entries are"
+    block = np.empty((min(samples.size, _SAMPLES_PER_PRODUCT), y.size), dtype=complex)
+    first = stored = checked = 0  # block holds samples first..stored-1, unchecked from checked
+    cause = f"the step {dt:g} ns or the Hamiltonian's entries are"
+
+    def store(stop):
+        """Copy y into samples stored..stop-1, yielding each block they fill."""
+        nonlocal first, stored, checked
+        while stored < stop:
+            end = min(stop, first + len(block))
+            block[stored - first : end - first] = y
+            stored = end
+            if stored - first == len(block) or stored == samples.size:
+                _require_finite(block[checked - first : stored - first], checked, samples, cause)
+                yield first, block[: stored - first]
+                first = checked = stored
+
+    yield from store(int(bounds[0]))
     for g0 in range(0, n_total, _STEPS_PER_TABLE):
         # step s of segment k reads the weights at starts[k] + (h/2) j for
         # j = 2s, 2s+1, 2s+2, h = sizes[k]: one table for the whole chunk;
@@ -309,11 +329,8 @@ def evolve_sampled(
         weights = np.empty((g.size, 4, phases.shape[2], 1), dtype=complex)
         np.multiply(phases[:, :2], alphas[:, :2], out=weights[:, :2, :, 0])
         np.multiply(phases[:, 1:], alphas[:, 2:], out=weights[:, 2:, :, 0])
-        closes = local == steps[seg] - 1
-        fills = [None] * g.size  # the sample rows a segment's last step stores
-        for i, k in zip(np.flatnonzero(closes).tolist(), seg[closes].tolist()):
-            fills[i] = slice(bounds[k], bounds[k + 1])
-        stored = checked
+        # the end of the samples each step stores; 0 where it closes no segment
+        fills = np.where(local == steps[seg] - 1, bounds[seg + 1], 0).tolist()
         for w1, w2, w3, w4, fill in zip(*weights.swapaxes(0, 1), fills):
             t.fill(0.0)
             np.multiply(w1, y, out=outer)
@@ -334,21 +351,16 @@ def evolve_sampled(
             np.multiply(t1, 1.0 / 3.0, out=t1)
             np.add(t1, t4, out=t1)
             np.add(y, t1, out=y)
-            if fill is not None:
-                out[fill] = y
-                stored = fill.stop
-        _require_finite(out[checked:stored], checked, samples, cause)
+            if fill:
+                yield from store(fill)
+        # a blown-up run stops within the chunk that stored its first non-finite sample
+        _require_finite(block[checked - first : stored - first], checked, samples, cause)
         checked = stored
-    _require_finite(out[checked:], checked, samples, cause)
-    return out
 
 
-def _exact_blocks(hamiltonian: TimeDependentHamiltonian, psi0, sample_times, dt):
-    """propagate_exactly's checks and eigh, once: (samples, evaluate), where evaluate(first,
-    out) fills out with the states at samples[first : first + len(out)] and returns it."""
-    samples = _checked_samples(sample_times)
-    resolve_step(hamiltonian, dt)
-    psi0 = _checked_state(hamiltonian, psi0)
+def _exact_blocks(hamiltonian: TimeDependentHamiltonian, psi0, samples, dt):
+    """propagate_exactly's states for checked arguments, as _rk4_blocks streams
+    them: one eigh, then one matrix product per block; dt takes no step."""
     if hamiltonian.frame is None:
         raise ValueError(f"{hamiltonian.label} declares no frame in which it is static")
     h = hamiltonian(0.0)
@@ -360,19 +372,18 @@ def _exact_blocks(hamiltonian: TimeDependentHamiltonian, psi0, sample_times, dt)
     # one table of e^{-iEt} and of e^{iKt} on K's distinct levels (see above)
     levels, level_of = np.unique(hamiltonian.frame, return_inverse=True)
     rates = np.concatenate([-energies, levels])
-    table = np.empty((min(samples.size, _SAMPLES_PER_PRODUCT), rates.size), dtype=complex)
-
-    def evaluate(first: int, out: np.ndarray) -> np.ndarray:
-        t = samples[first : first + len(out), None]
-        phases, angles = table[: t.size], t * rates
+    rows = min(samples.size, _SAMPLES_PER_PRODUCT)
+    table = np.empty((rows, rates.size), dtype=complex)
+    block = np.empty((rows, psi0.size), dtype=complex)
+    for first in range(0, samples.size, rows):
+        t = samples[first : first + rows, None]
+        phases, states, angles = table[: t.size], block[: t.size], t * rates
         np.cos(angles, out=phases.real)
         np.sin(angles, out=phases.imag)
-        np.matmul(phases[:, : energies.size] * amplitudes, vectors.T, out=out)
-        out *= phases[:, energies.size + level_of]
-        _require_finite(out, first, samples, "the Hamiltonian's entries are")
-        return out
-
-    return samples, evaluate
+        np.matmul(phases[:, : energies.size] * amplitudes, vectors.T, out=states)
+        states *= phases[:, energies.size + level_of]
+        _require_finite(states, first, samples, "the Hamiltonian's entries are")
+        yield first, states
 
 
 def propagate_exactly(
@@ -388,11 +399,7 @@ def propagate_exactly(
     samples.  Takes the same arguments, checks and errors as
     evolve_sampled; dt is validated by resolve_step but no step is taken.
     """
-    samples, evaluate = _exact_blocks(hamiltonian, psi0, sample_times, dt)
-    out = np.empty((samples.size, hamiltonian.space.dim), dtype=complex)
-    for first in range(0, samples.size, _SAMPLES_PER_PRODUCT):
-        evaluate(first, out[first : first + _SAMPLES_PER_PRODUCT])
-    return out
+    return _propagated(_exact_blocks, hamiltonian, psi0, sample_times, dt)
 
 
 def _observing(times: np.ndarray, space: HilbertSpace, label: str) -> Trajectory:
@@ -472,34 +479,29 @@ def _trajectory(circuit, variant, times, fock_cutoffs, dt, convention) -> Trajec
     hamiltonian = _BUILDERS[variant](circuit, space)
     sector = exchange_sector(hamiltonian, circuit.coupling_matrix)
     propagated = hamiltonian if sector is None else sector.hamiltonian
-    exact = propagated.frame is not None
-    if not exact:
-        propagated.block_row  # RK4's CSR block row (and scipy.sparse) count as build
     psi0 = ground_vacuum_state(space)
     if sector is not None:  # the ground-vacuum state lies in every exchange sector
         psi0 = sector.reduce(psi0)
     step = resolve_step(hamiltonian, dt)
-    ticks.append(time.perf_counter())
-    # every block reuses these buffers; freed per block, they would be faulted in again
-    rows = min(times.size, _SAMPLES_PER_PRODUCT)
-    lifted = None if sector is None else np.empty((rows, space.dim), dtype=complex)
-    if exact:
-        _, evaluate = _exact_blocks(propagated, psi0, times, dt)
-        buffer = np.empty((rows, psi0.size), dtype=complex)
+    if propagated.frame is None:  # RK4's CSR block row (and scipy.sparse) count as build
+        propagated.block_row
+        propagator, stream = "rk4", _rk4_blocks
     else:
-        sampled = evolve_sampled(propagated, psi0, times, dt)
+        propagator, stream = "exact", _exact_blocks
+    ticks.append(time.perf_counter())
+    # every block reuses this buffer; freed per block, it would be faulted in again
+    if sector is not None:
+        lifted = np.empty((min(times.size, _SAMPLES_PER_PRODUCT), space.dim), dtype=complex)
     observing, observe_s = _observing(times, space, hamiltonian.label), 0.0
-    for first in range(0, times.size, _SAMPLES_PER_PRODUCT):
-        stop = min(first + _SAMPLES_PER_PRODUCT, times.size)
-        states = evaluate(first, buffer[: stop - first]) if exact else sampled[first:stop]
+    for first, states in stream(propagated, psi0, times, step):
         if sector is not None:
-            states = sector.lift(states, lifted[: stop - first])
+            states = sector.lift(states, lifted[: len(states)])
         tick = time.perf_counter()
         _observe(states, space, observing, first)
         observe_s += time.perf_counter() - tick
     ticks.append(time.perf_counter())
     trajectory = _observed(observing, convention)
-    propagator, steps = ("exact", 0) if exact else ("rk4", int(_segments(times, step)[1].sum()))
+    steps = int(_segments(times, step)[1].sum()) if propagator == "rk4" else 0
     build, loop = (1e3 * np.diff(ticks)).tolist()
     timings = {"build": build, "propagate": loop - 1e3 * observe_s, "observe": 1e3 * observe_s}
     diagnostics = {

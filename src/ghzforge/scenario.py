@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .analytic import GHZ_CONVENTIONS
 from .constants import rad_per_ns_from_ghz
-from .dynamics import VARIANTS, Trajectory, run
+from .dynamics import VARIANTS, Trajectory, _sample_count, run
 from .errors import ScenarioFormatError
 from .model import (
     CoupledTlrCircuit,
@@ -37,10 +37,9 @@ GHZ_PHASE_CHOICES = ("auto", *GHZ_CONVENTIONS)
 
 # Size limits, checked before anything is allocated: resource caps on the
 # run.  At the dimension limit an exact run without an exchange sector
-# peaks near 0.3 GB in its dense eigh; at the amplitude limit the states
-# one trajectory stores (samples x dimension) take 256 MiB.
+# peaks near 0.3 GB in its dense eigh.  The sample limit is
+# dynamics.MAX_SAMPLES, which check_run_size applies as the run does.
 MAX_DIMENSION = 2048
-MAX_STORED_AMPLITUDES = 2**24
 
 # Every top-level key, in the order scenario_document writes them.
 _TOP_KEYS = (
@@ -323,7 +322,7 @@ def scenario_document(kind: str, resonator, qubits, fock, rabi_ghz: float, **set
 
 
 def check_run_size(scenario: LoadedScenario, span_ns: float, where: str) -> None:
-    """Reject a run past MAX_DIMENSION or MAX_STORED_AMPLITUDES.
+    """Reject a run past MAX_DIMENSION or dynamics.MAX_SAMPLES.
 
     span_ns is the time span sampled every scenario.sample_every_ns: the
     whole run, or a sweep window.
@@ -337,13 +336,10 @@ def check_run_size(scenario: LoadedScenario, span_ns: float, where: str) -> None
             f"Hilbert-space dimension 2^{n_qubits} x {levels} exceeds the limit "
             f"{MAX_DIMENSION}",
         )
-    samples = span_ns / scenario.sample_every_ns + 2
-    if samples * dim > MAX_STORED_AMPLITUDES:
-        raise _fail(
-            where,
-            f"{samples:.3g} samples of dimension {dim} exceed the limit of "
-            f"{MAX_STORED_AMPLITUDES} stored amplitudes; sample less often",
-        )
+    try:
+        _sample_count(span_ns, scenario.sample_every_ns, "the span / sample_every_ns")
+    except ValueError as exc:
+        raise _fail(where, f"{exc}; sample less often") from None
 
 
 def load_scenario(path) -> LoadedScenario:

@@ -29,6 +29,7 @@ from ghzforge.analytic import (
 from ghzforge.dynamics import (
     _BUILDERS,
     MAX_RK4_STEPS,
+    MAX_SAMPLES,
     _SAMPLES_PER_PRODUCT,
     _STEPS_PER_TABLE,
     VARIANTS,
@@ -38,7 +39,10 @@ from ghzforge.dynamics import (
     _observe,
     _observed,
     _observing,
+    _rk4_blocks,
+    _sample_grid,
     _segments,
+    _trajectory,
     evolve_sampled,
     ground_vacuum_state,
     propagate_exactly,
@@ -248,14 +252,20 @@ _BOUNDARY_GRID = (
 )
 
 
+# the segment that reaches 6 dt fills rows 6-8, across the edge of a 7-sample block
+_BLOCK_EDGE_GRID = [i * SCHEDULE_DT for i in (0, 1, 2, 3, 4, 5, 6, 6, 6, 7, 9)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(sample_grids())
 @example(_BOUNDARY_GRID)
+@example(_BLOCK_EDGE_GRID)
 def test_step_schedule_matches_the_reference_loop(times):
     psi0 = random_state(_SCHEDULE_SPACE.dim, seed=3)
     expected = reference_evolve_sampled(_SCHEDULE_H, psi0, times, SCHEDULE_DT)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("ghzforge.dynamics._STEPS_PER_TABLE", 7)
+        patch.setattr("ghzforge.dynamics._SAMPLES_PER_PRODUCT", 7)
         assert_same_bits(evolve_sampled(_SCHEDULE_H, psi0, times, SCHEDULE_DT), expected)
     assert_same_bits(evolve_sampled(_SCHEDULE_H, psi0, times, SCHEDULE_DT), expected)
 
@@ -332,6 +342,32 @@ def test_non_finite_state_is_named_at_the_reference_sample(steps_per_table, monk
     assert str(got.value) == str(expected.value)
     named = float(re.search(r"t = (\S+) ns", str(got.value)).group(1))
     assert times[1] < named < times[-1]
+
+
+def test_a_blown_up_rk4_run_stops_within_one_table_chunk(monkeypatch):
+    """The state is checked after every chunk of _STEPS_PER_TABLE steps, on
+    the samples stored since the last check, not once per block of
+    samples: after the chunk that stores the first non-finite sample, at
+    most one more chunk tabulates its weights."""
+    space = HilbertSpace(n_qubits=1)
+    growth = np.diag([100j, 0.0])  # -i H grows |0> as e^{100 t}
+    h = TimeDependentHamiltonian(space, growth, ((0.5 * sigma_plus(), 3.0),), 10.0, "growing")
+    times = np.arange(2000) * 0.01  # overflow near t = 7, inside the third block of 256
+    psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    assert (_segments(times, 0.01)[1] == 1).all()  # sample i is stored by step i - 1
+    monkeypatch.setattr("ghzforge.dynamics._STEPS_PER_TABLE", 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(PreconditionError) as expected:
+            reference_evolve_sampled(h, psi0, times, 0.01)
+        named = float(re.search(r"t = (\S+) ns", str(expected.value)).group(1))
+        first_bad = int(np.argmin(np.abs(times - named)))
+        tables, real = [], h.coefficients
+        monkeypatch.setattr(h, "coefficients", lambda t: tables.append(t) or real(t))
+        with pytest.raises(PreconditionError) as got:
+            evolve_sampled(h, psi0, times, 0.01)
+    assert str(got.value) == str(expected.value)
+    assert first_bad > 2 * _SAMPLES_PER_PRODUCT
+    assert len(tables) <= (first_bad - 1) // 4 + 2
 
 
 def test_rabi_flop_oracle():
@@ -505,12 +541,25 @@ def _one_ulp_uneven(circuit):
     return replace(circuit, qubits=(first, second, *rest))
 
 
-BLOCK_RUNS = {  # (circuit, variant, t_final, sample_every, fock, runs in a sector)
-    "exact-sector": lambda: (reference_coupled(), "effective", 25.0, 0.01, (6, 6), True),
-    "exact-no-sector": lambda: (
-        _one_ulp_uneven(reference_single()), "effective", 10.0, 0.004, (6,), False
+def _with_duplicates(times):
+    """times with sample 6 three times and sample 253 twice: each fill spans
+    a block edge, of 7-sample blocks (rows 6-8) and of 256-sample ones (255-256)."""
+    times = np.insert(times, [7, 7, 254], times[[6, 6, 253]])
+    assert times[6] == times[8] and times[255] == times[256] != times[254]
+    return times
+
+
+BLOCK_RUNS = {  # (circuit, variant, sample times, fock, runs in a sector)
+    "exact-sector": lambda: (
+        reference_coupled(), "effective", _sample_grid(25.0, 0.01), (6, 6), True
     ),
-    "rk4": lambda: (reference_single(), "full", 0.6, 0.001, (4,), True),
+    "exact-no-sector": lambda: (
+        _one_ulp_uneven(reference_single()), "effective", _sample_grid(10.0, 0.004), (6,), False
+    ),
+    "rk4": lambda: (reference_single(), "full", _sample_grid(0.6, 0.001), (4,), True),
+    "rk4-duplicates": lambda: (
+        reference_single(), "full", _with_duplicates(_sample_grid(0.6, 0.001)), (4,), True
+    ),
 }
 
 
@@ -519,12 +568,12 @@ def test_block_boundaries_leave_no_trace(case, monkeypatch):
     """A run propagates and observes _SAMPLES_PER_PRODUCT samples at a
     time; blocks of 7 samples move no bit of any observable, the winning
     convention or the diagnostics."""
-    *args, in_sector = BLOCK_RUNS[case]()
-    whole = run(*args)
+    circuit, variant, times, fock, in_sector = BLOCK_RUNS[case]()
+    whole = _trajectory(circuit, variant, times, fock, None, "auto")
     assert whole.times.size > 2 * _SAMPLES_PER_PRODUCT
     assert (whole.diagnostics["propagated_dim"] < whole.dim) == in_sector
     monkeypatch.setattr("ghzforge.dynamics._SAMPLES_PER_PRODUCT", 7)
-    blocked = run(*args)
+    blocked = _trajectory(circuit, variant, times, fock, None, "auto")
     for c in GHZ_CONVENTIONS:
         assert_same_bits(blocked.fidelity_by_convention[c], whole.fidelity_by_convention[c])
     assert_same_bits(blocked.fidelity, whole.fidelity)
@@ -551,6 +600,46 @@ def test_an_exact_run_holds_one_block_of_states():
         peaks.append(peak)
     assert trajectory.times.size == 25_001
     assert peaks[1] < 2 * peaks[0]
+
+
+def test_an_rk4_run_holds_one_block_of_states():
+    """The coupled full gate at Fock 6 x 6 (a sector of 72) over 2 ns: ten
+    times the samples, 5,001 instead of 501, less than doubles the traced
+    peak, since only the per-sample observables and the step schedule
+    grow; an array of every sample's propagated states would grow tenfold."""
+    run(reference_coupled(), "full", 0.05, 0.01, (6, 6))  # nothing lazy is traced
+    peaks = []
+    for every in (0.004, 0.0004):
+        tracemalloc.start()
+        try:
+            trajectory = run(reference_coupled(), "full", 2.0, every, (6, 6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert trajectory.times.size == 5_001 and trajectory.propagator == "rk4"
+    assert peaks[1] < 2 * peaks[0]
+
+
+def test_max_samples_is_checked_on_both_sides(monkeypatch):
+    """run and sweep_drive_strength refuse a span of MAX_SAMPLES sample
+    intervals or more with ValueError before the grid is allocated, which
+    at 1e300 samples it could not be; just inside the limit they run."""
+    circuit = reference_single()
+    for span, every in ((10.0, 10.0 / MAX_SAMPLES), (1e300, 1.0)):
+        with pytest.raises(ValueError, match=f"samples; the limit is {MAX_SAMPLES}"):
+            run(circuit, "effective", span, every, (6,))
+        with pytest.raises(ValueError, match=f"samples; the limit is {MAX_SAMPLES}"):
+            sweep_drive_strength(circuit, "effective", [20.0], (0.0, span), every, workers=1)
+    monkeypatch.setattr("ghzforge.dynamics.MAX_SAMPLES", 64)
+    every = 10.0 / 63.5
+    assert run(circuit, "effective", 10.0, every, (6,)).times.size == 65
+    (point,) = sweep_drive_strength(circuit, "effective", [20.0], (0.0, 10.0), every, workers=1)
+    assert point.times.size == 64
+    with pytest.raises(ValueError, match="samples; the limit is 64"):
+        run(circuit, "effective", 10.0, 10.0 / 64.5, (6,))
+    with pytest.raises(ValueError, match="samples; the limit is 64"):
+        sweep_drive_strength(circuit, "effective", [20.0], (0.0, 10.0), 10.0 / 64.5, workers=1)
 
 
 def test_a_frame_the_terms_contradict_is_refused():
@@ -590,13 +679,13 @@ def test_exact_path_checks_its_input_like_rk4():
 
 def test_run_takes_rk4_for_time_dependent_h(monkeypatch):
     calls = []
-    real = evolve_sampled
+    real = _rk4_blocks
 
-    def recording(hamiltonian, psi0, samples, dt=None):
+    def recording(hamiltonian, psi0, samples, dt):
         calls.append(hamiltonian.space.dim)
         return real(hamiltonian, psi0, samples, dt)
 
-    monkeypatch.setattr("ghzforge.dynamics.evolve_sampled", recording)
+    monkeypatch.setattr("ghzforge.dynamics._rk4_blocks", recording)
     circuit = reference_single()
     full = run(circuit, "full", 0.2, 0.1, (4,))
     # the two identical qubits: RK4 runs in the exchange-symmetric sector,
@@ -638,18 +727,18 @@ def test_only_rk4_runs_build_the_csr_column(variant, monkeypatch):
     exchange-sector Hamiltonian it propagates, before its build timing
     closes, and never for the full-space one."""
     hamiltonians, propagated = [], []
-    builder, real_evolve = _BUILDERS[variant], evolve_sampled
+    builder, real_evolve = _BUILDERS[variant], _rk4_blocks
 
     def recording(circuit, space):
         hamiltonians.append(builder(circuit, space))
         return hamiltonians[-1]
 
-    def evolving(hamiltonian, psi0, samples, dt=None):
+    def evolving(hamiltonian, psi0, samples, dt):
         propagated.append((hamiltonian, "block_row" in vars(hamiltonian)))
         return real_evolve(hamiltonian, psi0, samples, dt)
 
     monkeypatch.setitem(_BUILDERS, variant, recording)
-    monkeypatch.setattr("ghzforge.dynamics.evolve_sampled", evolving)
+    monkeypatch.setattr("ghzforge.dynamics._rk4_blocks", evolving)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ApproximationWarning)
         trajectory = run(reference_single(), variant, 0.2, 0.1, (4,))
@@ -779,17 +868,18 @@ def test_couplings_one_ulp_apart_give_no_sector_and_the_full_space_run(monkeypat
     lopsided = TimeDependentHamiltonian(space, even.static, raising, even.fastest_frequency, "p")
     assert exchange_sector(lopsided, circuit.coupling_matrix) is None
 
-    recorded, real_evolve = [], evolve_sampled
+    recorded, real_evolve = [], _rk4_blocks
 
-    def evolving(hamiltonian, psi0, samples, dt=None):
-        recorded.append(real_evolve(hamiltonian, psi0, samples, dt))
-        return recorded[-1]
+    def evolving(hamiltonian, psi0, samples, dt):
+        for first, states in real_evolve(hamiltonian, psi0, samples, dt):
+            recorded.append(states.copy())  # a block's buffer may be reused
+            yield first, states
 
-    monkeypatch.setattr("ghzforge.dynamics.evolve_sampled", evolving)
+    monkeypatch.setattr("ghzforge.dynamics._rk4_blocks", evolving)
     trajectory = run(uneven, "full", 0.2, 0.05, (4,))
-    (states,) = recorded
+    (states,) = recorded  # one block of 5 samples
     assert trajectory.diagnostics["propagated_dim"] == trajectory.dim == 16
-    assert_same_bits(states, real_evolve(h, ground_vacuum_state(space), trajectory.times))
+    assert_same_bits(states, evolve_sampled(h, ground_vacuum_state(space), trajectory.times))
 
 
 @pytest.mark.parametrize("frame_qubits, propagated_dim", [((0, 1), 6), ((0,), 8)])

@@ -28,12 +28,11 @@ from ghzforge import cli
 from ghzforge.analytic import SquidCoupler, effective_mutual_inductance, resonator_coupling_rate
 from ghzforge.cli import _write_trajectory_csv, main
 from ghzforge.constants import ghz_from_rad_per_ns
-from ghzforge.dynamics import Trajectory, resolve_step, sweep_drive_strength
+from ghzforge.dynamics import MAX_SAMPLES, Trajectory, resolve_step, sweep_drive_strength
 from ghzforge.errors import ApproximationWarning, ScenarioFormatError
 from ghzforge.model import effective_hamiltonian, exchange_sector
 from ghzforge.operators import HilbertSpace
 from ghzforge.scenario import (
-    MAX_STORED_AMPLITUDES,
     bundled_scenario_names,
     bundled_scenario_path,
     load_scenario,
@@ -794,11 +793,11 @@ def test_sweep_input_errors(tmp_path, capsys):
     assert main(
         base + ["--param", "omega_r_multiple", "--values", "5", "--window", "nan:1"]
     ) == 2
-    # a window whose stored states would pass MAX_STORED_AMPLITUDES
+    # a window whose samples would pass MAX_SAMPLES
     assert main(
         base + ["--param", "omega_r_multiple", "--values", "5", "--window", "0:1e300"]
     ) == 2
-    assert "stored amplitudes" in capsys.readouterr().err
+    assert f"samples; the limit is {MAX_SAMPLES}" in capsys.readouterr().err
     # values whose point files share a name: 20.0000001 prints as '20'
     sweep = base + ["--param", "omega_r_multiple", "--values"]
     assert main(sweep + ["5,20,20.0000001"]) == 2
@@ -815,16 +814,35 @@ def test_sweep_input_errors(tmp_path, capsys):
 
 def test_size_limits_admit_the_largest_planned_run():
     """Six qubits on a 24-level mode (dim 1536) loads; seven (3072) does not,
-    and a sampling grid loads just inside the amplitude limit, not past it."""
+    and a sampling grid loads just inside the sample limit, not past it."""
     six = [{"gap_ghz": 10.1, "coupling_ghz": 0.05}] * 6
     validate_scenario(scenario_doc(qubits=six, fock_cutoff=24))
     with pytest.raises(ScenarioFormatError, match="dimension 2\\^7 x 24 exceeds"):
         validate_scenario(scenario_doc(qubits=six + six[:1], fock_cutoff=24))
-    # two qubits, 6 levels: dim 24, (10 ns / sample_every + 2) x 24 against 2**24
-    every = 10.0 / (MAX_STORED_AMPLITUDES / 24 - 2)
+    # 10 ns / sample_every against MAX_SAMPLES, at any dimension
+    every = 10.0 / MAX_SAMPLES
     validate_scenario(scenario_doc(sample_every_ns=every * 1.000001))
-    with pytest.raises(ScenarioFormatError, match="stored amplitudes"):
+    with pytest.raises(ScenarioFormatError, match=f"samples; the limit is {MAX_SAMPLES}"):
         validate_scenario(scenario_doc(sample_every_ns=every * 0.999999))
+
+
+def test_run_and_sweep_past_the_sample_limit_exit_2_before_any_output(tmp_path, capsys):
+    """`run` of a scenario whose grid reaches MAX_SAMPLES samples, and `sweep`
+    of a loadable scenario over a window that does, exit 2 and create no
+    output directory."""
+    out = tmp_path / "o"
+    dense = write_scenario(tmp_path, "dense", scenario_doc(sample_every_ns=10.0 / MAX_SAMPLES))
+    assert main(["run", str(dense), "--out-dir", str(out)]) == 2
+    assert f"dense: the span / sample_every_ns gives {MAX_SAMPLES:.3g} samples" in (
+        capsys.readouterr().err
+    )
+    half = write_scenario(tmp_path, "half", scenario_doc(sample_every_ns=20.0 / MAX_SAMPLES))
+    sweep = ["sweep", str(half), "--param", "omega_r_multiple", "--values", "5"]
+    assert main(sweep + ["--window", "0:20", "--out-dir", str(out)]) == 2
+    assert f"--window: the span / sample_every_ns gives {MAX_SAMPLES:.3g} samples" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
