@@ -24,9 +24,11 @@ dt = (2 pi / omega_fastest)/64, and anything coarser than
 (2 pi / omega_fastest)/50 is rejected outright.  Fixed stepping keeps
 trajectories bit-reproducible, which the CSV regression harness relies on.
 Each sample segment's step count and uniformly shrunk step are fixed up
-front, and the block weights are tabulated at the half-step times once
-per chunk of _STEPS_PER_TABLE steps, each stage's row scaled by its step
-factor alpha = h/2, h/2, h, h/6.  -i H(t) v is the CSR block row
+front, in one schedule built inside the run's build timing.  The run walks
+it one block of _SAMPLES_PER_PRODUCT samples at a time, and tabulates the
+block weights at the half-step times per chunk of at most _STEPS_PER_TABLE
+steps, across segment boundaries inside a block, each stage's row scaled
+by its step factor alpha = h/2, h/2, h, h/6.  -i H(t) v is the CSR block row
 [static | M_j | M_j^dag] times the outer product (weights (x) v), so a
 stage is one outer product and one sparse product, by the kernel behind
 ``block_row @ x``, yielding t_i = alpha_i k_i; the stage inputs are
@@ -93,7 +95,7 @@ DEFAULT_STEP_DIVISOR = 64
 MINIMUM_STEP_DIVISOR = 50
 _STEPS_PER_TABLE = 4096  # steps per phase table: bounds its memory on long runs
 _SAMPLES_PER_PRODUCT = 256  # samples per block: bounds a run's states and temporaries
-MAX_SAMPLES = 2**21  # per trajectory: about 80 B a sample, 200 B with RK4's step schedule
+MAX_SAMPLES = 2**21  # per trajectory: about 80 B a sample, 90 B with RK4's step schedule
 MAX_RK4_STEPS = 10**8  # per run: at 30-45 us a step, about an hour
 
 # Every variant maps to a builder, and every layout accepts every variant.
@@ -196,16 +198,18 @@ def _segments(samples: np.ndarray, dt: float):
     takes the state reached, and the next segment still starts there.
     A schedule of more than MAX_RK4_STEPS steps raises PreconditionError.
     """
-    starts, spans, ends = [], [], []
-    t_now = 0.0
-    for idx, t_target in enumerate(samples.tolist()):
-        span = t_target - t_now
-        if span > 1e-15:
-            starts.append(t_now)
-            spans.append(span)
-            ends.append(idx)
-            t_now = t_target
-    spans = np.array(spans, dtype=float)
+    # the time reached is never past the sample before, so a sample more than
+    # 1e-15 ns past that one surely opens a segment; sure: the time those reach
+    opens = np.diff(samples, prepend=0.0) > 1e-15
+    close = np.flatnonzero(~opens)
+    sure = np.maximum.accumulate(np.where(opens, samples, 0.0))[close]
+    t_now = 0.0  # reached by the close samples that opened a segment
+    for idx, t_sure, t_target in zip(close.tolist(), sure.tolist(), samples[close].tolist()):
+        if t_target - max(t_sure, t_now) > 1e-15:
+            opens[idx], t_now = True, t_target
+    ends = np.flatnonzero(opens)
+    reached = np.concatenate([[0.0], samples[ends]])  # before each segment, then at its end
+    starts, spans = reached[:-1], np.diff(reached)
     with np.errstate(over="ignore"):  # a subnormal dt gives inf
         steps = np.maximum(1.0, np.ceil(spans / dt - 1e-12))
     total = steps.sum()
@@ -213,12 +217,7 @@ def _segments(samples: np.ndarray, dt: float):
         raise PreconditionError(
             f"dt = {dt:g} ns would take {total:.9g} RK4 steps; the budget is {MAX_RK4_STEPS}"
         )
-    return (
-        np.array(starts, dtype=float),
-        steps.astype(np.int64),
-        spans / steps,
-        np.array(ends, dtype=np.int64),
-    )
+    return starts, steps.astype(np.int64), spans / steps, ends
 
 
 def _accumulate(block_row):
@@ -244,9 +243,9 @@ def _require_finite(states: np.ndarray, first: int, samples: np.ndarray, cause: 
         )
 
 
-def _propagated(blocks, hamiltonian: TimeDependentHamiltonian, psi0, sample_times, dt):
-    """The propagators' argument checks, then every state blocks(hamiltonian,
-    psi0, samples, dt) yields, in one (samples, dim) array."""
+def _propagated(hamiltonian: TimeDependentHamiltonian, psi0, sample_times, dt, exact: bool):
+    """The propagators' argument checks, then every state of the exact or the
+    RK4 stream, in one (samples, dim) array."""
     samples = np.asarray(sample_times, dtype=float)
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError("sample_times must be a non-empty 1-D sequence")
@@ -258,8 +257,12 @@ def _propagated(blocks, hamiltonian: TimeDependentHamiltonian, psi0, sample_time
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (hamiltonian.space.dim,):
         raise ValueError("initial state does not match the Hamiltonian's space")
+    if exact:
+        blocks = _exact_blocks(hamiltonian, psi0, samples)
+    else:
+        blocks = _rk4_blocks(hamiltonian, psi0, samples, dt, _segments(samples, dt))
     out = np.empty((samples.size, psi0.size), dtype=complex)
-    for first, states in blocks(hamiltonian, psi0, samples, dt):
+    for first, states in blocks:
         out[first : first + len(states)] = states
     return out
 
@@ -278,13 +281,13 @@ def evolve_sampled(
     PreconditionError naming the first sample time at which the state is
     no longer finite.
     """
-    return _propagated(_rk4_blocks, hamiltonian, psi0, sample_times, dt)
+    return _propagated(hamiltonian, psi0, sample_times, dt, exact=False)
 
 
-def _rk4_blocks(hamiltonian: TimeDependentHamiltonian, psi0, samples, dt):
-    """evolve_sampled's states for checked arguments, as a stream: yields
-    (first, states), the states at samples[first : first + len(states)], in
-    one buffer of at most _SAMPLES_PER_PRODUCT rows that every block reuses."""
+def _rk4_blocks(hamiltonian: TimeDependentHamiltonian, psi0, samples, dt, schedule):
+    """evolve_sampled's states for checked arguments on their _segments schedule,
+    as a stream: yields (first, states), the states at samples[first : first +
+    len(states)], in one buffer of at most _SAMPLES_PER_PRODUCT rows, reused."""
     y = psi0.copy()
     block_row = hamiltonian.block_row
     kernel = _accumulate(block_row)
@@ -293,74 +296,68 @@ def _rk4_blocks(hamiltonian: TimeDependentHamiltonian, psi0, samples, dt):
     t = np.empty((4, y.size), dtype=complex)
     t1, t2, t3, t4 = t  # t_i = alpha_i k_i, alpha = (h/2, h/2, h, h/6)
 
-    starts, steps, sizes, ends = _segments(samples, dt)
-    bounds = np.append(ends, samples.size)  # segment k fills samples bounds[k]:bounds[k+1]
+    starts, steps, sizes, ends = schedule
     first_step = np.concatenate([[0], np.cumsum(steps)])  # of each segment, run-wide
-    n_total = int(first_step[-1])
     block = np.empty((min(samples.size, _SAMPLES_PER_PRODUCT), y.size), dtype=complex)
-    first = stored = checked = 0  # block holds samples first..stored-1, unchecked from checked
     cause = f"the step {dt:g} ns or the Hamiltonian's entries are"
-
-    def store(stop):
-        """Copy y into samples stored..stop-1, yielding each block they fill."""
-        nonlocal first, stored, checked
-        while stored < stop:
-            end = min(stop, first + len(block))
-            block[stored - first : end - first] = y
-            stored = end
-            if stored - first == len(block) or stored == samples.size:
-                _require_finite(block[checked - first : stored - first], checked, samples, cause)
-                yield first, block[: stored - first]
-                first = checked = stored
-
-    yield from store(int(bounds[0]))
-    for g0 in range(0, n_total, _STEPS_PER_TABLE):
-        # step s of segment k reads the weights at starts[k] + (h/2) j for
-        # j = 2s, 2s+1, 2s+2, h = sizes[k]: one table for the whole chunk;
-        # stages 1-4 take its rows j = 2s, 2s+1, 2s+1, 2s+2 times alpha_i
-        g = np.arange(g0, min(g0 + _STEPS_PER_TABLE, n_total))
-        seg = np.searchsorted(first_step, g, side="right") - 1
-        local = g - first_step[seg]
-        h = sizes[seg]
-        phases = hamiltonian.coefficients(
-            starts[seg, None] + (0.5 * h[:, None]) * (2 * local[:, None] + np.arange(3))
-        )
-        alphas = np.stack([0.5 * h, 0.5 * h, h, h / 6.0], axis=1)[..., None]
-        weights = np.empty((g.size, 4, phases.shape[2], 1), dtype=complex)
-        np.multiply(phases[:, :2], alphas[:, :2], out=weights[:, :2, :, 0])
-        np.multiply(phases[:, 1:], alphas[:, 2:], out=weights[:, 2:, :, 0])
-        # the end of the samples each step stores; 0 where it closes no segment
-        fills = np.where(local == steps[seg] - 1, bounds[seg + 1], 0).tolist()
-        for w1, w2, w3, w4, fill in zip(*weights.swapaxes(0, 1), fills):
-            t.fill(0.0)
-            np.multiply(w1, y, out=outer)
-            kernel(x, t1)
-            np.add(y, t1, out=u)
-            np.multiply(w2, u, out=outer)
-            kernel(x, t2)
-            np.add(y, t2, out=u)
-            np.multiply(w3, u, out=outer)
-            kernel(x, t3)
-            np.add(y, t3, out=u)
-            np.multiply(w4, u, out=outer)
-            kernel(x, t4)
-            # y += (t1 + 2 t2 + t3) / 3 + t4, summed left to right
-            np.add(t2, t2, out=t2)
-            np.add(t1, t2, out=t1)
-            np.add(t1, t3, out=t1)
-            np.multiply(t1, 1.0 / 3.0, out=t1)
-            np.add(t1, t4, out=t1)
-            np.add(y, t1, out=y)
-            if fill:
-                yield from store(fill)
-        # a blown-up run stops within the chunk that stored its first non-finite sample
-        _require_finite(block[checked - first : stored - first], checked, samples, cause)
-        checked = stored
+    for first in range(0, samples.size, len(block)):
+        states = block[: samples.size - first]
+        # the steps of the segments that end in this block's rows
+        done, last = first_step[np.searchsorted(ends, [first, first + len(states)])].tolist()
+        filled = checked = 0  # rows of states stored, and checked
+        for g0 in range(done, last, _STEPS_PER_TABLE):
+            # step s of segment k reads the weights at starts[k] + (h/2) j for
+            # j = 2s, 2s+1, 2s+2, h = sizes[k]: one table for the whole chunk;
+            # stages 1-4 take its rows j = 2s, 2s+1, 2s+1, 2s+2 times alpha_i
+            g = np.arange(g0, min(g0 + _STEPS_PER_TABLE, last))
+            seg = np.searchsorted(first_step, g, side="right") - 1
+            local = g - first_step[seg]
+            h = sizes[seg]
+            phases = hamiltonian.coefficients(
+                starts[seg, None] + (0.5 * h[:, None]) * (2 * local[:, None] + np.arange(3))
+            )
+            alphas = np.stack([0.5 * h, 0.5 * h, h, h / 6.0], axis=1)[..., None]
+            weights = np.empty((g.size, 4, phases.shape[2], 1), dtype=complex)
+            np.multiply(phases[:, :2], alphas[:, :2], out=weights[:, :2, :, 0])
+            np.multiply(phases[:, 1:], alphas[:, 2:], out=weights[:, 2:, :, 0])
+            # a segment's first step stores the state before it in the rows up to
+            # the segment's end; 0 where a step opens no segment
+            fills = np.where(local == 0, ends[seg] - first, 0).tolist()
+            with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+                for w1, w2, w3, w4, fill in zip(*weights.swapaxes(0, 1), fills):
+                    if fill:
+                        states[filled:fill] = y
+                        filled = fill
+                    t.fill(0.0)
+                    np.multiply(w1, y, out=outer)
+                    kernel(x, t1)
+                    np.add(y, t1, out=u)
+                    np.multiply(w2, u, out=outer)
+                    kernel(x, t2)
+                    np.add(y, t2, out=u)
+                    np.multiply(w3, u, out=outer)
+                    kernel(x, t3)
+                    np.add(y, t3, out=u)
+                    np.multiply(w4, u, out=outer)
+                    kernel(x, t4)
+                    # y += (t1 + 2 t2 + t3) / 3 + t4, summed left to right
+                    np.add(t2, t2, out=t2)
+                    np.add(t1, t2, out=t1)
+                    np.add(t1, t3, out=t1)
+                    np.multiply(t1, 1.0 / 3.0, out=t1)
+                    np.add(t1, t4, out=t1)
+                    np.add(y, t1, out=y)
+            # a blown-up run stops within the chunk that stored its first non-finite sample
+            _require_finite(states[checked:filled], first + checked, samples, cause)
+            checked = filled
+        states[filled:] = y
+        _require_finite(states[checked:], first + checked, samples, cause)
+        yield first, states
 
 
-def _exact_blocks(hamiltonian: TimeDependentHamiltonian, psi0, samples, dt):
+def _exact_blocks(hamiltonian: TimeDependentHamiltonian, psi0, samples):
     """propagate_exactly's states for checked arguments, as _rk4_blocks streams
-    them: one eigh, then one matrix product per block; dt takes no step."""
+    them: one eigh, then one matrix product per block."""
     if hamiltonian.frame is None:
         raise ValueError(f"{hamiltonian.label} declares no frame in which it is static")
     h = hamiltonian(0.0)
@@ -399,7 +396,7 @@ def propagate_exactly(
     samples.  Takes the same arguments, checks and errors as
     evolve_sampled; dt is validated by resolve_step but no step is taken.
     """
-    return _propagated(_exact_blocks, hamiltonian, psi0, sample_times, dt)
+    return _propagated(hamiltonian, psi0, sample_times, dt, exact=True)
 
 
 def _observing(times: np.ndarray, space: HilbertSpace, label: str) -> Trajectory:
@@ -483,17 +480,20 @@ def _trajectory(circuit, variant, times, fock_cutoffs, dt, convention) -> Trajec
     if sector is not None:  # the ground-vacuum state lies in every exchange sector
         psi0 = sector.reduce(psi0)
     step = resolve_step(hamiltonian, dt)
-    if propagated.frame is None:  # RK4's CSR block row (and scipy.sparse) count as build
+    if propagated.frame is None:  # RK4's block row (and scipy.sparse) and schedule count as build
         propagated.block_row
-        propagator, stream = "rk4", _rk4_blocks
+        schedule = _segments(times, step)
+        propagator, steps = "rk4", int(schedule[1].sum())
+        stream = _rk4_blocks(propagated, psi0, times, step, schedule)
+        del schedule  # the stream lets it go when it ends, before the run is summed up
     else:
-        propagator, stream = "exact", _exact_blocks
+        propagator, steps, stream = "exact", 0, _exact_blocks(propagated, psi0, times)
     ticks.append(time.perf_counter())
     # every block reuses this buffer; freed per block, it would be faulted in again
     if sector is not None:
         lifted = np.empty((min(times.size, _SAMPLES_PER_PRODUCT), space.dim), dtype=complex)
     observing, observe_s = _observing(times, space, hamiltonian.label), 0.0
-    for first, states in stream(propagated, psi0, times, step):
+    for first, states in stream:
         if sector is not None:
             states = sector.lift(states, lifted[: len(states)])
         tick = time.perf_counter()
@@ -501,7 +501,6 @@ def _trajectory(circuit, variant, times, fock_cutoffs, dt, convention) -> Trajec
         observe_s += time.perf_counter() - tick
     ticks.append(time.perf_counter())
     trajectory = _observed(observing, convention)
-    steps = int(_segments(times, step)[1].sum()) if propagator == "rk4" else 0
     build, loop = (1e3 * np.diff(ticks)).tolist()
     timings = {"build": build, "propagate": loop - 1e3 * observe_s, "observe": 1e3 * observe_s}
     diagnostics = {

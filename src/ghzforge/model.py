@@ -621,7 +621,7 @@ def full_simulation_hamiltonian(circuit, space: HilbertSpace) -> TimeDependentHa
     a^dag sigma_+ turns at 2 omega_d, so the declared fastest frequency,
     omega + omega_d, lies below the drive term's 2 omega_d.  Retagging moves
     F by 6.8e-5 (single gate) and 4.6e-5 (coupled) and waits on re-recorded
-    benchmark references (ROADMAP.md, item 2).
+    benchmark references (ROADMAP.md, item 3).
     """
     warned = _check_frame(circuit, space)
     static = assemble(space, _rotating_static(circuit, space))

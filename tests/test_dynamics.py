@@ -255,12 +255,45 @@ _BOUNDARY_GRID = (
 # the segment that reaches 6 dt fills rows 6-8, across the edge of a 7-sample block
 _BLOCK_EDGE_GRID = [i * SCHEDULE_DT for i in (0, 1, 2, 3, 4, 5, 6, 6, 6, 7, 9)]
 
+# samples 3e-16 ns apart: 5 and 9 are 1.2e-15 ns past the time reached and
+# open one-step segments, though none is more than 1e-15 ns past the one before
+_CREEPING_GRID = [0.0, 3 * SCHEDULE_DT] + [3 * SCHEDULE_DT + 3e-16 * k for k in range(1, 9)]
+
+
+def reference_segments(samples, dt):
+    """_segments' schedule by the per-sample loop: a sample opens a segment
+    when it is more than 1e-15 ns past the time already reached."""
+    starts, spans, ends = [], [], []
+    t_now = 0.0
+    for idx, t_target in enumerate(samples.tolist()):
+        span = t_target - t_now
+        if span > 1e-15:
+            starts.append(t_now)
+            spans.append(span)
+            ends.append(idx)
+            t_now = t_target
+    spans = np.array(spans, dtype=float)
+    steps = np.maximum(1.0, np.ceil(spans / dt - 1e-12))
+    return (
+        np.array(starts, dtype=float),
+        steps.astype(np.int64),
+        spans / steps,
+        np.array(ends, dtype=np.int64),
+    )
+
+
+def assert_same_schedule(samples, dt):
+    for got, expected in zip(_segments(samples, dt), reference_segments(samples, dt), strict=True):
+        assert_same_bits(got, expected)
+
 
 @settings(max_examples=60, deadline=None)
 @given(sample_grids())
 @example(_BOUNDARY_GRID)
 @example(_BLOCK_EDGE_GRID)
+@example(_CREEPING_GRID)
 def test_step_schedule_matches_the_reference_loop(times):
+    assert_same_schedule(np.array(times), SCHEDULE_DT)
     psi0 = random_state(_SCHEDULE_SPACE.dim, seed=3)
     expected = reference_evolve_sampled(_SCHEDULE_H, psi0, times, SCHEDULE_DT)
     with pytest.MonkeyPatch.context() as patch:
@@ -268,6 +301,20 @@ def test_step_schedule_matches_the_reference_loop(times):
         patch.setattr("ghzforge.dynamics._SAMPLES_PER_PRODUCT", 7)
         assert_same_bits(evolve_sampled(_SCHEDULE_H, psi0, times, SCHEDULE_DT), expected)
     assert_same_bits(evolve_sampled(_SCHEDULE_H, psi0, times, SCHEDULE_DT), expected)
+
+
+@pytest.mark.parametrize("t_ns", [1.0, 3.0, 6.0])
+def test_schedule_on_one_ulp_steps_matches_the_reference_loop(t_ns):
+    """Forty samples one ulp apart after t_ns: each is at most 1e-15 ns past
+    the one before, and every few of them open a segment through the time
+    reached (the ulp is 2.2e-16, 4.4e-16 and 8.9e-16 ns)."""
+    grid = [0.0, t_ns]
+    for _ in range(40):
+        grid.append(np.nextafter(grid[-1], math.inf))
+    samples = np.array(grid)
+    assert (np.diff(samples)[1:] <= 1e-15).all()
+    assert reference_segments(samples, SCHEDULE_DT)[3].size > 2
+    assert_same_schedule(samples, SCHEDULE_DT)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -368,6 +415,24 @@ def test_a_blown_up_rk4_run_stops_within_one_table_chunk(monkeypatch):
     assert str(got.value) == str(expected.value)
     assert first_bad > 2 * _SAMPLES_PER_PRODUCT
     assert len(tables) <= (first_bad - 1) // 4 + 2
+
+
+def test_a_blown_up_rk4_run_warns_nothing_and_names_the_sample():
+    """The overflow inside the step loop raises no RuntimeWarning: the
+    finiteness check after the chunk reports it, with the reference message."""
+    space = HilbertSpace(n_qubits=1)
+    growth = np.diag([100j, 0.0])  # -i H grows |0> as e^{100 t}
+    h = TimeDependentHamiltonian(space, growth, ((0.5 * sigma_plus(), 3.0),), 10.0, "growing")
+    times = np.arange(2000) * 0.01
+    psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(PreconditionError) as expected:
+            reference_evolve_sampled(h, psi0, times, 0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(PreconditionError) as got:
+            evolve_sampled(h, psi0, times, 0.01)
+    assert str(got.value) == str(expected.value)
 
 
 def test_rabi_flop_oracle():
@@ -681,9 +746,9 @@ def test_run_takes_rk4_for_time_dependent_h(monkeypatch):
     calls = []
     real = _rk4_blocks
 
-    def recording(hamiltonian, psi0, samples, dt):
+    def recording(hamiltonian, *args):
         calls.append(hamiltonian.space.dim)
-        return real(hamiltonian, psi0, samples, dt)
+        return real(hamiltonian, *args)
 
     monkeypatch.setattr("ghzforge.dynamics._rk4_blocks", recording)
     circuit = reference_single()
@@ -695,6 +760,22 @@ def test_run_takes_rk4_for_time_dependent_h(monkeypatch):
     dt = TWO_PI / (circuit.omega + circuit.omega_d) / 64
     assert full.steps == 2 * math.ceil(0.1 / dt - 1e-12)
     assert full.diagnostics["dt"] == dt
+
+
+@pytest.mark.parametrize("variant, builds", [("full", 1), ("effective", 0)])
+def test_an_rk4_run_builds_its_schedule_once(variant, builds, monkeypatch):
+    """The run builds the step schedule inside its build timing, reads its
+    step count from it and hands it to the stream: one build per RK4 run."""
+    calls, real = [], _segments
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr("ghzforge.dynamics._segments", counting)
+    trajectory = run(reference_single(), variant, 0.2, 0.05, (4,))
+    assert len(calls) == builds
+    assert trajectory.steps == (int(real(*calls[0])[1].sum()) if builds else 0)
 
 
 @pytest.mark.parametrize("variant", ["effective", "rotating"])
@@ -733,9 +814,9 @@ def test_only_rk4_runs_build_the_csr_column(variant, monkeypatch):
         hamiltonians.append(builder(circuit, space))
         return hamiltonians[-1]
 
-    def evolving(hamiltonian, psi0, samples, dt):
+    def evolving(hamiltonian, *args):
         propagated.append((hamiltonian, "block_row" in vars(hamiltonian)))
-        return real_evolve(hamiltonian, psi0, samples, dt)
+        return real_evolve(hamiltonian, *args)
 
     monkeypatch.setitem(_BUILDERS, variant, recording)
     monkeypatch.setattr("ghzforge.dynamics._rk4_blocks", evolving)
@@ -870,8 +951,8 @@ def test_couplings_one_ulp_apart_give_no_sector_and_the_full_space_run(monkeypat
 
     recorded, real_evolve = [], _rk4_blocks
 
-    def evolving(hamiltonian, psi0, samples, dt):
-        for first, states in real_evolve(hamiltonian, psi0, samples, dt):
+    def evolving(*args):
+        for first, states in real_evolve(*args):
             recorded.append(states.copy())  # a block's buffer may be reused
             yield first, states
 
