@@ -62,16 +62,16 @@ def _write_table(path: Path, header: list[str], columns, label: str | None = Non
     """One row per entry of the columns (1-D or 2-D arrays, side by side):
     the numbers in _NUMBER's format, then the label cell, if any.  csv.writer
     writes the row template, so the bytes are those of csv.writer row by row;
-    one % on the template repeated _ROWS_PER_WRITE times formats each chunk."""
-    table = np.column_stack(columns)
-    cells = [_NUMBER] * table.shape[1]
+    one % on the repeated template formats each chunk of _ROWS_PER_WRITE rows,
+    stacked from the columns' slices: the whole table is never formed."""
+    cells = [_NUMBER] * np.column_stack([c[:0] for c in columns]).shape[1]
     template = io.StringIO()
     csv.writer(template).writerow(cells if label is None else [*cells, label.replace("%", "%%")])
     row = template.getvalue()
     with open(path, "w", newline="") as handle:
         csv.writer(handle).writerow(header)
-        for first in range(0, len(table), _ROWS_PER_WRITE):
-            chunk = table[first : first + _ROWS_PER_WRITE]
+        for first in range(0, len(columns[0]), _ROWS_PER_WRITE):
+            chunk = np.column_stack([c[first : first + _ROWS_PER_WRITE] for c in columns])
             handle.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
@@ -137,6 +137,8 @@ def cmd_run(args) -> int:
         f"at {trajectory.peak_time:g} ns ({trajectory.convention}), "
         f"{wall:.3g} s"
     )
+    for message in trajectory.diagnostics["approximation_warnings"]:
+        print(f"warning: {message}", file=sys.stderr)
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
     return EXIT_OK
@@ -195,20 +197,17 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    # printed below with each point's multiplier; forked pool workers inherit the filter
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ApproximationWarning)
-        trajectories = sweep_drive_strength(
-            scenario.circuit,
-            scenario.variant,
-            values,
-            window,
-            scenario.sample_every_ns,
-            fock=scenario.fock,
-            dt=scenario.dt,
-            convention=scenario.convention,
-            workers=workers,
-        )
+    trajectories = sweep_drive_strength(
+        scenario.circuit,
+        scenario.variant,
+        values,
+        window,
+        scenario.sample_every_ns,
+        fock=scenario.fock,
+        dt=scenario.dt,
+        convention=scenario.convention,
+        workers=workers,
+    )
     wall = time.perf_counter() - start
     rows = []
     for value, token, trajectory in zip(values, tokens, trajectories):
@@ -485,7 +484,9 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # printed from the records; pool workers inherit it
+            warnings.simplefilter("ignore", ApproximationWarning)
+            return args.func(args)
     except ScenarioFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

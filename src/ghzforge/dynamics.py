@@ -85,8 +85,6 @@ __all__ = [
     "Trajectory",
     "ground_vacuum_state",
     "resolve_step",
-    "evolve_sampled",
-    "propagate_exactly",
     "run",
     "sweep_drive_strength",
 ]
@@ -243,51 +241,12 @@ def _require_finite(states: np.ndarray, first: int, samples: np.ndarray, cause: 
         )
 
 
-def _propagated(hamiltonian: TimeDependentHamiltonian, psi0, sample_times, dt, exact: bool):
-    """The propagators' argument checks, then every state of the exact or the
-    RK4 stream, in one (samples, dim) array."""
-    samples = np.asarray(sample_times, dtype=float)
-    if samples.ndim != 1 or samples.size == 0:
-        raise ValueError("sample_times must be a non-empty 1-D sequence")
-    if not np.isfinite(samples).all():
-        raise ValueError("sample_times must be finite")
-    if samples[0] < 0 or np.any(np.diff(samples) < 0):
-        raise ValueError("sample_times must be non-decreasing and start at t >= 0")
-    dt = resolve_step(hamiltonian, dt)
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (hamiltonian.space.dim,):
-        raise ValueError("initial state does not match the Hamiltonian's space")
-    if exact:
-        blocks = _exact_blocks(hamiltonian, psi0, samples)
-    else:
-        blocks = _rk4_blocks(hamiltonian, psi0, samples, dt, _segments(samples, dt))
-    out = np.empty((samples.size, psi0.size), dtype=complex)
-    for first, states in blocks:
-        out[first : first + len(states)] = states
-    return out
-
-
-def evolve_sampled(
-    hamiltonian: TimeDependentHamiltonian,
-    psi0: np.ndarray,
-    sample_times,
-    dt: float | None = None,
-) -> np.ndarray:
-    """Integrate from t = 0 by RK4 and return the state at each requested time.
-
-    sample_times must be finite, non-decreasing and non-negative; each is hit
-    exactly (see _segments); dt is the step resolve_step checks or picks.
-    Returns an array of shape (len(sample_times), dim).  Raises
-    PreconditionError naming the first sample time at which the state is
-    no longer finite.
-    """
-    return _propagated(hamiltonian, psi0, sample_times, dt, exact=False)
-
-
 def _rk4_blocks(hamiltonian: TimeDependentHamiltonian, psi0, samples, dt, schedule):
-    """evolve_sampled's states for checked arguments on their _segments schedule,
-    as a stream: yields (first, states), the states at samples[first : first +
-    len(states)], in one buffer of at most _SAMPLES_PER_PRODUCT rows, reused."""
+    """RK4 from psi0 at t = 0 as a stream: yields (first, states), the states at
+    samples[first : first + len(states)], in one buffer of at most
+    _SAMPLES_PER_PRODUCT rows, reused.  samples are finite, non-decreasing and
+    non-negative, dt is resolve_step's and schedule is _segments(samples, dt).
+    Raises PreconditionError at the first sample whose state is not finite."""
     y = psi0.copy()
     block_row = hamiltonian.block_row
     kernel = _accumulate(block_row)
@@ -356,10 +315,10 @@ def _rk4_blocks(hamiltonian: TimeDependentHamiltonian, psi0, samples, dt, schedu
 
 
 def _exact_blocks(hamiltonian: TimeDependentHamiltonian, psi0, samples):
-    """propagate_exactly's states for checked arguments, as _rk4_blocks streams
-    them: one eigh, then one matrix product per block."""
-    if hamiltonian.frame is None:
-        raise ValueError(f"{hamiltonian.label} declares no frame in which it is static")
+    """_rk4_blocks' stream for a Hamiltonian that declares a frame K, with no step:
+    psi(t) = e^{iKt} V e^{-iEt} V^dag psi0, H_F = K + H(0) = V E V^dag from one
+    dense eigh, then one matrix product per block.  Raises PreconditionError if
+    H_F or a state is not finite."""
     h = hamiltonian(0.0)
     h[np.diag_indices_from(h)] += hamiltonian.frame
     if not np.isfinite(h).all():
@@ -381,22 +340,6 @@ def _exact_blocks(hamiltonian: TimeDependentHamiltonian, psi0, samples):
         states *= phases[:, energies.size + level_of]
         _require_finite(states, first, samples, "the Hamiltonian's entries are")
         yield first, states
-
-
-def propagate_exactly(
-    hamiltonian: TimeDependentHamiltonian,
-    psi0: np.ndarray,
-    sample_times,
-    dt: float | None = None,
-) -> np.ndarray:
-    """The states at the sample times of a Hamiltonian that declares a frame.
-
-    psi(t) = e^{iKt} V e^{-iEt} V^dag psi0 with H_F = K + H(0) = V E V^dag
-    from one dense eigh, one matrix product per _SAMPLES_PER_PRODUCT
-    samples.  Takes the same arguments, checks and errors as
-    evolve_sampled; dt is validated by resolve_step but no step is taken.
-    """
-    return _propagated(hamiltonian, psi0, sample_times, dt, exact=True)
 
 
 def _observing(times: np.ndarray, space: HilbertSpace, label: str) -> Trajectory:
@@ -536,11 +479,11 @@ def run(
     'intermediate' (interaction picture with the drive-oscillating error
     terms), 'effective' (strong-driving limit).  fock_cutoffs holds one
     Fock truncation per mode: (n,) for one resonator, (n_P, n_Q) for the
-    coupled pair's normal modes.  dt is the RK4 step (see resolve_step):
-    'rotating' and 'effective' runs, which declare a frame, are propagated
-    exactly (propagate_exactly), so there dt is validated but takes no
-    steps; the trajectory's ``propagator`` and ``steps`` say which path
-    ran, and its ``diagnostics`` the dimension it ran in.
+    coupled pair's normal modes.  t_final and sample_every must be positive
+    and finite.  dt is the RK4 step, checked by resolve_step: 'rotating' and
+    'effective' runs, which declare a frame, are propagated exactly, so
+    there dt takes no steps; the trajectory's ``propagator`` and ``steps``
+    say which path ran, and its ``diagnostics`` the dimension it ran in.
     """
     times = _sample_grid(t_final, sample_every)
     return _trajectory(circuit, variant, times, fock_cutoffs, dt, convention)

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from test_analytic import residual_drive_rotation
+from test_dynamics import streamed
 
 from ghzforge.analytic import (
     SquidCoupler,
@@ -37,7 +38,6 @@ from ghzforge.cli import main
 from ghzforge.constants import ghz_from_rad_per_ns
 from ghzforge.dynamics import (
     _ghz_overlap,
-    evolve_sampled,
     ground_vacuum_state,
     run,
 )
@@ -213,7 +213,7 @@ def test_criterion_5_closure_unitary_and_three_qubits():
     circuit = reference_circuit()
     t_gate = decoupling_time(circuit.detuning, 1)
     space = HilbertSpace(n_qubits=2, mode_levels=(10,))
-    psi = evolve_sampled(
+    psi = streamed(
         effective_hamiltonian(circuit, space), ground_vacuum_state(space), [t_gate]
     )[-1]
     u = decoupling_unitary(
@@ -228,7 +228,7 @@ def test_criterion_5_closure_unitary_and_three_qubits():
     solution = solve_single_phase_condition(G_REF, n=1, m=0)
     circuit3 = reference_circuit(n_qubits=3)
     space3 = HilbertSpace(n_qubits=3, mode_levels=(10,))
-    psi3 = evolve_sampled(
+    psi3 = streamed(
         effective_hamiltonian(circuit3, space3),
         ground_vacuum_state(space3),
         [solution.gate_time],
@@ -314,9 +314,9 @@ def test_criterion_8_integrator_quality(coupled_outputs):
     h = rotating_frame_hamiltonian(circuit, space)
     psi0 = ground_vacuum_state(space)
     dt = (TWO_PI / h.fastest_frequency) / 64.0
-    truth = evolve_sampled(h, psi0, [1.0], dt / 16)[-1]
-    coarse = evolve_sampled(h, psi0, [1.0], dt)[-1]
-    fine = evolve_sampled(h, psi0, [1.0], dt / 2)[-1]
+    truth = streamed(h, psi0, [1.0], dt / 16)[-1]
+    coarse = streamed(h, psi0, [1.0], dt)[-1]
+    fine = streamed(h, psi0, [1.0], dt / 2)[-1]
     ratio = np.linalg.norm(coarse - truth) / np.linalg.norm(fine - truth)
     assert ratio >= 12.0, f"step-halving error ratio {ratio:.1f} < 12"
 
