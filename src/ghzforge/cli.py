@@ -44,10 +44,39 @@ EXIT_UNSOLVABLE = 4
 MAX_GRID_POINTS = 10**6  # coupler flux grid, checked before it is allocated
 _ROWS_PER_WRITE = 4096  # CSV table rows formatted per write
 _NUMBER = "%.11e"  # CSV number format: 12 significant digits, locale-independent
+_CELL = 20  # buffer bytes of one number: ',' and up to 19 characters, 0 where absent
+_LIMIT = 280  # magnitudes 1e-280 to 1e280 are spelt in numpy, others by %
+_TIE = 0.5 - 1e-3  # a scaled value is within 2.2e-4 of exact: nearer a tie, % decides
+_FEW = 64  # numbers in a chunk below which % on each beats numpy's ~40 calls
 
 
 def _fmt(value: float) -> str:
     return _NUMBER % value
+
+
+@functools.cache
+def _number_tables():
+    """_spell's tables, built on first use: 4-byte words of (',', sign, lead
+    digit, '.') by [negative, lead digit], where a carry's lead digit 10 spells
+    1; of 4 digits, and of 3 digits and 'e', by value; of (sign, 2 or 3 digits)
+    by exponent k.  Then 10**(11 - k), correctly rounded.  Both hold k at index
+    k, from the end if k < 0.  A 0 byte is padding."""
+
+    def digits(v, count):  # ASCII codes, most significant digit first
+        return 48 + v[:, None] // 10 ** np.arange(count - 1, -1, -1, dtype=v.dtype) % 10
+
+    def words(table):
+        return np.ascontiguousarray(table, np.uint8).view(np.uint32)[..., 0]
+
+    value, k = np.arange(10_000, dtype=np.int16), np.r_[0 : _LIMIT + 2, -_LIMIT - 1 : 0]
+    lead = np.zeros((2, 100, 4), int)
+    lead[..., 0], lead[1, :, 1], lead[..., 3] = ord(","), ord("-"), ord(".")
+    lead[..., 2] = 48 + np.where(value[:100] == 10, 1, value[:100])
+    expo = np.c_[np.where(k < 0, ord("-"), ord("+")), digits(abs(k), 3)]
+    expo[abs(k) < 100, 1] = 0
+    triple = np.c_[digits(value[:1000], 3), np.full(1000, ord("e"))]
+    scale = np.array([float(f"1e{11 - e}") for e in k.tolist()])
+    return words(lead), words(digits(value, 4)), words(triple), words(expo), scale
 
 
 def _mode_columns(n_modes: int) -> list[str]:
@@ -60,19 +89,71 @@ def _mode_columns(n_modes: int) -> list[str]:
 
 def _write_table(path: Path, header: list[str], columns, label: str | None = None) -> None:
     """One row per entry of the columns (1-D or 2-D arrays, side by side):
-    the numbers in _NUMBER's format, then the label cell, if any.  csv.writer
-    writes the row template, so the bytes are those of csv.writer row by row;
-    one % on the repeated template formats each chunk of _ROWS_PER_WRITE rows,
-    stacked from the columns' slices: the whole table is never formed."""
-    cells = [_NUMBER] * np.column_stack([c[:0] for c in columns]).shape[1]
-    template = io.StringIO()
-    csv.writer(template).writerow(cells if label is None else [*cells, label.replace("%", "%%")])
-    row = template.getvalue()
-    with open(path, "w", newline="") as handle:
-        csv.writer(handle).writerow(header)
-        for first in range(0, len(columns[0]), _ROWS_PER_WRITE):
-            chunk = np.column_stack([c[first : first + _ROWS_PER_WRITE] for c in columns])
-            handle.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+    the numbers, then the label cell, if any, in the bytes of csv.writer
+    writing each number as _NUMBER % value.  _spell writes each chunk of
+    _ROWS_PER_WRITE rows into one reused byte buffer, whose 0 padding is
+    dropped on write.  % spells the cells it cannot decide exactly (zero,
+    inf, nan, magnitudes outside 1e-280..1e280, a log10 that misses the
+    decade, within 1e-3 of a rounding tie), and those of chunks of fewer
+    than _FEW numbers."""
+    width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
+    rows, cells = min(len(columns[0]), _ROWS_PER_WRITE), width * _CELL
+    with open(path, "w", newline="") as handle:  # text mode for its encoding
+        lines = io.StringIO()
+        csv.writer(lines).writerow(header)
+        head = lines.tell()
+        csv.writer(lines).writerow([] if label is None else ["", label])
+        handle.buffer.write(lines.getvalue()[:head].encode(handle.encoding))
+        end = lines.getvalue()[head:].encode(handle.encoding)  # ',label\r\n' or '\r\n'
+        text, keep, (x, a, m) = _row_buffers(rows, width, len(end))
+        text[:, cells : cells + len(end)] = np.frombuffer(end, np.uint8)
+        number = text[:, :cells].reshape(rows, width, _CELL)
+        words = text.view(np.uint32)[:, : cells // 4].reshape(rows, width, _CELL // 4)
+        for first in range(0, len(columns[0]), rows):
+            n = min(rows, len(columns[0]) - first)
+            x, a, m = x[:n], a[:n], m[:n]
+            np.concatenate([c[first : first + n].reshape(n, -1) for c in columns], 1, out=x)
+            ok = _spell(x, a, m, words[:n]) if x.size >= _FEW else np.zeros(x.shape, bool)
+            i, j = np.nonzero(~ok)
+            spelt = "".join([("," + _NUMBER % v).ljust(_CELL, "\0") for v in x[i, j].tolist()])
+            number[i, j] = np.frombuffer(spelt.encode(), np.uint8).reshape(-1, _CELL)
+            np.not_equal(number[:n, :, 1:], 0, out=keep[:n, :cells].reshape(n, width, _CELL)[..., 1:])
+            handle.buffer.write(text[:n][keep[:n]])
+
+
+def _spell(x, a, m, words):
+    """Spell each number of x as 5 words into words (a and m: scratch): the
+    exponent from log10, then 12 digits from rint of x scaled into [1e11,
+    1e12) by a correctly rounded power of ten.  Return where that is exact."""
+    lead, quad, triple, expo, scale = _number_tables()
+    ok = np.abs(x, out=a) >= 10.0**-_LIMIT
+    ok &= a <= 10.0**_LIMIT
+    np.copyto(a, 1.0, where=~ok)
+    e = np.floor(np.log10(a, out=m), out=m).astype(np.intp)
+    r = np.rint(np.multiply(a, scale[e], out=m), out=a)
+    ok &= (m >= 1e11) & (m < 1e12)
+    ok &= np.abs(np.subtract(m, r, out=m), out=m) < _TIE
+    q, t3 = np.divmod(r.astype(np.int64), 1000)
+    q, g2 = np.divmod(q, 10_000)
+    d0, g1 = np.divmod(q, 10_000)
+    e += d0 > 9  # rint carried into the next decade
+    words[..., 0] = lead[(x < 0).view(np.int8), d0]
+    for column, table, index in ((1, quad, g1), (2, quad, g2), (3, triple, t3), (4, expo, e)):
+        np.take(table, index, out=words[..., column])
+    return ok
+
+
+@functools.lru_cache(maxsize=1)
+def _row_buffers(rows: int, width: int, end: int):
+    """_write_table's text, mask of the bytes written (',' and end set), and
+    numbers with two scratch copies, for `rows` rows of `width` numbers and
+    an `end`-byte end.  Kept for the next table, as fresh ones cost a page
+    fault per 4 KiB; tables share them one write at a time."""
+    line = -(-(width * _CELL + end) // 4) * 4  # whole 4-byte words
+    keep = np.zeros((rows, line), bool)
+    keep[:, _CELL : width * _CELL : _CELL] = keep[:, width * _CELL : width * _CELL + end] = True
+    text = np.zeros((rows, line), np.uint8)
+    return text, keep, np.empty((3, rows, width))
 
 
 def _write_trajectory_csv(path: Path, trajectory: Trajectory) -> None:
@@ -106,7 +187,9 @@ def _multiplier_token(value: float) -> str:
 
 
 def cmd_run(args) -> int:
+    loaded = time.perf_counter()
     scenario = load_scenario(args.scenario)
+    load_ms = 1e3 * (time.perf_counter() - loaded)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
@@ -122,6 +205,7 @@ def cmd_run(args) -> int:
         "wall_time_s": wall,
         "parameters": scenario.raw,
     }
+    summary["timings_ms"]["load"] = load_ms
     if scenario.drive_mapping is not None:
         summary["drive_mapping"] = {
             "rabi_per_qubit_ghz": [

@@ -428,7 +428,7 @@ def exchange_sector(
     if a is None:
         return None
     dim = space.dim
-    flipped = np.flatnonzero(coupling_matrix[a] * coupling_matrix[b] < 0)
+    flipped = np.flatnonzero(np.sign(coupling_matrix[a]) * np.sign(coupling_matrix[b]) < 0)
     index = np.indices(space.dims).reshape(len(space.dims), -1)
     sign = 1 - 2 * (index[space.n_qubits + flipped].sum(axis=0) % 2)  # P|x> = sign|Px>
     index[[a, b]] = index[[b, a]]

@@ -344,7 +344,7 @@ def test_run_summary_records_dim_and_per_phase_timings(overrides, tmp_path):
     summary = json.loads((out / "timed_summary.json").read_text())
     assert summary["dim"] == 2**2 * 6  # two qubits, Fock cutoff 6
     timings = summary["timings_ms"]
-    assert set(timings) == {"build", "propagate", "observe", "write"}
+    assert set(timings) == {"load", "build", "propagate", "observe", "write"}
     assert all(math.isfinite(ms) and ms >= 0 for ms in timings.values())
     run_ms = timings["build"] + timings["propagate"] + timings["observe"]
     assert run_ms <= summary["wall_time_s"] * 1e3
@@ -536,26 +536,29 @@ def _reference_trajectory_csv(path, trajectory):
 
 
 @pytest.mark.parametrize(
-    "n_modes, label, rows_per_write",
+    "n_modes, label, rows_per_write, samples",
     [
-        (1, "single:full", None),
-        (2, "coupled:effective", None),
-        (3, "array:rotating", None),
-        (1, "single:full:rabi=3.14159265", None),
-        (2, "coupled:effective", 7),  # 36 whole chunks and one of 5 rows
-        (1, 'a "100%", quoted label', None),  # csv quoting, and %% in the template
+        (1, "single:full", None, 257),
+        (2, "coupled:effective", None, 257),
+        (3, "array:rotating", None, 257),
+        (1, "single:full:rabi=3.14159265", None, 257),
+        (2, "coupled:effective", 7, 257),  # 36 whole chunks and one of 5 rows
+        (1, 'a "100%", quoted label', None, 257),  # csv quoting, and a % in the label
+        (2, "coupled:full", None, 1),
     ],
-    ids=["one-mode", "two-mode", "three-mode", "sweep-label", "multi-chunk", "quoted-label"],
+    ids=[
+        "one-mode", "two-mode", "three-mode", "sweep-label", "multi-chunk", "quoted-label",
+        "one-row",
+    ],
 )
 def test_trajectory_csv_is_byte_identical_to_csv_writer(
-    n_modes, label, rows_per_write, tmp_path, monkeypatch
+    n_modes, label, rows_per_write, samples, tmp_path, monkeypatch
 ):
     if rows_per_write is not None:
         monkeypatch.setattr(cli, "_ROWS_PER_WRITE", rows_per_write)
     rng = np.random.default_rng(n_modes)
-    samples = 257
     values = rng.normal(size=(samples, 3 + n_modes)) * 10.0 ** rng.integers(-300, 300, (samples, 1))
-    values[:4, 1] = [0.0, -0.0, 5e-324, 1.0]
+    values[:4, 1] = [0.0, -0.0, 5e-324, 1.0][:samples]
     trajectory = Trajectory(
         times=np.arange(samples) * 0.04,
         fidelity=values[:, 1],
@@ -572,6 +575,62 @@ def test_trajectory_csv_is_byte_identical_to_csv_writer(
     assert len(rows) == samples + 1
     assert {len(row) for row in rows} == {4 + n_modes}
     assert {row[-1] for row in rows[1:]} == {label}
+
+
+def _decade_edges(j):
+    """10**j and 9.999999999995e{j}, where rounding to 12 digits carries
+    into the next decade, with their neighbouring doubles."""
+    edges = [float(f"1e{j}"), float(f"9.999999999995e{j}")]
+    return [np.nextafter(v, toward) for v in edges for toward in (0.0, np.inf)] + edges
+
+
+CSV_NUMBERS = st.one_of(
+    st.floats(allow_subnormal=True),  # with +-0, +-inf and nan
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-300, 1e300]),
+    # a tie at the 12th digit: exact for 0 <= j <= 2, else the nearest double
+    st.builds(lambda k, j: (2 * k + 1) * 5 * 10.0**j, st.integers(10**11, 10**12 - 1),
+              st.integers(-30, 3)),
+    st.integers(-330, 308).flatmap(lambda j: st.sampled_from(_decade_edges(j))),
+    st.builds(lambda v, j: v * 10.0**j, st.floats(1.0, 10.0), st.sampled_from([-100, -99, 99, 100])),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(
+    table=st.integers(1, 80).flatmap(lambda rows: st.lists(
+        st.tuples(CSV_NUMBERS, CSV_NUMBERS, CSV_NUMBERS), min_size=rows, max_size=rows)),
+    negate=st.booleans(),
+    label=st.sampled_from([None, "coupled:full"]),
+)
+def test_table_numbers_are_spelt_as_by_percent(table, negate, label, tmp_path, monkeypatch):
+    """The numpy formatter and its % fallback give csv.writer's bytes for
+    f"{v:.11e}" cells.  Chunks of 30 rows hold 90 numbers, which numpy
+    spells; a last chunk of under cli._FEW numbers goes through % alone."""
+    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 30)
+    values = -np.array(table) if negate else np.array(table)
+    cli._write_table(tmp_path / "fast.csv", ["a", "b", "c"], [values[:, 0], values[:, 1:]], label)
+    with open(tmp_path / "reference.csv", "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["a", "b", "c"])
+        for row in values.tolist():
+            writer.writerow([f"{v:.11e}" for v in row] + ([] if label is None else [label]))
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("variant, exit_code", [("effective", 0), ("full", 3)])
+def test_couplings_past_1e154_raise_no_overflow_warning(variant, exit_code, tmp_path):
+    """exchange_sector compares the signs of two coupling rows: their
+    product overflows once couplings pass about 1e154 rad/ns."""
+    doc = json.loads(bundled_scenario_path("single_tlr_ghz_effective").read_text())
+    for qubit in doc["qubits"]:
+        qubit["coupling_ghz"] = 1e300
+    doc["variant"] = variant
+    path = write_scenario(tmp_path, "strong", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == exit_code
 
 
 def test_trajectory_csv_is_written_without_a_copy_of_every_row(tmp_path):
