@@ -3,15 +3,13 @@
 One rule picks the space and the propagator.  A run whose Hamiltonian is
 unchanged by exchanging two qubits (with the mode signs, and the frame, of
 model.exchange_sector) runs in the exchange-even sector, which holds the
-ground-vacuum start state; its states are lifted back by V before they
-are observed.  The coupled-pair gate runs at dimension 128 instead of
-256, the effective gate at 30 instead of 40.  The propagated Hamiltonian
-then picks the propagator: one that declares a frame K (see
+ground-vacuum start state: the coupled-pair gate at dimension 128 instead
+of 256, the effective gate at 30 instead of 40.  The propagated
+Hamiltonian then picks the propagator: one that declares a frame K (see
 TimeDependentHamiltonian; 'rotating' and 'effective') is static in it,
-H(t) = e^{iKt} H_F e^{-iKt}, and is propagated exactly,
-psi(t) = e^{iKt} V e^{-iEt} V^dag psi0 from one dense eigendecomposition
-H_F = V E V^dag, with no time step; the phase tables come from one cos
-and one sin of the real angles, e^{iKt} on K's distinct levels only.
+H(t) = e^{iKt} H_F e^{-iKt}, and is propagated exactly and in that frame,
+V e^{-iEt} V^dag psi0 from one dense eigendecomposition H_F = V E V^dag,
+with no time step and one cos and one sin of the real angles -Et.
 Dense eigh grows as the cube of the dimension: a 25 ns coupled run takes
 about 0.05 s at Fock 16 x 16 (a sector of 512) and 0.35 s at 16 x 32
 (one BLAS thread, 2-vCPU Xeon host).
@@ -44,13 +42,12 @@ detuning and the elapsed drive rotation, so fixing one convention a priori
 would report ~0 fidelity for a perfectly good GHZ state half the time.
 
 Observation takes one block of _SAMPLES_PER_PRODUCT samples at a time, as
-either propagator yields it and it is lifted, so a run holds one block's
-states: a fidelity is sum_m |<GHZ|psi[:, m]>|^2 over the (qubit, mode)
-split of each state, a mode occupation is the photon-number marginal of
-|psi|^2, and neither a density matrix nor a dense number operator is
-formed.  The diagnostics are the largest |norm - 1| and, per mode, the
-running maximum of the population of its top Fock level, which flags
-truncation.
+either propagator yields it, in the basis and frame it was propagated in,
+through one small table per run (_Basis), so a run holds one block's
+states and never lifts them; every sum runs along one sample, so block
+size moves no bit.  The diagnostics are the largest |norm - 1| and, per
+mode, the running maximum of the population of its top Fock level, which
+flags truncation.
 
 Drive-strength sweeps fan out across a process pool (size from the
 ``workers`` argument, else the CPU count; multiprocessing is imported only
@@ -151,18 +148,6 @@ def ground_vacuum_state(space: HilbertSpace) -> np.ndarray:
     return psi
 
 
-def _ghz_overlap(states: np.ndarray, space: HilbertSpace, target: np.ndarray) -> np.ndarray:
-    """<target| Tr_modes |psi><psi| |target> for each state of a (..., dim) array.
-
-    Writing psi as a (qubit, mode) matrix A, the reduced state is A A^dag, so
-    the fidelity is sum_m |<target|A[:, m]>|^2; no density matrix is formed.
-    """
-    q = 2**space.n_qubits
-    states = np.asarray(states)
-    amplitudes = np.conj(target) @ states.reshape(*states.shape[:-1], q, space.dim // q)
-    return np.sum(np.abs(amplitudes) ** 2, axis=-1)
-
-
 def resolve_step(hamiltonian: TimeDependentHamiltonian, dt: float | None) -> float:
     """Step size for this Hamiltonian, enforcing the fastest-frequency rule.
 
@@ -233,12 +218,12 @@ def _accumulate(block_row):
 
 def _require_finite(states: np.ndarray, first: int, samples: np.ndarray, cause: str) -> None:
     """Raise at the first non-finite row of states, which hold samples[first:]."""
-    bad = ~np.isfinite(states).all(axis=1)
-    if bad.any():
-        t_target = samples[first + int(np.argmax(bad))]
-        raise PreconditionError(
-            f"state stopped being finite by t = {t_target:g} ns; {cause} out of range"
-        )
+    if np.isfinite(states).all():
+        return
+    t_target = samples[first + int(np.argmin(np.isfinite(states).all(axis=1)))]
+    raise PreconditionError(
+        f"state stopped being finite by t = {t_target:g} ns; {cause} out of range"
+    )
 
 
 def _rk4_blocks(hamiltonian: TimeDependentHamiltonian, psi0, samples, dt, schedule):
@@ -315,31 +300,68 @@ def _rk4_blocks(hamiltonian: TimeDependentHamiltonian, psi0, samples, dt, schedu
 
 
 def _exact_blocks(hamiltonian: TimeDependentHamiltonian, psi0, samples):
-    """_rk4_blocks' stream for a Hamiltonian that declares a frame K, with no step:
-    psi(t) = e^{iKt} V e^{-iEt} V^dag psi0, H_F = K + H(0) = V E V^dag from one
-    dense eigh, then one matrix product per block.  Raises PreconditionError if
-    H_F or a state is not finite."""
+    """_rk4_blocks' stream for a Hamiltonian that declares a frame K, in that frame:
+    V e^{-iEt} V^dag psi0, H_F = K + H(0) = V E V^dag from one dense eigh, then one
+    matrix product per block into buffers made once.  Raises PreconditionError if
+    H_F or an angle -Et is not finite (finite angles give finite states)."""
     h = hamiltonian(0.0)
     h[np.diag_indices_from(h)] += hamiltonian.frame
     if not np.isfinite(h).all():
         raise PreconditionError(f"{hamiltonian.label} has entries that are not finite")
     energies, vectors = np.linalg.eigh(h if h.imag.any() else h.real)
     amplitudes = vectors.conj().T @ psi0
-    # one table of e^{-iEt} and of e^{iKt} on K's distinct levels (see above)
-    levels, level_of = np.unique(hamiltonian.frame, return_inverse=True)
-    rates = np.concatenate([-energies, levels])
+    rates, vt = -energies, np.ascontiguousarray(vectors.T, dtype=complex)  # cast once
     rows = min(samples.size, _SAMPLES_PER_PRODUCT)
+    angles = np.empty((rows, rates.size))
     table = np.empty((rows, rates.size), dtype=complex)
     block = np.empty((rows, psi0.size), dtype=complex)
     for first in range(0, samples.size, rows):
         t = samples[first : first + rows, None]
-        phases, states, angles = table[: t.size], block[: t.size], t * rates
-        np.cos(angles, out=phases.real)
-        np.sin(angles, out=phases.imag)
-        np.matmul(phases[:, : energies.size] * amplitudes, vectors.T, out=states)
-        states *= phases[:, energies.size + level_of]
-        _require_finite(states, first, samples, "the Hamiltonian's entries are")
+        theta, phases, states = angles[: t.size], table[: t.size], block[: t.size]
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+            np.multiply(t, rates, out=theta)
+        _require_finite(theta, first, samples, "the Hamiltonian's entries are")
+        np.cos(theta, out=phases.real)
+        np.sin(theta, out=phases.imag)
+        np.multiply(phases, amplitudes, out=phases)
+        np.matmul(phases, vt, out=states)
         yield first, states
+
+
+class _Basis:
+    """What _observe reads of the basis a run is propagated in: the exchange
+    sector's columns, else the basis states.  Per mode configuration m:
+    ``ghz``, the columns of |g..g,m> and |e..e,m>; ``coefficients[c]``,
+    <target_c| times their entries in V (0 off the sector).  An exact run's
+    states lack the frame's diagonal e^{iKt}, which no norm or population
+    sees and a GHZ overlap sees only through K(|e..e,m>) - K(|g..g,m>):
+    ``turning`` holds the m where that is not 0, and ``level_of`` their
+    index in ``levels``, the distinct ones.  ``counts`` has a row per real
+    and per imaginary part of each column's amplitude: the photon number of
+    each mode, whether each mode is in its top Fock level, and 1 (the states
+    of a sector column share them)."""
+
+    def __init__(self, space: HilbertSpace, sector=None, frame=None):
+        configurations = space.dim >> space.n_qubits
+        # |g..g,m> and |e..e,m>: qubit index 1 is the ground state
+        states = np.array([[space.dim - configurations], [0]]) + np.arange(configurations)
+        if sector is None:
+            self.ghz, weights, first = states, np.ones(states.shape), np.arange(space.dim)
+        else:
+            self.ghz, weights, first = sector.column[states], sector.weight[states], sector.rows
+        targets = np.array([ghz_target(space.n_qubits, c)[[-1, 0]] for c in GHZ_CONVENTIONS])
+        self.coefficients = targets.conj()[:, :, None] * weights
+        photons = np.array(np.unravel_index(first, space.dims)[space.n_qubits :])
+        top = photons == np.array(space.mode_levels)[:, None] - 1
+        counts = np.concatenate([photons, top, np.ones((1, first.size))]).T
+        self.counts = np.repeat(counts, 2, axis=0)
+        self.turning = self.levels = self.level_of = np.zeros(0, dtype=int)
+        if frame is not None:
+            with np.errstate(over="ignore"):  # an infinite level fails _observe's check
+                relative = frame[states[1]] - frame[states[0]]
+            self.turning = np.flatnonzero(relative)
+            if self.turning.size:
+                self.levels, self.level_of = np.unique(relative[self.turning], return_inverse=True)
 
 
 def _observing(times: np.ndarray, space: HilbertSpace, label: str) -> Trajectory:
@@ -353,22 +375,30 @@ def _observing(times: np.ndarray, space: HilbertSpace, label: str) -> Trajectory
     )
 
 
-def _observe(states: np.ndarray, space: HilbertSpace, into: Trajectory, first: int) -> None:
-    """Write the fidelities, norms and occupations of a block of states, samples
-    first, first + 1, ... of into, and raise into's running top-level maxima."""
+def _observe(states: np.ndarray, basis: _Basis, into: Trajectory, first: int) -> None:
+    """Write the fidelities, norms and occupations of a block of states in the
+    basis, samples first, first + 1, ... of into, and raise into's running
+    top-level maxima.  A fidelity is sum_m |<GHZ|psi[:, m]>|^2 over the
+    (qubit, mode) split, the |e..e,m> amplitudes turned by e^{i level t}."""
     rows = slice(first, first + len(states))
-    for c, fidelity in into.fidelity_by_convention.items():
-        fidelity[rows] = _ghz_overlap(states, space, ghz_target(space.n_qubits, c))
-    populations = np.abs(states)
-    populations = np.square(populations, out=populations).reshape(len(states), *space.dims)
+    # (samples, configurations) each, in C order: a row's sum over them is contiguous
+    g, e = (np.take(states, columns, axis=1) for columns in basis.ghz)
+    if basis.turning.size:
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+            angles = into.times[rows, None] * basis.levels
+        _require_finite(angles, first, into.times, "the Hamiltonian's entries are")
+        e[:, basis.turning] *= (np.cos(angles) + 1j * np.sin(angles))[:, basis.level_of]
+    for c, (a, b) in zip(GHZ_CONVENTIONS, basis.coefficients):
+        amplitudes = g * a
+        amplitudes += e * b
+        overlaps = np.abs(amplitudes)
+        into.fidelity_by_convention[c][rows] = np.square(overlaps, out=overlaps).sum(axis=1)
+    squares = np.square(np.ascontiguousarray(states).view(float))  # |psi|^2 in two parts
+    sums = (squares[:, None] @ basis.counts)[:, 0]  # a product per row: no block-size bits
     top = into.diagnostics["top_fock_population"]
-    for m, levels in enumerate(space.mode_levels):
-        axis = 1 + space.mode_factor(m)
-        others = tuple(a for a in range(1, populations.ndim) if a != axis)
-        marginal = populations.sum(axis=others)
-        into.mode_occupation[rows, m] = marginal @ np.arange(levels)
-        top[m] = max(top[m], marginal[:, -1].max())
-    into.norm[rows] = np.sqrt(populations.reshape(len(states), -1).sum(axis=1))
+    into.mode_occupation[rows] = sums[:, : top.size]
+    np.maximum(top, sums[:, top.size : -1].max(axis=0), out=top)
+    into.norm[rows] = np.sqrt(sums[:, -1])
 
 
 def _observed(observing: Trajectory, convention: str) -> Trajectory:
@@ -431,16 +461,12 @@ def _trajectory(circuit, variant, times, fock_cutoffs, dt, convention) -> Trajec
         del schedule  # the stream lets it go when it ends, before the run is summed up
     else:
         propagator, steps, stream = "exact", 0, _exact_blocks(propagated, psi0, times)
+    basis = _Basis(space, sector, hamiltonian.frame)
     ticks.append(time.perf_counter())
-    # every block reuses this buffer; freed per block, it would be faulted in again
-    if sector is not None:
-        lifted = np.empty((min(times.size, _SAMPLES_PER_PRODUCT), space.dim), dtype=complex)
     observing, observe_s = _observing(times, space, hamiltonian.label), 0.0
     for first, states in stream:
-        if sector is not None:
-            states = sector.lift(states, lifted[: len(states)])
         tick = time.perf_counter()
-        _observe(states, space, observing, first)
+        _observe(states, basis, observing, first)
         observe_s += time.perf_counter() - tick
     ticks.append(time.perf_counter())
     trajectory = _observed(observing, convention)

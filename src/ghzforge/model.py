@@ -43,7 +43,7 @@ matrix, checks the frame and every block's triplets against their
 exchanged copy, and returns the Hamiltonian restricted to the
 exchange-even sector (about half the dimension; the paper's coupled pair
 256 -> 128) as an ordinary TimeDependentHamiltonian, frame included,
-with the map back to the full space.
+with each full-space basis state's column and entry in V.
 
 Frames, outermost first:
 
@@ -399,13 +399,6 @@ class ExchangeSector:
         """V^dag psi for a state psi inside the sector."""
         return psi[self.rows] / self.weight[self.rows]
 
-    def lift(self, states: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """V phi for each row phi of a (samples, sector dim) array, into out if given."""
-        full = np.take(states, self.column, axis=1, out=out)  # a third of states[:, column]'s time
-        full *= self.weight
-        full += 0.0  # a negative weight on a zero amplitude leaves -0
-        return full
-
 
 def exchange_sector(
     hamiltonian: TimeDependentHamiltonian, coupling_matrix
@@ -540,7 +533,7 @@ def _check_rwa(circuit) -> list[str]:
         ("Omega_R/omega_d", abs(circuit.rabi) / circuit.omega_d),
     ):
         if ratio > _RWA_RATIO:
-            messages.append(f"{name} = {ratio:.3f} strains the rotating-wave approximation")
+            messages.append(f"{name} = {ratio:.3g} strains the rotating-wave approximation")
             warnings.warn(messages[-1], ApproximationWarning, stacklevel=4)
     return messages
 

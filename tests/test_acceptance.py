@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from test_analytic import residual_drive_rotation
-from test_dynamics import streamed
+from test_dynamics import ghz_overlap, streamed
 
 from ghzforge.analytic import (
     SquidCoupler,
@@ -37,7 +37,6 @@ from ghzforge.analytic import (
 from ghzforge.cli import main
 from ghzforge.constants import ghz_from_rad_per_ns
 from ghzforge.dynamics import (
-    _ghz_overlap,
     ground_vacuum_state,
     run,
 )
@@ -236,7 +235,7 @@ def test_criterion_5_closure_unitary_and_three_qubits():
     # for an odd register the closure output is one collective quarter-period
     # sigma_x rotation away from the GHZ state; fold it into the target
     target = residual_drive_rotation(-np.pi / 2.0, 1.0, 3) @ ghz_target(3, "plus_i")
-    fidelity3 = float(_ghz_overlap(psi3, space3, target))
+    fidelity3 = float(ghz_overlap(psi3, space3, target))
     assert fidelity3 >= 0.99, f"three-qubit GHZ fidelity {fidelity3:.6f} < 0.99"
 
 

@@ -1,6 +1,7 @@
 """Integrator and trajectory machinery against independent oracles."""
 
 import functools
+import json
 import math
 import os
 import re
@@ -16,7 +17,7 @@ from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from test_model import ThreeModes, lab_frame_hamiltonian, reference_coupled, three_mode_record
-from test_operators import embed, partial_trace_modes, tocsr
+from test_operators import embed, embedded_product, partial_trace_modes, tocsr
 
 from ghzforge.analytic import (
     GHZ_CONVENTIONS,
@@ -34,9 +35,9 @@ from ghzforge.dynamics import (
     _STEPS_PER_TABLE,
     VARIANTS,
     Trajectory,
+    _Basis,
     _accumulate,
     _exact_blocks,
-    _ghz_overlap,
     _observe,
     _observed,
     _observing,
@@ -87,15 +88,42 @@ def reference_single(rabi_mult=20.0, n_qubits=2, detuning_sign=-1.0):
     )
 
 
+def framed(states, frame, times):
+    """e^{iKt} psi(t) for each row psi(t) of states: an exact stream's states,
+    propagated in the frame K, back in the Hamiltonian's own frame."""
+    return states * np.exp(1j * np.asarray(times, dtype=float)[:, None] * frame)
+
+
 def streamed(hamiltonian, psi0, times, dt=None, exact=False):
-    """Every state of a run's exact or RK4 stream, in one (samples, dim) array."""
+    """Every state of a run's exact or RK4 stream, in one (samples, dim) array,
+    in the Hamiltonian's own frame."""
     times = np.asarray(times, dtype=float)
     if exact:
         blocks = _exact_blocks(hamiltonian, psi0, times)
     else:
         dt = resolve_step(hamiltonian, dt)
         blocks = _rk4_blocks(hamiltonian, psi0, times, dt, _segments(times, dt))
-    return np.concatenate([states.copy() for _, states in blocks])  # the buffer is reused
+    states = np.concatenate([states.copy() for _, states in blocks])  # the buffer is reused
+    return framed(states, hamiltonian.frame, times) if exact else states
+
+
+def lift(sector, states):
+    """V phi for each row phi of a (samples, sector dim) array."""
+    full = states[:, sector.column] * sector.weight
+    full += 0.0  # a negative weight on a zero amplitude leaves -0
+    return full
+
+
+def ghz_overlap(states, space, target):
+    """<target| Tr_modes |psi><psi| |target> for each state of a (..., dim) array.
+
+    Writing psi as a (qubit, mode) matrix A, the reduced state is A A^dag, so
+    the fidelity is sum_m |<target|A[:, m]>|^2; no density matrix is formed.
+    """
+    q = 2**space.n_qubits
+    states = np.asarray(states)
+    amplitudes = np.conj(target) @ states.reshape(*states.shape[:-1], q, space.dim // q)
+    return np.sum(np.abs(amplitudes) ** 2, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +663,10 @@ BLOCK_RUNS = {  # (circuit, variant, sample times, fock, runs in a sector)
     "rk4-duplicates": lambda: (
         reference_single(), "full", _with_duplicates(_sample_grid(0.6, 0.001)), (4,), True
     ),
+    # at Fock 20 a BLAS product over a block's rows rounded a row by the block's size
+    "exact-fock-20": lambda: (
+        reference_single(), "effective", _sample_grid(10.0, 0.004), (20,), True
+    ),
 }
 
 
@@ -779,8 +811,8 @@ def test_an_rk4_run_builds_its_schedule_once(variant, builds, monkeypatch):
 @pytest.mark.parametrize("variant", ["effective", "rotating"])
 def test_frame_static_runs_are_exact_in_the_sector_at_dimension_1024(variant, monkeypatch):
     """Coupled Fock 16 x 16: the run is exact, takes no step, propagates
-    the sector of 512, and its states are those of the full-space exact
-    stream to 1e-12."""
+    the sector of 512, and its states, lifted by V and framed, are those of
+    the full-space exact stream to 1e-12."""
     observed, real_observe = [], _observe
 
     def observing(states, *args):  # once per block; a block's buffer may be reused
@@ -796,6 +828,8 @@ def test_frame_static_runs_are_exact_in_the_sector_at_dimension_1024(variant, mo
     h = _BUILDERS[variant](circuit, space)
     full = streamed(h, ground_vacuum_state(space), trajectory.times, exact=True)
     (states,) = observed
+    sector = exchange_sector(h, circuit.coupling_matrix)
+    states = lift(sector, framed(states, sector.hamiltonian.frame, trajectory.times))
     assert np.abs(states - full).max() <= 1e-12
 
 
@@ -906,13 +940,13 @@ def test_exchange_sector_commutes_with_every_block_and_lifts_rk4(layout, variant
     assert np.array_equal(p @ v, v) and 2 * n == space.dim + np.trace(p)
     psi0 = ground_vacuum_state(space)
     assert np.array_equal(v.T @ psi0, sector.reduce(psi0))
-    assert_same_bits(sector.lift(sector.reduce(psi0)[None])[0], psi0)
+    assert_same_bits(lift(sector, sector.reduce(psi0)[None])[0], psi0)
     for block, reduced in zip(h.blocks, sector.hamiltonian.blocks):
         b = block.toarray()
         assert np.abs(reduced.toarray() - v.T @ b @ v).max() <= 1e-15 * max(1.0, np.abs(b).max())
     times = np.linspace(0.0, 0.2, 5)
     full = streamed(h, psi0, times)
-    lifted = sector.lift(streamed(sector.hamiltonian, sector.reduce(psi0), times))
+    lifted = lift(sector, streamed(sector.hamiltonian, sector.reduce(psi0), times))
     assert np.abs(lifted - full).max() <= 1e-13
     if h.frame is None:
         assert sector.hamiltonian.frame is None
@@ -920,7 +954,7 @@ def test_exchange_sector_commutes_with_every_block_and_lifts_rk4(layout, variant
     # the sector frame is K at the sector's first states, and the exact path lifts too
     assert np.array_equal(sector.hamiltonian.frame, h.frame[sector.rows])
     full = streamed(h, psi0, times, exact=True)
-    lifted = sector.lift(streamed(sector.hamiltonian, sector.reduce(psi0), times, exact=True))
+    lifted = lift(sector, streamed(sector.hamiltonian, sector.reduce(psi0), times, exact=True))
     assert np.abs(lifted - full).max() <= 1e-12
 
 
@@ -979,6 +1013,114 @@ def test_a_frame_the_exchange_changes_gives_no_sector(frame_qubits, propagated_d
     trajectory = run(circuit, "rotating", 0.2, 0.1, (2,))
     assert (trajectory.propagator, trajectory.dim) == ("exact", space.dim)
     assert trajectory.diagnostics["propagated_dim"] == propagated_dim
+
+
+def turning_toy(w):
+    """Two qubits and a 3-level mode in the frame K = (w/2)(Z_0 + Z_1) + 0.7 n:
+    a static part that K conserves, a^dag at 0.7 rad/ns, and sigma_+ sigma_+
+    at K(|ee,m>) - K(|gg,m>) = 2w, the one relative GHZ level."""
+    space = HilbertSpace(n_qubits=2, mode_levels=(3,))
+    z = embed(pauli("z"), 0, space).toarray() + embed(pauli("z"), 1, space).toarray()
+    n = embed(number_operator(3), 2, space).toarray()
+    hop = embedded_product(space, {0: sigma_plus(), 1: sigma_plus().T}).toarray()
+    static = 0.4 * z + 0.25 * (hop + hop.T) + 0.15 * n @ z
+    terms = (
+        (0.3 * embedded_product(space, {0: sigma_plus(), 1: sigma_plus()}).toarray(), 2.0 * w),
+        (0.2 * embed(annihilation(3).T, 2, space).toarray(), 0.7),
+    )
+    frame = (0.5 * w * z + 0.7 * n).diagonal().real
+    return TimeDependentHamiltonian(space, static, terms, max(2.0 * w, 0.7), "turning", frame)
+
+
+@pytest.mark.parametrize("uneven", [False, True], ids=["sector", "full-basis"])
+def test_a_nonzero_relative_level_turns_the_ee_amplitudes(uneven, monkeypatch):
+    """An exact run observes in the frame it propagates in, applying
+    e^{i level t} to the |e..e,m> amplitudes only: its observables match the
+    per-sample reference on the framed full-space states to 1e-13, in the
+    exchange sector and in the full basis, and the reference on the
+    unframed states misses them."""
+    toy = turning_toy(2.3)
+    basis = _Basis(toy.space, None, toy.frame)
+    assert basis.levels.tolist() == [4.6] and basis.turning.size == 3
+    monkeypatch.setitem(_BUILDERS, "rotating", lambda circuit, space: toy)
+    circuit = _one_ulp_uneven(reference_single()) if uneven else reference_single()
+    trajectory = run(circuit, "rotating", 3.0, 0.01, (3,))
+    assert trajectory.times.size > _SAMPLES_PER_PRODUCT
+    assert (trajectory.diagnostics["propagated_dim"] < trajectory.dim) != uneven
+    psi0 = ground_vacuum_state(toy.space)
+    states = reference_exact(toy, psi0, trajectory.times)
+    fids, occupations, norms, _ = observe_by_sample(states, toy.space)
+    for c in GHZ_CONVENTIONS:
+        assert np.abs(trajectory.fidelity_by_convention[c] - fids[c]).max() <= 1e-13
+    assert np.abs(trajectory.mode_occupation - occupations).max() <= 1e-13
+    assert np.abs(trajectory.norm - norms).max() <= 1e-13
+    unframed = states * np.exp(-1j * trajectory.times[:, None] * toy.frame)
+    missed, _, _, _ = observe_by_sample(unframed, toy.space)
+    assert max(np.abs(missed[c] - fids[c]).max() for c in GHZ_CONVENTIONS) > 0.1
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("layout", ["single", "coupled-J>0", "three-qubits"])
+def test_sector_runs_observe_what_their_lifted_framed_states_show(layout, variant, monkeypatch):
+    """A run observes the states it propagates, in the exchange sector and
+    in the frame, with no lift: its observables and diagnostics are those of
+    its states lifted by V and, for an exact run, framed by e^{iKt}, observed
+    in the full basis."""
+    circuit, levels = SECTOR_LAYOUTS[layout]()
+    observed, real_observe = [], _observe
+
+    def observing(states, *args):  # once per block; a block's buffer may be reused
+        observed.append(states.copy())
+        return real_observe(states, *args)
+
+    monkeypatch.setattr("ghzforge.dynamics._observe", observing)
+    monkeypatch.setattr("ghzforge.dynamics._SAMPLES_PER_PRODUCT", 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ApproximationWarning)
+        trajectory = run(circuit, variant, 0.5, 0.01, levels)
+        space = HilbertSpace(n_qubits=circuit.n_qubits, mode_levels=levels)
+        h = _BUILDERS[variant](circuit, space)
+    sector = exchange_sector(h, circuit.coupling_matrix)
+    assert trajectory.diagnostics["propagated_dim"] == sector.hamiltonian.space.dim
+    states = np.concatenate(observed)
+    if trajectory.propagator == "exact":
+        states = framed(states, sector.hamiltonian.frame, trajectory.times)
+    lifted = observe_in_blocks(lift(sector, states), space, "auto")
+    tol = dict(rtol=1e-13, atol=1e-15)
+    for c in GHZ_CONVENTIONS:
+        np.testing.assert_allclose(
+            trajectory.fidelity_by_convention[c], lifted.fidelity_by_convention[c], **tol
+        )
+    np.testing.assert_allclose(trajectory.mode_occupation, lifted.mode_occupation, **tol)
+    np.testing.assert_allclose(trajectory.norm, lifted.norm, **tol)
+    assert trajectory.convention == lifted.convention
+    np.testing.assert_allclose(
+        trajectory.diagnostics["top_fock_population"],
+        lifted.diagnostics["top_fock_population"],
+        **tol,
+    )
+
+
+def test_an_overflowing_relative_phase_exits_3(tmp_path, monkeypatch, capsys):
+    """K(|ee,m>) - K(|gg,m>) = 1e308 rad/ns: the eigenphases stay finite to
+    3 ns, but the relative GHZ phase overflows at 2 ns, and the run exits 3
+    naming that sample instead of writing NaN."""
+    from ghzforge.cli import main
+
+    toy = turning_toy(5e307)
+    monkeypatch.setitem(_BUILDERS, "rotating", lambda circuit, space: toy)
+    doc = json.loads(bundled_scenario_path("single_tlr_ghz_effective").read_text())
+    doc.update(variant="rotating", fock_cutoff=3, t_final_ns=3.0, sample_every_ns=0.5)
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        "precondition violated: state stopped being finite by t = 2 ns; "
+        "the Hamiltonian's entries are out of range\n"
+    )
+    assert not list(tmp_path.glob("out/*.csv"))
 
 
 # ---------------------------------------------------------------------------
@@ -1166,7 +1308,7 @@ def test_ghz_fidelity_of_product_state():
     space = HilbertSpace(n_qubits=2, mode_levels=(3,))
     psi = ground_vacuum_state(space)
     target = ghz_target(2, "i_power")
-    assert float(_ghz_overlap(psi, space, target)) == pytest.approx(0.5, abs=1e-14)
+    assert float(ghz_overlap(psi, space, target)) == pytest.approx(0.5, abs=1e-14)
 
 
 def random_states(space, n_states, seed):
@@ -1186,7 +1328,7 @@ def test_ghz_fidelity_matches_the_partial_trace():
             for c in GHZ_CONVENTIONS:
                 target = ghz_target(space.n_qubits, c)
                 expected = np.real(np.vdot(target, rho_q @ target))
-                assert abs(float(_ghz_overlap(psi, space, target)) - expected) < 1e-14
+                assert abs(float(ghz_overlap(psi, space, target)) - expected) < 1e-14
 
 
 def observe_by_sample(states, space):
@@ -1242,8 +1384,9 @@ def observe_in_blocks(states, space, convention, size=16):
     """The Trajectory _observe gives, called once per block of size samples
     as a run calls it, then assembled by _observed."""
     observing = _observing(np.arange(len(states), dtype=float), space, "case")
+    basis = _Basis(space)
     for first in range(0, len(states), size):
-        _observe(states[first : first + size], space, observing, first)
+        _observe(states[first : first + size], basis, observing, first)
     return _observed(observing, convention)
 
 

@@ -633,6 +633,22 @@ def test_couplings_past_1e154_raise_no_overflow_warning(variant, exit_code, tmp_
         assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == exit_code
 
 
+def test_a_strained_ratio_past_1e300_is_reported_in_a_short_line(tmp_path, capsys):
+    """g/omega_r is printed to 3 significant figures, so at couplings of
+    1e300 GHz the warning line and its summary entry stay under 100
+    characters instead of spelling out 300 digits."""
+    doc = json.loads(bundled_scenario_path("single_tlr_ghz_effective").read_text())
+    for qubit in doc["qubits"]:
+        qubit["coupling_ghz"] = 1e300
+    path = write_scenario(tmp_path, "strong", doc)
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "strong_summary.json").read_text())
+    warned = summary["diagnostics"]["approximation_warnings"]
+    assert warned[0] == "g/omega_r = 1e+299 strains the rotating-wave approximation"
+    line = capsys.readouterr().err.splitlines()[0]
+    assert line == f"warning: {warned[0]}" and len(line) < 100
+
+
 def test_trajectory_csv_is_written_without_a_copy_of_every_row(tmp_path):
     """The writer stacks one chunk of _ROWS_PER_WRITE rows at a time: at
     200,001 samples of one mode its traced peak stays under 3 MiB, where one
